@@ -51,11 +51,12 @@ from .efg import (
     surface_mesh,
 )
 from .oner import (
+    ZERO_AMPLITUDE_RTOL,
     StatePairNqi,
     TwoLevelParams,
-    ZeroAmplitudeError,
     fit_rabi,
     fourier_coefficients,
+    pair_in_b_frame,
     plan,
     q0_q1,
     simulate_coupled,
@@ -438,8 +439,7 @@ def _spectrum_rows(
 def run_spectrum(sc: Scenario, unit_mode: str | None = None) -> str:
     setup = resolve_setup(sc, unit_mode)
     rho_inf, _ = steady_state(setup.params)
-    pair_b = setup.pair.rotated_about_x(setup.theta) if setup.pair.frame == FRAME_E else setup.pair
-    q0, _ = q0_q1(pair_b, rho_inf)
+    q0, _ = q0_q1(pair_in_b_frame(setup.pair, setup.theta), rho_inf)
     rows = _spectrum_rows(setup.nucleus, setup.b0_tesla, q0)
     return _csv_block(
         ["transition_from", "transition_to", "zeeman_hz", "correction_hz", "total_hz"],
@@ -473,11 +473,10 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid, unit_mode: str | None = None) ->
                 qe=table.interpolate(sc.table_excited_state, field_au),
             )
             nuc, pair = _apply_unit_mode(sc, nucleus, pair, mode)
-            pair_b = pair.rotated_about_x(theta)
-            q0, q1 = q0_q1(pair_b, rho_inf)
+            q0, q1 = q0_q1(pair_in_b_frame(pair, theta), rho_inf)
             for m_from, m_to in transitions:
                 g = abs(transition_amplitude(m_from, m_to, q1, spin))
-                if g <= 1e-9 * max(q1.norm, 1e-300):
+                if g <= ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300):
                     g = 0.0
                 total = transition_energy(
                     m_from, m_to, nuc.gamma_hz_per_t, sc.b0_tesla, q0.qzz_hz, spin
@@ -499,36 +498,20 @@ def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
     no-oscillation sentinel (NaN fit values).
     """
     setup = resolve_setup(sc, unit_mode)
-    try:
-        the_plan = plan(
-            setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params,
-            setup.transition,
-        )
-        predicted = the_plan.predicted_rabi_hz
-    except ZeroAmplitudeError as exc:
-        logger.info("zero-amplitude transition, running anyway: %s", exc)
-        predicted = 0.0
-    tau = None
+    the_plan = plan(
+        setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params,
+        setup.transition, allow_zero_amplitude=True,
+    )
+    predicted = the_plan.predicted_rabi_hz
     if predicted > 0:
         duration = sc.duration_rabi_periods / predicted
+        scale = predicted
     else:
         # no oscillation to resolve; cover a fixed number of pulses
-        spin = make_spin(setup.nucleus.two_I)
-        rho_inf, _ = steady_state(setup.params)
-        pair_b = (
-            setup.pair.rotated_about_x(setup.theta)
-            if setup.pair.frame == FRAME_E
-            else setup.pair
-        )
-        q0, _ = q0_q1(pair_b, rho_inf)
-        rep = abs(
-            transition_energy(
-                setup.transition[0], setup.transition[1], setup.nucleus.gamma_hz_per_t,
-                setup.b0_tesla, q0.qzz_hz, spin,
-            )
-        )
-        tau = 1.0 / rep
+        logger.info("zero-amplitude transition %s, running anyway", setup.transition)
+        tau = 1.0 / the_plan.repetition_rate_hz
         duration = 200.0 * tau
+        scale = 1.0 / tau
     traj = simulate_coupled(
         setup.pair,
         setup.nucleus,
@@ -540,7 +523,6 @@ def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
         n_samples=sc.n_samples,
         allow_zero_amplitude=True,
     )
-    scale = predicted if predicted > 0 else 1.0 / tau
     header = ["t_normalized"] + [_m_label(m) for m in traj.m_values]
     rows = [
         [t * scale] + list(traj.spin_populations[k]) for k, t in enumerate(traj.times)

@@ -454,7 +454,12 @@ def q0_q1(pair: StatePairNqi, rho_ee_inf: float) -> tuple[NqiTensor, NqiTensor]:
     return q0, q1
 
 
-def _pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
+def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
+    """The state pair in the magnetic-field frame (B).
+
+    E-frame tensors are rotated about x by theta, the angle between the
+    gradient and field frames; B-frame tensors pass through unchanged.
+    """
     if pair.frame == FRAME_E:
         return pair.rotated_about_x(theta)
     if pair.frame == FRAME_B:
@@ -485,7 +490,7 @@ def plan(
     """
     spin = make_spin(nucleus.two_I)
     m_from, m_to = transition
-    pair_b = _pair_in_b_frame(pair, theta)
+    pair_b = pair_in_b_frame(pair, theta)
     rho_inf, _ = steady_state(params)
     q0, q1 = q0_q1(pair_b, rho_inf)
     rep_hz = abs(
@@ -566,7 +571,7 @@ def simulate_spin_effective(
     level).  No spin decoherence channels are applied.
     """
     spin = make_spin(nucleus.two_I)
-    pair_b = _pair_in_b_frame(pair, theta)
+    pair_b = pair_in_b_frame(pair, theta)
     _check_plan_consistency(plan_, pair_b)
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -649,7 +654,7 @@ def simulate_coupled(
         allow_zero_amplitude=allow_zero_amplitude,
     )
     spin = make_spin(nucleus.two_I)
-    pair_b = _pair_in_b_frame(pair, theta)
+    pair_b = pair_in_b_frame(pair, theta)
     if duration <= 0:
         raise ValueError("duration must be > 0")
     tau = 1.0 / the_plan.repetition_rate_hz
@@ -673,7 +678,7 @@ def simulate_coupled(
         for ch in collapse_channels(pulse_params)
     ]
 
-    scale = max(qdyn.total_rate(channels), float(np.max(np.abs(h_on))))
+    scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
     est = duration * scale / max_step_phase
     if est > max_substeps:
         raise qdyn.IntegrationFailureError(

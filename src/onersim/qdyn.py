@@ -10,12 +10,16 @@ h * max(rate_total, spectral radius of H), stays below a small budget.
 Fixed steps keep output grids, and therefore any emitted tables,
 bit-stable across runs.
 
-Because the equation is linear, RK4 with step h on a constant Hamiltonian
-is exactly the degree-4 polynomial P4(h L) applied to the vectorized
-state, with L the Liouvillian matrix.  The constant-Hamiltonian path
-exploits this by powering P4 across each output interval; the map is
-identical to stepwise RK4, only cheaper.  Time-dependent Hamiltonians
-take a per-substep evaluation path.
+Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
+Liouvillian acting on the row-major vec(rho), or -iH acting on a state
+vector for channel-free pure states.  On a linear system one RK4 step of
+length h is a matrix, so each output interval's map is a product of
+one-step maps.  A constant generator (propagate) powers one cached
+step map P4(h A0), the degree-4 Taylor polynomial.  A modulated one
+(propagate_modulated) builds the interval's step maps in batches of
+bounded size and multiplies them pairwise, later steps on the left.
+Both are stepwise RK4 with the products reassociated: deterministic,
+equal to a literal step loop up to rounding.
 
 Each stored output state is re-hermitized as (rho + rho+)/2 and trace
 renormalized; pre-correction drifts are recorded as diagnostics so
@@ -32,6 +36,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
+# most negative eigenvalue tolerated in a stored output state; anything
+# below is an integration failure, not integrator-scale noise
+OUTPUT_POSITIVITY_TOL = 1e-8
 
 # phase budget per internal RK4 substep; 0.05 is the documented accuracy
 # bound, the default sits well below it so long runs keep eigenvalue
@@ -42,6 +49,10 @@ MAX_STEP_PHASE_LIMIT = 0.05
 # pre-renormalization trace drift per output interval above which a run
 # is considered broken
 STEP_TRACE_DRIFT_LIMIT = 1e-6
+
+# bytes one batch of RK4 step maps may occupy; the steps per batch follow
+# from the map dimension (4096 for a 4 x 4 map, 16 for a 64 x 64 one)
+BATCH_BYTES = 1 << 20
 
 
 class DimensionMismatchError(ValueError):
@@ -147,33 +158,6 @@ class CollapseChannel:
         object.__setattr__(self, "operator", arr)
         if self.rate < 0:
             raise ValueError(f"collapse rate must be >= 0, got {self.rate}")
-
-
-def lindblad_rhs(hamiltonian, channels: Sequence[CollapseChannel], rho) -> np.ndarray:
-    """Right-hand side of the Lindblad master equation.
-
-    hamiltonian in rad/s; rho may be a DensityOperator or a raw matrix.
-    """
-    h = _as_complex_matrix(hamiltonian, "hamiltonian")
-    r = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if h.shape != r.shape:
-        raise DimensionMismatchError(
-            f"hamiltonian {h.shape} and state {r.shape} dimensions differ",
-            left=h.shape,
-            right=r.shape,
-        )
-    out = -1j * (h @ r - r @ h)
-    for ch in channels:
-        c = ch.operator
-        if c.shape != r.shape:
-            raise DimensionMismatchError(
-                f"collapse operator {c.shape} and state {r.shape} dimensions differ",
-                left=c.shape,
-                right=r.shape,
-            )
-        cdc = c.conj().T @ c
-        out += ch.rate * (c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc))
-    return out
 
 
 @dataclass
@@ -301,7 +285,8 @@ class _Recorder:
         self.states = [rho0]
         self.limit = trace_drift_limit
 
-    def interval_drift(self, drift: float, t0: float, t1: float) -> None:
+    def interval_drift(self, drift: float, t0: float, t1: float, n_sub: int) -> None:
+        self.diag.n_substeps += n_sub
         self.diag.max_step_trace_drift = max(self.diag.max_step_trace_drift, drift)
         if drift > self.limit:
             raise IntegrationFailureError(
@@ -316,16 +301,38 @@ class _Recorder:
         fixed = fixed / np.real(np.trace(fixed))
         w = np.linalg.eigvalsh(fixed)
         self.diag.min_eigenvalue = min(self.diag.min_eigenvalue, float(w[0]))
-        state = DensityOperator(fixed, positivity_tol=1e-8)
+        if w[0] < -OUTPUT_POSITIVITY_TOL:
+            raise IntegrationFailureError(
+                f"output state has eigenvalue {w[0]:.3e} below "
+                f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
+            )
+        state = DensityOperator(fixed, positivity_tol=OUTPUT_POSITIVITY_TOL)
         self.states.append(state)
         return state
 
-    def record_pure(self, psi: np.ndarray) -> DensityOperator:
+    def advance(self, m: np.ndarray, v: np.ndarray, t0: float, t1: float, n_sub: int) -> np.ndarray:
+        """Apply an interval map to vec(rho); record the state, return its vector."""
+        d = self.states[0].dim
+        tr0 = _vec_trace(v, d)
+        v = m @ v
+        self.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1, n_sub)
+        return self.record(v.reshape(d, d)).matrix.reshape(-1)
+
+    def advance_pure(
+        self, m: np.ndarray, psi: np.ndarray, t0: float, t1: float, n_sub: int
+    ) -> np.ndarray:
+        """Apply an interval map to a state vector; its norm drift is the trace drift."""
+        psi = m @ psi
+        norm2 = float(np.real(np.vdot(psi, psi)))
+        self.interval_drift(abs(norm2 - 1.0), t0, t1, n_sub)
+        psi = psi / np.sqrt(norm2)
         # outer product of a normalized vector: hermitian and positive by
         # construction, so no residuals to accumulate
-        state = DensityOperator(np.outer(psi, psi.conj()))
-        self.states.append(state)
-        return state
+        self.states.append(DensityOperator(np.outer(psi, psi.conj())))
+        return psi
+
+    def result(self, t: np.ndarray) -> PropagationResult:
+        return PropagationResult(times=t, states=self.states, diagnostics=self.diag)
 
 
 def _vec_trace(v: np.ndarray, d: int) -> float:
@@ -341,6 +348,69 @@ def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
+def _rk4_step_maps(a0, a1, envelope, ends: np.ndarray, h: float) -> np.ndarray:
+    """One-step RK4 maps of dv/dt = (a0 + envelope(t) a1) v, shape (n, D, D).
+
+    Step j runs from ends[j] to ends[j + 1].  Literal RK4 on a linear
+    system, written on matrices: K1 = A(ta), K2 = A(tm)(I + h/2 K1),
+    K3 = A(tm)(I + h/2 K2), K4 = A(tb)(I + h K3), and the step map is
+    I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+    """
+    f_ends = np.fromiter(map(envelope, ends.tolist()), dtype=float, count=ends.size)
+    mids = (ends[:-1] + 0.5 * h).tolist()
+    f_mids = np.fromiter(map(envelope, mids), dtype=float, count=len(mids))
+    a_ends = a0 + f_ends[:, None, None] * a1
+    a_mid = a0 + f_mids[:, None, None] * a1
+    k1 = a_ends[:-1]
+    k2 = a_mid + (0.5 * h) * (a_mid @ k1)
+    k3 = a_mid + (0.5 * h) * (a_mid @ k2)
+    k4 = a_ends[1:] + h * (a_ends[1:] @ k3)
+    return np.eye(a0.shape[0]) + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] by pairwise (tree) products.
+
+    Each level multiplies neighbours, the later map on the left, and
+    carries an unpaired last map up unchanged.
+    """
+    while len(maps) > 1:
+        paired = maps[1::2] @ maps[:-1:2]
+        maps = np.concatenate((paired, maps[-1:])) if len(maps) % 2 else paired
+    return maps[0]
+
+
+def _interval_maps(t: np.ndarray, scale: float, max_step_phase: float, a0, a1=None, envelope=None):
+    """RK4 map of dv/dt = (a0 + envelope(t) a1) v over each grid interval.
+
+    Yields (t0, t1, n_sub, map): n_sub equal substeps keep the phase
+    dt * scale / n_sub at or below max_step_phase.  Without a1 the
+    generator is constant and the map is P4(h a0) raised to n_sub,
+    cached by (h, n_sub).  With a1 the interval's one-step maps are
+    built in batches of at most BATCH_BYTES and multiplied pairwise,
+    later steps on the left.
+    """
+    cache: dict[tuple[str, int], np.ndarray] = {}
+    chunk = max(1, BATCH_BYTES // (16 * a0.shape[0] ** 2))
+    for i in range(t.size - 1):
+        t0, t1 = float(t[i]), float(t[i + 1])
+        dt = t1 - t0
+        n_sub = max(1, int(np.ceil(dt * scale / max_step_phase))) if scale > 0 else 1
+        h = dt / n_sub
+        if a1 is None:
+            key = (h.hex(), n_sub)
+            if key not in cache:
+                cache[key] = np.linalg.matrix_power(_rk4_step_matrix(a0, h), n_sub)
+            yield t0, t1, n_sub, cache[key]
+            continue
+        m = None
+        for j0 in range(0, n_sub, chunk):
+            ends = t0 + np.arange(j0, min(j0 + chunk, n_sub) + 1) * h
+            part = _compose(_rk4_step_maps(a0, a1, envelope, ends, h))
+            m = part if m is None else part @ m
+        yield t0, t1, n_sub, m
+
+
 def propagate(
     hamiltonian,
     channels: Sequence[CollapseChannel],
@@ -353,10 +423,11 @@ def propagate(
     """Propagate a density matrix over t_grid with fixed-step RK4.
 
     Args:
-        hamiltonian: constant matrix, or a callable t -> matrix (rad/s).
-            A callable must be smooth within every grid interval; place
-            discontinuities on grid points and run each constant piece
-            separately (see the pulsed simulators for the pattern).
+        hamiltonian: constant matrix (rad/s).  A piecewise-constant
+            Hamiltonian runs each constant piece as its own call from
+            the previous piece's final state (see the pulsed
+            simulators); a linearly modulated one goes through
+            propagate_modulated.
         channels: Lindblad collapse channels.
         rho0: initial state.
         t_grid: strictly increasing sample times; the state is stored at
@@ -374,66 +445,20 @@ def propagate(
     """
     t = _check_grid(t_grid)
     _check_phase(max_step_phase)
-    rate_tot = total_rate(channels)
-    rec = _Recorder(rho0, trace_drift_limit)
     d = rho0.dim
-
-    if callable(hamiltonian):
-        r = rho0.matrix.copy()
-        for i in range(t.size - 1):
-            t0, t1 = float(t[i]), float(t[i + 1])
-            dt = t1 - t0
-            h_scale = max(
-                _hamiltonian_norm(hamiltonian(t0)),
-                _hamiltonian_norm(hamiltonian(t0 + dt / 2)),
-                _hamiltonian_norm(hamiltonian(t1)),
-            )
-            scale = max(rate_tot, h_scale)
-            n_sub = max(1, int(np.ceil(dt * scale / max_step_phase)))
-            h = dt / n_sub
-            tr0 = float(np.real(np.trace(r)))
-            for j in range(n_sub):
-                ta = t0 + j * h
-                ha = hamiltonian(ta)
-                hm = hamiltonian(ta + 0.5 * h)
-                hb = hamiltonian(ta + h)
-                k1 = lindblad_rhs(ha, channels, r)
-                k2 = lindblad_rhs(hm, channels, r + 0.5 * h * k1)
-                k3 = lindblad_rhs(hm, channels, r + 0.5 * h * k2)
-                k4 = lindblad_rhs(hb, channels, r + h * k3)
-                r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rec.diag.n_substeps += n_sub
-            rec.interval_drift(abs(float(np.real(np.trace(r))) - tr0), t0, t1)
-            r = rec.record(r).matrix.copy()
-        return PropagationResult(times=t, states=rec.states, diagnostics=rec.diag)
-
-    h_const = _as_complex_matrix(hamiltonian, "hamiltonian")
-    if h_const.shape[0] != d:
+    h = _as_complex_matrix(hamiltonian, "hamiltonian")
+    if h.shape[0] != d:
         raise DimensionMismatchError(
-            f"hamiltonian {h_const.shape} and state dim {d} differ",
-            left=h_const.shape,
+            f"hamiltonian {h.shape} and state dim {d} differ",
+            left=h.shape,
             right=(d, d),
         )
-    lv = liouvillian(h_const, channels)
-    scale = max(rate_tot, _hamiltonian_norm(h_const))
-    v = rho0.matrix.reshape(-1).copy()
-    step_cache: dict[tuple[str, int], np.ndarray] = {}
-    for i in range(t.size - 1):
-        t0, t1 = float(t[i]), float(t[i + 1])
-        dt = t1 - t0
-        n_sub = max(1, int(np.ceil(dt * scale / max_step_phase))) if scale > 0 else 1
-        h = dt / n_sub
-        key = (h.hex(), n_sub)
-        m_interval = step_cache.get(key)
-        if m_interval is None:
-            m_interval = np.linalg.matrix_power(_rk4_step_matrix(lv, h), n_sub)
-            step_cache[key] = m_interval
-        tr0 = _vec_trace(v, d)
-        v = m_interval @ v
-        rec.diag.n_substeps += n_sub
-        rec.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1)
-        v = rec.record(v.reshape(d, d)).matrix.reshape(-1).copy()
-    return PropagationResult(times=t, states=rec.states, diagnostics=rec.diag)
+    scale = max(total_rate(channels), _hamiltonian_norm(h))
+    rec = _Recorder(rho0, trace_drift_limit)
+    v = rho0.matrix.reshape(-1)
+    for t0, t1, n_sub, m in _interval_maps(t, scale, max_step_phase, liouvillian(h, channels)):
+        v = rec.advance(m, v, t0, t1, n_sub)
+    return rec.result(t)
 
 
 def propagate_modulated(
@@ -450,10 +475,12 @@ def propagate_modulated(
 ) -> PropagationResult:
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
-    Same stepping rule and bookkeeping as propagate, specialized to the
-    linearly modulated form so the Liouvillian split L0 + f(t) L1 is
-    assembled once.  envelope_bound must bound |envelope| over the run
-    (used for step control).
+    Same stepping rule and bookkeeping as propagate, for the linearly
+    modulated generator L0 + f(t) L1.  envelope_bound must bound
+    |envelope| over the run (used for step control).  A channel-free
+    pure state is integrated as a state vector under -iH(t), which
+    keeps the density matrix positive by construction and shrinks the
+    working dimension from d^2 to d.
     """
     t = _check_grid(t_grid)
     _check_phase(max_step_phase)
@@ -473,60 +500,17 @@ def propagate_modulated(
         _hamiltonian_norm(h0) + envelope_bound * _hamiltonian_norm(h1),
     )
     rec = _Recorder(rho0, trace_drift_limit)
-
-    if not channels:
-        psi = _pure_state_of(rho0)
-        if psi is not None:
-            # channel-free evolution of a pure state: integrate the state
-            # vector itself, which keeps the density matrix positive by
-            # construction and shrinks the working dimension from d^2 to d
-            a0 = -1j * h0
-            a1 = -1j * h1
-            for i in range(t.size - 1):
-                t0, t1 = float(t[i]), float(t[i + 1])
-                dt = t1 - t0
-                n_sub = max(1, int(np.ceil(dt * scale / max_step_phase))) if scale > 0 else 1
-                h = dt / n_sub
-                for j in range(n_sub):
-                    ta = t0 + j * h
-                    ma = a0 + envelope(ta) * a1
-                    mm = a0 + envelope(ta + 0.5 * h) * a1
-                    mb = a0 + envelope(ta + h) * a1
-                    k1 = ma @ psi
-                    k2 = mm @ (psi + 0.5 * h * k1)
-                    k3 = mm @ (psi + 0.5 * h * k2)
-                    k4 = mb @ (psi + h * k3)
-                    psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                norm2 = float(np.real(np.vdot(psi, psi)))
-                rec.diag.n_substeps += n_sub
-                rec.interval_drift(abs(norm2 - 1.0), t0, t1)
-                psi = psi / np.sqrt(norm2)
-                rec.record_pure(psi)
-            return PropagationResult(times=t, states=rec.states, diagnostics=rec.diag)
-
-    l0 = liouvillian(h0, channels)
-    l1 = liouvillian(h1, ())  # drive part carries no dissipator
-    v = rho0.matrix.reshape(-1).copy()
-    for i in range(t.size - 1):
-        t0, t1 = float(t[i]), float(t[i + 1])
-        dt = t1 - t0
-        n_sub = max(1, int(np.ceil(dt * scale / max_step_phase))) if scale > 0 else 1
-        h = dt / n_sub
-        tr0 = _vec_trace(v, d)
-        for j in range(n_sub):
-            ta = t0 + j * h
-            la = l0 + envelope(ta) * l1
-            lm = l0 + envelope(ta + 0.5 * h) * l1
-            lb = l0 + envelope(ta + h) * l1
-            k1 = la @ v
-            k2 = lm @ (v + 0.5 * h * k1)
-            k3 = lm @ (v + 0.5 * h * k2)
-            k4 = lb @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rec.diag.n_substeps += n_sub
-        rec.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1)
-        v = rec.record(v.reshape(d, d)).matrix.reshape(-1).copy()
-    return PropagationResult(times=t, states=rec.states, diagnostics=rec.diag)
+    psi = None if channels else _pure_state_of(rho0)
+    if psi is not None:
+        state, advance = psi, rec.advance_pure
+        a0, a1 = -1j * h0, -1j * h1
+    else:
+        state, advance = rho0.matrix.reshape(-1), rec.advance
+        # the drive part carries no dissipator
+        a0, a1 = liouvillian(h0, channels), liouvillian(h1, ())
+    for t0, t1, n_sub, m in _interval_maps(t, scale, max_step_phase, a0, a1, envelope):
+        state = advance(m, state, t0, t1, n_sub)
+    return rec.result(t)
 
 
 def kron(a, b) -> np.ndarray:

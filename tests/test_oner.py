@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from onersim.cli import default_scenario, resolve_setup
 from onersim.constants import TWO_PI, NucleusRecord
 from onersim.efg import NqiTensor, axial_nqi
 from onersim.oner import (
@@ -544,6 +545,18 @@ def test_coupled_substep_budget_guard():
             pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), duration=10.0,
             max_substeps=1e6,
         )
+
+
+def test_coupled_budget_estimate_uses_spectral_radius():
+    # the packaged scenario needs about 6.8e6 substeps by the spectral
+    # radius of the drive-on Hamiltonian; its largest entry would
+    # estimate 6.6e6 and let a 6.7e6 budget through
+    sc = default_scenario()
+    setup = resolve_setup(sc, "physical")
+    args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params, setup.transition)
+    duration = sc.duration_rabi_periods / plan(*args).predicted_rabi_hz
+    with pytest.raises(IntegrationFailureError, match="6.80e"):
+        simulate_coupled(*args, duration, n_samples=sc.n_samples, max_substeps=6.7e6)
 
 
 def test_fit_rabi_recovers_synthetic_frequency():

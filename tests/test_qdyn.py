@@ -1,7 +1,8 @@
 """Tests for the density-matrix propagation layer.
 
-Oracles: closed-form decay and Rabi solutions, direct evaluation of the
-master-equation right-hand side, and exact Kronecker / partial-trace
+Oracles: closed-form decay and Rabi solutions, a literal Lindblad
+right-hand side with a literal stepwise RK4 (both defined here, apart
+from the propagators' matrix form), and exact Kronecker / partial-trace
 index algebra on random operators.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from onersim import qdyn
 from onersim.qdyn import (
     CollapseChannel,
     DensityOperator,
@@ -17,7 +19,6 @@ from onersim.qdyn import (
     IntegrationFailureError,
     PropagationDiagnostics,
     kron,
-    lindblad_rhs,
     liouvillian,
     partial_trace,
     propagate,
@@ -27,6 +28,44 @@ from onersim.qdyn import (
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def lindblad_rhs(h, channels, rho):
+    """Literal master-equation right-hand side on a density matrix."""
+    out = -1j * (h @ rho - rho @ h)
+    for ch in channels:
+        c = ch.operator
+        cdc = c.conj().T @ c
+        out = out + ch.rate * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
+    return out
+
+
+def stepwise_rk4(rhs, y0, t_grid, scale, max_step_phase=qdyn.DEFAULT_MAX_STEP_PHASE):
+    """Literal fixed-step RK4 of dy/dt = rhs(t, y), one substep at a time.
+
+    Each grid interval is cut into ceil(dt * scale / max_step_phase)
+    equal substeps, the propagators' rule.  Returns the states at the
+    grid points and the total substep count.
+    """
+    y = np.array(y0, dtype=complex)
+    states, total = [y], 0
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        n = max(1, int(np.ceil((t1 - t0) * scale / max_step_phase)))
+        h = (t1 - t0) / n
+        for j in range(n):
+            ta = t0 + j * h
+            k1 = rhs(ta, y)
+            k2 = rhs(ta + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(ta + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(ta + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+        total += n
+    return states, total
+
+
+def spectral_radius(h):
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -94,18 +133,22 @@ def test_liouvillian_matches_direct_rhs():
         h = random_hermitian(rng, d, scale=3.0)
         channels = [random_channel(rng, d) for _ in range(2)]
         rho = random_density(rng, d)
-        direct = lindblad_rhs(h, channels, rho)
+        direct = lindblad_rhs(h, channels, rho.matrix)
         vec = liouvillian(h, channels) @ rho.matrix.reshape(-1)
         np.testing.assert_allclose(vec.reshape(d, d), direct, atol=1e-12 * max(1.0, float(np.max(np.abs(direct)))))
 
 
 def test_lindblad_rhs_is_traceless_and_hermiticity_preserving():
+    # the generator's image of a state is a traceless hermitian matrix,
+    # as the literal right-hand side is
     rng = np.random.default_rng(11)
     for _ in range(5):
         d = int(rng.integers(2, 5))
         h = random_hermitian(rng, d)
         channels = [random_channel(rng, d)]
-        out = lindblad_rhs(h, channels, random_density(rng, d))
+        rho = random_density(rng, d).matrix
+        out = (liouvillian(h, channels) @ rho.reshape(-1)).reshape(d, d)
+        np.testing.assert_allclose(out, lindblad_rhs(h, channels, rho), atol=1e-13)
         assert abs(np.trace(out)) < 1e-13
         assert np.max(np.abs(out - out.conj().T)) < 1e-13
 
@@ -188,10 +231,11 @@ def test_constant_and_callable_paths_agree():
     rho0 = random_density(rng, 3)
     t = np.linspace(0.0, 2.0, 7)
     ra = propagate(h, channels, rho0, t)
-    rb = propagate(lambda _t: h, channels, rho0, t)
-    for sa, sb in zip(ra.states, rb.states):
-        np.testing.assert_allclose(sa.matrix, sb.matrix, atol=1e-9)
-    assert ra.diagnostics.n_substeps == rb.diagnostics.n_substeps
+    scale = max(total_rate(channels), spectral_radius(h))
+    ref, n_ref = stepwise_rk4(lambda _t, r: lindblad_rhs(h, channels, r), rho0.matrix, t, scale)
+    for sa, sb in zip(ra.states, ref):
+        np.testing.assert_allclose(sa.matrix, sb, atol=1e-9)
+    assert ra.diagnostics.n_substeps == n_ref
 
 
 def test_modulated_pure_state_path_matches_matrix_path():
@@ -203,8 +247,14 @@ def test_modulated_pure_state_path_matches_matrix_path():
     rho0 = DensityOperator.pure(vec)
     t = np.linspace(0.0, 2.0, 9)
     ra = propagate_modulated(h0, h1, env, [], rho0, t)
-    rb = propagate(lambda tt: h0 + env(tt) * h1, [], rho0, t)
-    np.testing.assert_allclose(ra.populations(), rb.populations(), atol=1e-8)
+    scale = spectral_radius(h0) + spectral_radius(h1)
+    ref, n_ref = stepwise_rk4(
+        lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, [], r), rho0.matrix, t, scale
+    )
+    np.testing.assert_allclose(
+        ra.populations(), np.array([np.real(np.diag(r)) for r in ref]), atol=1e-8
+    )
+    assert ra.diagnostics.n_substeps == n_ref
     # outer products of state vectors are positive by construction
     assert ra.diagnostics.min_eigenvalue >= -1e-12
 
@@ -217,9 +267,43 @@ def test_modulated_mixed_state_matches_callable_path():
     rho0 = DensityOperator.maximally_mixed(3)
     t = np.linspace(0.0, 1.5, 7)
     ra = propagate_modulated(h0, h1, env, [], rho0, t)
-    rb = propagate(lambda tt: h0 + env(tt) * h1, [], rho0, t)
-    for sa, sb in zip(ra.states, rb.states):
-        np.testing.assert_allclose(sa.matrix, sb.matrix, atol=1e-8)
+    scale = spectral_radius(h0) + spectral_radius(h1)
+    ref, n_ref = stepwise_rk4(
+        lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, [], r), rho0.matrix, t, scale
+    )
+    for sa, sb in zip(ra.states, ref):
+        np.testing.assert_allclose(sa.matrix, sb, atol=1e-8)
+    assert ra.diagnostics.n_substeps == n_ref
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
+    # one interval of 45 substeps in batches of 16: the last batch (13
+    # maps) leaves an unpaired map on three levels of the pairwise
+    # composition, which must stay in time order
+    rng = np.random.default_rng(23)
+    h0 = random_hermitian(rng, 2, scale=1.0)
+    h1 = random_hermitian(rng, 2, scale=0.5)
+    env = lambda tt: np.sin(5.0 * tt)
+    phase = qdyn.MAX_STEP_PHASE_LIMIT
+    n_sub = 2 * 16 + 13
+    if pure:
+        # the pure-state path integrates the state vector under -iH(t)
+        psi0 = np.array([1.0, 0.5j]) / np.sqrt(1.25)
+        rho0, channels, dim = DensityOperator.pure(psi0), [], 2
+        y0, rhs = psi0, lambda tt, y: -1j * (h0 + env(tt) * h1) @ y
+    else:
+        rho0, channels, dim = random_density(rng, 2), [CollapseChannel(SIGMA, 0.4)], 4
+        y0, rhs = rho0.matrix, lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, channels, r)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 16 * 16 * dim * dim)
+    scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
+    t = [0.0, (n_sub - 0.5) * phase / scale]
+    res = propagate_modulated(h0, h1, env, channels, rho0, t, max_step_phase=phase)
+    ref, n_ref = stepwise_rk4(rhs, y0, t, scale, phase)
+    if pure:
+        ref[-1] = np.outer(ref[-1], ref[-1].conj()) / np.vdot(ref[-1], ref[-1]).real
+    assert res.diagnostics.n_substeps == n_ref == n_sub
+    np.testing.assert_allclose(res[-1].matrix, ref[-1], atol=1e-12)
 
 
 def test_propagation_is_bit_stable():
@@ -261,10 +345,6 @@ def test_dimension_mismatches_raise():
     with pytest.raises(DimensionMismatchError):
         propagate(np.zeros((3, 3)), [], rho0, [0.0, 1.0])
     with pytest.raises(DimensionMismatchError):
-        lindblad_rhs(np.zeros((3, 3)), [], rho0)
-    with pytest.raises(DimensionMismatchError):
-        lindblad_rhs(np.zeros((2, 2)), [CollapseChannel(np.zeros((3, 3)), 1.0)], rho0)
-    with pytest.raises(DimensionMismatchError):
         liouvillian(np.zeros((2, 2)), [CollapseChannel(np.zeros((3, 3)), 1.0)])
     with pytest.raises(DimensionMismatchError):
         propagate_modulated(np.zeros((3, 3)), np.zeros((2, 2)), lambda t: 0.0, [], rho0, [0.0, 1.0])
@@ -294,6 +374,18 @@ def test_lying_envelope_bound_aborts():
             DensityOperator.pure(0, dim=2),
             [0.0, 1.0],
             envelope_bound=1.0,
+        )
+    # a lying envelope on a mixed state without channels breaks
+    # positivity before the trace: the numerical error type, not a
+    # configuration error
+    with pytest.raises(IntegrationFailureError, match="eigenvalue"):
+        propagate_modulated(
+            np.zeros((2, 2)),
+            SIGMA_X,
+            lambda t: 145.0,
+            [],
+            DensityOperator(np.diag([0.9, 0.1])),
+            [0.0, 1.0],
         )
     with pytest.raises(ValueError, match="envelope_bound"):
         propagate_modulated(
