@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import qdyn
 from .constants import TWO_PI, NucleusRecord, get_nucleus
 from .efg import (
     FRAME_E,
@@ -723,9 +722,6 @@ def main(argv=None) -> int:
     except (TableFormatError, TableRangeError) as exc:
         print(f"onersim: ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
-    except qdyn.IntegrationFailureError as exc:
-        print(f"onersim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except RuntimeError as exc:
         print(f"onersim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -249,18 +249,19 @@ def _run_piecewise(
     sample_times: np.ndarray,
     *,
     max_step_phase: float,
-) -> tuple[list[DensityOperator], PropagationDiagnostics]:
+) -> tuple[np.ndarray, PropagationDiagnostics]:
     """Propagate through contiguous constant-Hamiltonian segments.
 
-    Collects the state at each requested sample time (all of which must
-    fall inside the covered range).  Segment boundaries are integrated
-    exactly: no RK4 stage ever samples across a discontinuity.
+    Returns the states at the requested sample times (all of which must
+    fall inside the covered range) as one (n_samples, d, d) stack.
+    Segment boundaries are integrated exactly: no RK4 stage ever samples
+    across a discontinuity.
     """
     samples = np.asarray(sample_times, dtype=float)
     span = segments[-1][1] - segments[0][0]
     tol = 1e-12 * max(span, 1.0)
     diag = PropagationDiagnostics()
-    collected: list[DensityOperator] = []
+    collected: list[np.ndarray] = []
     idx = 0
     state = rho0
     for t0, t1, h in segments:
@@ -271,13 +272,12 @@ def _run_piecewise(
         grid = _merge_close(np.concatenate(([t0, t1], np.asarray(inside))), tol)
         res = qdyn.propagate(h, channels, state, grid, max_step_phase=max_step_phase)
         diag = diag.merge(res.diagnostics)
-        for want in inside:
-            k = int(np.argmin(np.abs(grid - want)))
-            collected.append(res.states[k])
-        state = res.states[-1]
+        picks = [int(np.argmin(np.abs(grid - want))) for want in inside]
+        collected.append(res.matrices[picks])
+        state = res[-1]
     if idx != samples.size:
         raise ValueError("sample times extend beyond the final segment")
-    return collected, diag
+    return np.concatenate(collected), diag
 
 
 def _pulse_segment_list(
@@ -347,8 +347,8 @@ def simulate_pulsed_two_level(
     states, diag = _run_piecewise(
         segments, collapse_channels(params), rho0, samples, max_step_phase=max_step_phase
     )
-    rho_ee = np.array([s.population(1) for s in states])
-    rho_eg = np.array([s.matrix[1, 0] for s in states])
+    rho_ee = np.real(states[:, 1, 1]).copy()
+    rho_eg = states[:, 1, 0].copy()
     return TwoLevelTrajectory(times=samples, rho_ee=rho_ee, rho_eg=rho_eg, diagnostics=diag)
 
 
@@ -697,13 +697,9 @@ def simulate_coupled(
     states, diag = _run_piecewise(
         segments, channels, rho0, samples, max_step_phase=max_step_phase
     )
-    spin_pops = np.empty((len(states), d))
-    rho_ee = np.empty(len(states))
-    for k, s in enumerate(states):
-        reduced_spin = qdyn.partial_trace(s.matrix, (2, d), keep=1)
-        spin_pops[k] = np.real(np.diag(reduced_spin))
-        reduced_2l = qdyn.partial_trace(s.matrix, (2, d), keep=0)
-        rho_ee[k] = float(np.real(reduced_2l[1, 1]))
+    reduced_spin = qdyn.partial_trace(states, (2, d), keep=1)
+    spin_pops = np.real(np.diagonal(reduced_spin, axis1=1, axis2=2)).copy()
+    rho_ee = np.real(qdyn.partial_trace(states, (2, d), keep=0)[:, 1, 1]).copy()
     return CoupledTrajectory(
         times=samples,
         spin_populations=spin_pops,

@@ -21,9 +21,11 @@ bounded size and multiplies them pairwise, later steps on the left.
 Both are stepwise RK4 with the products reassociated: deterministic,
 equal to a literal step loop up to rounding.
 
-Each stored output state is re-hermitized as (rho + rho+)/2 and trace
-renormalized; pre-correction drifts are recorded as diagnostics so
-integration quality stays observable instead of silently absorbed.
+A run returns one read-only (n_times, d, d) stack of states.  Each is
+re-hermitized as (rho + rho+)/2 and trace renormalized as it is made;
+pre-correction drifts are recorded as diagnostics so integration
+quality stays observable instead of silently absorbed.  Positivity is
+checked once per run, by one batched eigvalsh over the stack.
 """
 
 from __future__ import annotations
@@ -182,24 +184,25 @@ class PropagationDiagnostics:
 
 @dataclass
 class PropagationResult:
-    """States on the requested grid plus diagnostics; sequence-like."""
+    """States on the requested grid as one read-only stack, plus diagnostics.
+
+    matrices has shape (n_times, d, d); res[i] wraps matrices[i] in a
+    DensityOperator on demand.
+    """
 
     times: np.ndarray
-    states: list[DensityOperator] = field(default_factory=list)
+    matrices: np.ndarray
     diagnostics: PropagationDiagnostics = field(default_factory=PropagationDiagnostics)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrices)
 
-    def __getitem__(self, i):
-        return self.states[i]
-
-    def __iter__(self):
-        return iter(self.states)
+    def __getitem__(self, i: int) -> DensityOperator:
+        return DensityOperator(self.matrices[i], positivity_tol=OUTPUT_POSITIVITY_TOL)
 
     def populations(self) -> np.ndarray:
         """Diagonal of every stored state, shape (n_times, dim)."""
-        return np.array([s.populations() for s in self.states])
+        return np.real(np.diagonal(self.matrices, axis1=1, axis2=2)).copy()
 
 
 def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
@@ -280,9 +283,7 @@ class _Recorder:
 
     def __init__(self, rho0: DensityOperator, trace_drift_limit: float):
         self.diag = PropagationDiagnostics()
-        w0 = np.linalg.eigvalsh(rho0.matrix)
-        self.diag.min_eigenvalue = float(w0[0])
-        self.states = [rho0]
+        self.matrices = [rho0.matrix]
         self.limit = trace_drift_limit
 
     def interval_drift(self, drift: float, t0: float, t1: float, n_sub: int) -> None:
@@ -294,29 +295,19 @@ class _Recorder:
                 f"(limit {self.limit:g}); reduce max_step_phase"
             )
 
-    def record(self, mat: np.ndarray) -> DensityOperator:
+    def advance(self, m: np.ndarray, v: np.ndarray, t0: float, t1: float, n_sub: int) -> np.ndarray:
+        """Apply an interval map to vec(rho); store the corrected state, return its vector."""
+        d = self.matrices[0].shape[0]
+        tr0 = _vec_trace(v, d)
+        v = m @ v
+        self.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1, n_sub)
+        mat = v.reshape(d, d)
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         self.diag.max_hermiticity_residual = max(self.diag.max_hermiticity_residual, herm)
         fixed = (mat + mat.conj().T) / 2.0
         fixed = fixed / np.real(np.trace(fixed))
-        w = np.linalg.eigvalsh(fixed)
-        self.diag.min_eigenvalue = min(self.diag.min_eigenvalue, float(w[0]))
-        if w[0] < -OUTPUT_POSITIVITY_TOL:
-            raise IntegrationFailureError(
-                f"output state has eigenvalue {w[0]:.3e} below "
-                f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
-            )
-        state = DensityOperator(fixed, positivity_tol=OUTPUT_POSITIVITY_TOL)
-        self.states.append(state)
-        return state
-
-    def advance(self, m: np.ndarray, v: np.ndarray, t0: float, t1: float, n_sub: int) -> np.ndarray:
-        """Apply an interval map to vec(rho); record the state, return its vector."""
-        d = self.states[0].dim
-        tr0 = _vec_trace(v, d)
-        v = m @ v
-        self.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1, n_sub)
-        return self.record(v.reshape(d, d)).matrix.reshape(-1)
+        self.matrices.append(fixed)
+        return fixed.reshape(-1)
 
     def advance_pure(
         self, m: np.ndarray, psi: np.ndarray, t0: float, t1: float, n_sub: int
@@ -326,13 +317,25 @@ class _Recorder:
         norm2 = float(np.real(np.vdot(psi, psi)))
         self.interval_drift(abs(norm2 - 1.0), t0, t1, n_sub)
         psi = psi / np.sqrt(norm2)
-        # outer product of a normalized vector: hermitian and positive by
-        # construction, so no residuals to accumulate
-        self.states.append(DensityOperator(np.outer(psi, psi.conj())))
+        # outer product of a normalized vector: hermitian by construction,
+        # so no residual to accumulate
+        self.matrices.append(np.outer(psi, psi.conj()))
         return psi
 
     def result(self, t: np.ndarray) -> PropagationResult:
-        return PropagationResult(times=t, states=self.states, diagnostics=self.diag)
+        """Check positivity over the whole stack at once and freeze it."""
+        stack = np.array(self.matrices)
+        w = np.linalg.eigvalsh(stack)[:, 0]
+        self.diag.min_eigenvalue = float(w.min())
+        bad = np.flatnonzero(w < -OUTPUT_POSITIVITY_TOL)
+        if bad.size:
+            k = int(bad[0])
+            raise IntegrationFailureError(
+                f"output state at t={t[k]:g} has eigenvalue {w[k]:.3e} below "
+                f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
+            )
+        stack.setflags(write=False)
+        return PropagationResult(times=t, matrices=stack, diagnostics=self.diag)
 
 
 def _vec_trace(v: np.ndarray, d: int) -> float:
@@ -440,8 +443,12 @@ def propagate(
             above which the run aborts.
 
     Returns:
-        PropagationResult with per-grid-point states (re-hermitized,
-        trace renormalized) and pre-correction drift diagnostics.
+        PropagationResult holding one read-only (n_times, d, d) stack of
+        the states at the grid points (re-hermitized, trace
+        renormalized) and pre-correction drift diagnostics.  Positivity
+        is checked once over the whole stack; a state with an
+        eigenvalue below -OUTPUT_POSITIVITY_TOL raises
+        IntegrationFailureError naming its time.
     """
     t = _check_grid(t_grid)
     _check_phase(max_step_phase)
@@ -519,17 +526,17 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite state.
+    """Trace out one factor of a bipartite state, or of a stack of them.
 
     Args:
-        rho: matrix on the product space, shape (dA*dB, dA*dB), factor A
-            first (slow index).
+        rho: matrix on the product space, shape (..., dA*dB, dA*dB),
+            factor A first (slow index); leading axes are batch axes.
         dims: (dA, dB).
         keep: 0 to keep factor A, 1 to keep factor B.
     """
     da, db = dims
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (da * db, da * db):
+    if r.shape[-2:] != (da * db, da * db):
         raise DimensionMismatchError(
             f"state shape {r.shape} does not match factor dims {dims}",
             left=r.shape,
@@ -537,7 +544,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
         )
     if keep not in (0, 1):
         raise ValueError("keep must be 0 (factor A) or 1 (factor B)")
-    t = r.reshape(da, db, da, db)
+    t = r.reshape(*r.shape[:-2], da, db, da, db)
     if keep == 0:
-        return np.einsum("ajbj->ab", t)
-    return np.einsum("iaib->ab", t)
+        return np.einsum("...ajbj->...ab", t)
+    return np.einsum("...iaib->...ab", t)

@@ -1,0 +1,38 @@
+"""Guards for what the benchmark harness in perfbench/ needs of the package.
+
+The tracer wraps onersim functions by name and the import probe looks
+for named modules in ``python -X importtime`` output; a rename or a
+moved import in ``src/`` breaks a traced benchmark run, not a test.
+These tests catch that here.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+import onersim.cli  # noqa: F401  (the tracer patches names in every onersim module)
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import child  # noqa: E402
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_on_the_live_package():
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert not tracer._restore
+
+
+def test_import_probe_finds_both_modules(monkeypatch):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    times = child.import_times(1)
+    assert set(times) == {"import.onersim_s", "import.scipy_optimize_s"}
+    assert all(v > 0 for v in times.values())

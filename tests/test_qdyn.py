@@ -161,7 +161,7 @@ def test_pure_decay_matches_closed_form():
     t = np.linspace(0.0, 3.0, 13)
     res = propagate(np.zeros((2, 2)), [CollapseChannel(SIGMA, g)], rho0, t)
     p_e = res.populations()[:, 1]
-    coh = np.array([s.matrix[0, 1] for s in res.states])
+    coh = res.matrices[:, 0, 1]
     np.testing.assert_allclose(p_e, 0.5 * np.exp(-g * t), atol=1e-9)
     np.testing.assert_allclose(coh, 0.5 * np.exp(-g * t / 2.0), atol=1e-9)
 
@@ -183,10 +183,10 @@ def test_propagation_preserves_state_validity():
         channels = [random_channel(rng, d)]
         rho0 = random_density(rng, d)
         res = propagate(h, channels, rho0, np.linspace(0.0, 4.0, 9))
-        for s in res.states:
-            assert abs(np.trace(s.matrix) - 1.0) < 1e-12
-            assert np.max(np.abs(s.matrix - s.matrix.conj().T)) == 0.0
-            assert np.linalg.eigvalsh(s.matrix)[0] > -1e-10
+        for m in res.matrices:
+            assert abs(np.trace(m) - 1.0) < 1e-12
+            assert np.max(np.abs(m - m.conj().T)) == 0.0
+            assert np.linalg.eigvalsh(m)[0] > -1e-10
         assert res.diagnostics.max_step_trace_drift < 1e-9
         assert res.diagnostics.max_hermiticity_residual < 1e-10
         assert res.diagnostics.n_substeps > 0
@@ -199,7 +199,7 @@ def test_unitary_propagation_preserves_purity():
         h = random_hermitian(rng, d, scale=2.0)
         vec = rng.normal(size=d) + 1j * rng.normal(size=d)
         res = propagate(h, [], DensityOperator.pure(vec), np.linspace(0.0, 5.0, 6))
-        for s in res.states:
+        for s in res:
             purity = float(np.real(np.trace(s.matrix @ s.matrix)))
             assert abs(purity - 1.0) < 1e-8
 
@@ -233,8 +233,8 @@ def test_constant_and_callable_paths_agree():
     ra = propagate(h, channels, rho0, t)
     scale = max(total_rate(channels), spectral_radius(h))
     ref, n_ref = stepwise_rk4(lambda _t, r: lindblad_rhs(h, channels, r), rho0.matrix, t, scale)
-    for sa, sb in zip(ra.states, ref):
-        np.testing.assert_allclose(sa.matrix, sb, atol=1e-9)
+    for sa, sb in zip(ra.matrices, ref):
+        np.testing.assert_allclose(sa, sb, atol=1e-9)
     assert ra.diagnostics.n_substeps == n_ref
 
 
@@ -271,8 +271,8 @@ def test_modulated_mixed_state_matches_callable_path():
     ref, n_ref = stepwise_rk4(
         lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, [], r), rho0.matrix, t, scale
     )
-    for sa, sb in zip(ra.states, ref):
-        np.testing.assert_allclose(sa.matrix, sb, atol=1e-8)
+    for sa, sb in zip(ra.matrices, ref):
+        np.testing.assert_allclose(sa, sb, atol=1e-8)
     assert ra.diagnostics.n_substeps == n_ref
 
 
@@ -314,15 +314,36 @@ def test_propagation_is_bit_stable():
     t = np.linspace(0.0, 3.0, 11)
     ra = propagate(h, channels, rho0, t)
     rb = propagate(h, channels, rho0, t)
-    for sa, sb in zip(ra.states, rb.states):
-        assert np.array_equal(sa.matrix, sb.matrix)
+    for sa, sb in zip(ra.matrices, rb.matrices):
+        assert np.array_equal(sa, sb)
 
 
 def test_single_point_grid_returns_initial_state():
     rho0 = DensityOperator.pure(0, dim=2)
     res = propagate(np.zeros((2, 2)), [], rho0, [0.0])
     assert len(res) == 1
-    assert res[0] is rho0
+    assert np.array_equal(res[0].matrix, rho0.matrix)
+
+
+def test_result_is_one_read_only_stack():
+    rng = np.random.default_rng(29)
+    h = random_hermitian(rng, 3, scale=1.0)
+    t = np.linspace(0.0, 2.0, 6)
+    res = propagate(h, [random_channel(rng, 3)], random_density(rng, 3), t)
+    assert res.matrices.shape == (len(t), 3, 3)
+    assert len(res) == len(t)
+    with pytest.raises(ValueError):
+        res.matrices[0, 0, 0] = 0.0
+    for i in range(len(res)):
+        assert np.array_equal(res[i].matrix, res.matrices[i])
+    assert np.array_equal(res.populations(), np.real(np.diagonal(res.matrices, axis1=1, axis2=2)))
+    # the pure-state path is checked over its outputs too, not only rho0
+    env = lambda tt: np.sin(2.0 * tt)
+    psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    pure = propagate_modulated(h, 0.5 * h, env, [], DensityOperator.pure(psi0), t)
+    w = np.linalg.eigvalsh(pure.matrices)[:, 0]
+    assert pure.diagnostics.min_eigenvalue == w.min()
+    assert pure.diagnostics.min_eigenvalue >= -1e-12
 
 
 def test_grid_and_phase_validation():
@@ -438,3 +459,13 @@ def test_partial_trace_validation():
         partial_trace(np.eye(5), (2, 3), 0)
     with pytest.raises(ValueError, match="keep"):
         partial_trace(np.eye(6), (2, 3), 2)
+
+
+def test_partial_trace_on_a_stack_matches_per_matrix():
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    for keep in (0, 1):
+        loop = np.array([partial_trace(m, (2, 3), keep) for m in stack])
+        assert np.array_equal(partial_trace(stack, (2, 3), keep), loop)
+    with pytest.raises(DimensionMismatchError):
+        partial_trace(stack[:, :5, :5], (2, 3), 0)
