@@ -242,6 +242,13 @@ def _merge_close(points: np.ndarray, tol: float) -> np.ndarray:
     return np.array(keep)
 
 
+def _nearest(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the ascending grid's point nearest each point, the lower on a tie."""
+    lo = np.clip(np.searchsorted(grid, points) - 1, 0, grid.size - 1)
+    hi = np.minimum(lo + 1, grid.size - 1)
+    return np.where(points - grid[lo] <= grid[hi] - points, lo, hi)
+
+
 def _run_piecewise(
     segments: Sequence[tuple[float, float, np.ndarray]],
     channels: Sequence[CollapseChannel],
@@ -265,15 +272,14 @@ def _run_piecewise(
     idx = 0
     state = rho0
     for t0, t1, h in segments:
-        inside = []
+        start = idx
         while idx < samples.size and samples[idx] <= t1 + tol:
-            inside.append(samples[idx])
             idx += 1
-        grid = _merge_close(np.concatenate(([t0, t1], np.asarray(inside))), tol)
+        inside = samples[start:idx]
+        grid = _merge_close(np.concatenate(([t0, t1], inside)), tol)
         res = qdyn.propagate(h, channels, state, grid, max_step_phase=max_step_phase)
         diag = diag.merge(res.diagnostics)
-        picks = [int(np.argmin(np.abs(grid - want))) for want in inside]
-        collected.append(res.matrices[picks])
+        collected.append(res.matrices[_nearest(grid, inside)])
         state = res[-1]
     if idx != samples.size:
         raise ValueError("sample times extend beyond the final segment")

@@ -21,11 +21,11 @@ bounded size and multiplies them pairwise, later steps on the left.
 Both are stepwise RK4 with the products reassociated: deterministic,
 equal to a literal step loop up to rounding.
 
-A run returns one read-only (n_times, d, d) stack of states.  Each is
-re-hermitized as (rho + rho+)/2 and trace renormalized as it is made;
-pre-correction drifts are recorded as diagnostics so integration
-quality stays observable instead of silently absorbed.  Positivity is
-checked once per run, by one batched eigvalsh over the stack.
+A run returns one read-only (n_times, d, d) stack of states.  The
+interval loop only chains raw maps; the raw chain is corrected and
+checked once, at the end: pre-correction drifts are checked and kept as
+diagnostics, every state is re-hermitized as (rho + rho+)/2 and trace
+renormalized, and one batched eigvalsh checks positivity.
 """
 
 from __future__ import annotations
@@ -278,68 +278,61 @@ def _check_phase(max_step_phase: float) -> None:
         )
 
 
-class _Recorder:
-    """Shared output bookkeeping: hermitize, renormalize, track drift."""
+def _record(
+    maps, v0: np.ndarray, rho0: DensityOperator, t: np.ndarray, pure: bool, limit: float
+) -> PropagationResult:
+    """Chain raw interval maps from v0 (vec(rho0), or a state vector when pure).
 
-    def __init__(self, rho0: DensityOperator, trace_drift_limit: float):
-        self.diag = PropagationDiagnostics()
-        self.matrices = [rho0.matrix]
-        self.limit = trace_drift_limit
-
-    def interval_drift(self, drift: float, t0: float, t1: float, n_sub: int) -> None:
-        self.diag.n_substeps += n_sub
-        self.diag.max_step_trace_drift = max(self.diag.max_step_trace_drift, drift)
-        if drift > self.limit:
-            raise IntegrationFailureError(
-                f"trace drifted by {drift:.3e} over step [{t0:g}, {t1:g}] "
-                f"(limit {self.limit:g}); reduce max_step_phase"
-            )
-
-    def advance(self, m: np.ndarray, v: np.ndarray, t0: float, t1: float, n_sub: int) -> np.ndarray:
-        """Apply an interval map to vec(rho); store the corrected state, return its vector."""
-        d = self.matrices[0].shape[0]
-        tr0 = _vec_trace(v, d)
-        v = m @ v
-        self.interval_drift(abs(_vec_trace(v, d) - tr0), t0, t1, n_sub)
-        mat = v.reshape(d, d)
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        self.diag.max_hermiticity_residual = max(self.diag.max_hermiticity_residual, herm)
-        fixed = (mat + mat.conj().T) / 2.0
-        fixed = fixed / np.real(np.trace(fixed))
-        self.matrices.append(fixed)
-        return fixed.reshape(-1)
-
-    def advance_pure(
-        self, m: np.ndarray, psi: np.ndarray, t0: float, t1: float, n_sub: int
-    ) -> np.ndarray:
-        """Apply an interval map to a state vector; its norm drift is the trace drift."""
-        psi = m @ psi
-        norm2 = float(np.real(np.vdot(psi, psi)))
-        self.interval_drift(abs(norm2 - 1.0), t0, t1, n_sub)
-        psi = psi / np.sqrt(norm2)
-        # outer product of a normalized vector: hermitian by construction,
-        # so no residual to accumulate
-        self.matrices.append(np.outer(psi, psi.conj()))
-        return psi
-
-    def result(self, t: np.ndarray) -> PropagationResult:
-        """Check positivity over the whole stack at once and freeze it."""
-        stack = np.array(self.matrices)
-        w = np.linalg.eigvalsh(stack)[:, 0]
-        self.diag.min_eigenvalue = float(w.min())
-        bad = np.flatnonzero(w < -OUTPUT_POSITIVITY_TOL)
-        if bad.size:
-            k = int(bad[0])
-            raise IntegrationFailureError(
-                f"output state at t={t[k]:g} has eigenvalue {w[k]:.3e} below "
-                f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
-            )
-        stack.setflags(write=False)
-        return PropagationResult(times=t, matrices=stack, diagnostics=self.diag)
-
-
-def _vec_trace(v: np.ndarray, d: int) -> float:
-    return float(np.real(v[:: d + 1].sum()))
+    The raw chain is corrected and checked once, at the end, in order:
+    the first interval whose drift |tr_{k+1}/tr_k - 1| (squared norms when
+    pure) is not within limit raises; hermitize and renormalize (or
+    normalize and take outer products); one batched eigvalsh.  The maps
+    are linear and, exactly, trace and hermiticity preserving, so this
+    differs from correcting between intervals by rounding only.
+    """
+    raw, n_substeps = [v0], 0
+    # a broken run may overflow on the way; the drift check reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n_sub, m in maps:
+            raw.append(m @ raw[-1])
+            n_substeps += n_sub
+        v = np.array(raw)
+        if pure:
+            size = np.einsum("ki,ki->k", v.conj(), v).real
+        else:
+            v = v.reshape(-1, rho0.dim, rho0.dim)
+            size = np.trace(v, axis1=1, axis2=2).real
+        drift = np.abs(size[1:] / size[:-1] - 1.0)
+    bad = np.flatnonzero(~(drift <= limit))
+    if bad.size:
+        k = int(bad[0])
+        raise IntegrationFailureError(
+            f"trace drifted by {drift[k]:.3e} over step [{t[k]:g}, {t[k + 1]:g}] "
+            f"(limit {limit:g}); reduce max_step_phase"
+        )
+    diag = PropagationDiagnostics(float(drift.max(initial=0.0)), n_substeps=n_substeps)
+    if pure:
+        # outer products of normalized vectors: hermitian by construction,
+        # so no residual to record
+        psi = v / np.sqrt(size)[:, None]
+        stack = np.einsum("ki,kj->kij", psi, psi.conj())
+    else:
+        vh = v.conj().swapaxes(1, 2)
+        diag.max_hermiticity_residual = float(np.abs(v - vh).max())
+        stack = (v + vh) / 2.0
+        stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    stack[0] = rho0.matrix
+    w = np.linalg.eigvalsh(stack)[:, 0]
+    diag.min_eigenvalue = float(w.min())
+    bad = np.flatnonzero(w < -OUTPUT_POSITIVITY_TOL)
+    if bad.size:
+        k = int(bad[0])
+        raise IntegrationFailureError(
+            f"output state at t={t[k]:g} has eigenvalue {w[k]:.3e} below "
+            f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
+        )
+    stack.setflags(write=False)
+    return PropagationResult(times=t, matrices=stack, diagnostics=diag)
 
 
 def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
@@ -386,32 +379,31 @@ def _compose(maps: np.ndarray) -> np.ndarray:
 def _interval_maps(t: np.ndarray, scale: float, max_step_phase: float, a0, a1=None, envelope=None):
     """RK4 map of dv/dt = (a0 + envelope(t) a1) v over each grid interval.
 
-    Yields (t0, t1, n_sub, map): n_sub equal substeps keep the phase
+    Yields (n_sub, map) per interval: n_sub equal substeps keep the phase
     dt * scale / n_sub at or below max_step_phase.  Without a1 the
     generator is constant and the map is P4(h a0) raised to n_sub,
     cached by (h, n_sub).  With a1 the interval's one-step maps are
     built in batches of at most BATCH_BYTES and multiplied pairwise,
     later steps on the left.
     """
-    cache: dict[tuple[str, int], np.ndarray] = {}
+    dt = np.diff(t)
+    n_subs = np.ones(dt.size, dtype=int)
+    if scale > 0:
+        n_subs = np.maximum(np.ceil(dt * scale / max_step_phase), 1).astype(int)
+    cache: dict[tuple[float, int], np.ndarray] = {}
     chunk = max(1, BATCH_BYTES // (16 * a0.shape[0] ** 2))
-    for i in range(t.size - 1):
-        t0, t1 = float(t[i]), float(t[i + 1])
-        dt = t1 - t0
-        n_sub = max(1, int(np.ceil(dt * scale / max_step_phase))) if scale > 0 else 1
-        h = dt / n_sub
+    for t0, h, n_sub in zip(t[:-1].tolist(), (dt / n_subs).tolist(), n_subs.tolist()):
         if a1 is None:
-            key = (h.hex(), n_sub)
-            if key not in cache:
-                cache[key] = np.linalg.matrix_power(_rk4_step_matrix(a0, h), n_sub)
-            yield t0, t1, n_sub, cache[key]
+            if (h, n_sub) not in cache:
+                cache[h, n_sub] = np.linalg.matrix_power(_rk4_step_matrix(a0, h), n_sub)
+            yield n_sub, cache[h, n_sub]
             continue
         m = None
         for j0 in range(0, n_sub, chunk):
             ends = t0 + np.arange(j0, min(j0 + chunk, n_sub) + 1) * h
             part = _compose(_rk4_step_maps(a0, a1, envelope, ends, h))
             m = part if m is None else part @ m
-        yield t0, t1, n_sub, m
+        yield n_sub, m
 
 
 def propagate(
@@ -444,10 +436,12 @@ def propagate(
 
     Returns:
         PropagationResult holding one read-only (n_times, d, d) stack of
-        the states at the grid points (re-hermitized, trace
-        renormalized) and pre-correction drift diagnostics.  Positivity
-        is checked once over the whole stack; a state with an
-        eigenvalue below -OUTPUT_POSITIVITY_TOL raises
+        the states at the grid points and pre-correction drift
+        diagnostics.  The raw chain of interval maps is corrected and
+        checked once, at the end: an interval whose trace drift exceeds
+        trace_drift_limit raises IntegrationFailureError naming it, then
+        every state is re-hermitized and trace renormalized, and a state
+        with an eigenvalue below -OUTPUT_POSITIVITY_TOL raises
         IntegrationFailureError naming its time.
     """
     t = _check_grid(t_grid)
@@ -461,11 +455,8 @@ def propagate(
             right=(d, d),
         )
     scale = max(total_rate(channels), _hamiltonian_norm(h))
-    rec = _Recorder(rho0, trace_drift_limit)
-    v = rho0.matrix.reshape(-1)
-    for t0, t1, n_sub, m in _interval_maps(t, scale, max_step_phase, liouvillian(h, channels)):
-        v = rec.advance(m, v, t0, t1, n_sub)
-    return rec.result(t)
+    maps = _interval_maps(t, scale, max_step_phase, liouvillian(h, channels))
+    return _record(maps, rho0.matrix.reshape(-1), rho0, t, False, trace_drift_limit)
 
 
 def propagate_modulated(
@@ -506,18 +497,14 @@ def propagate_modulated(
         total_rate(channels),
         _hamiltonian_norm(h0) + envelope_bound * _hamiltonian_norm(h1),
     )
-    rec = _Recorder(rho0, trace_drift_limit)
     psi = None if channels else _pure_state_of(rho0)
     if psi is not None:
-        state, advance = psi, rec.advance_pure
-        a0, a1 = -1j * h0, -1j * h1
+        v0, a0, a1 = psi, -1j * h0, -1j * h1
     else:
-        state, advance = rho0.matrix.reshape(-1), rec.advance
         # the drive part carries no dissipator
-        a0, a1 = liouvillian(h0, channels), liouvillian(h1, ())
-    for t0, t1, n_sub, m in _interval_maps(t, scale, max_step_phase, a0, a1, envelope):
-        state = advance(m, state, t0, t1, n_sub)
-    return rec.result(t)
+        v0, a0, a1 = rho0.matrix.reshape(-1), liouvillian(h0, channels), liouvillian(h1, ())
+    maps = _interval_maps(t, scale, max_step_phase, a0, a1, envelope)
+    return _record(maps, v0, rho0, t, psi is not None, trace_drift_limit)
 
 
 def kron(a, b) -> np.ndarray:

@@ -3,7 +3,8 @@
 The tracer wraps onersim functions by name and the import probe looks
 for named modules in ``python -X importtime`` output; a rename or a
 moved import in ``src/`` breaks a traced benchmark run, not a test.
-These tests catch that here.
+These tests catch that here, and that the library workloads still meet
+the acceptance gates a benchmark run checks on every op.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 import onersim.cli  # noqa: F401  (the tracer patches names in every onersim module)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +22,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import child  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_on_the_live_package():
@@ -36,3 +40,11 @@ def test_import_probe_finds_both_modules(monkeypatch):
     times = child.import_times(1)
     assert set(times) == {"import.onersim_s", "import.scipy_optimize_s"}
     assert all(v > 0 for v in times.values())
+
+
+@pytest.mark.parametrize("name", ["pulse_train", "forbidden_effective"])
+def test_library_workloads_meet_their_gates(name, tmp_path):
+    # an op that misses its acceptance gate counts as failed in a
+    # benchmark run; catch that here rather than as a rise in fail_frac
+    work = workloads.build(name, 7, tmp_path)
+    assert workloads.gate(name, work.op("op")) == []

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
+from onersim import qdyn
 from onersim.cli import (
     EXIT_CONFIG,
     EXIT_INGESTION,
@@ -303,6 +304,17 @@ def test_coupled_over_budget_exits_numerical(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "scaled-unit" in err
+
+
+def test_propagation_failure_exits_numerical(monkeypatch, capsys):
+    # a positivity bound no state can meet fails the first propagated
+    # segment's end-of-run check: exit 3, and no partial CSV on stdout
+    monkeypatch.setattr(qdyn, "OUTPUT_POSITIVITY_TOL", -1.0)
+    assert main(["pulse"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "eigenvalue" in captured.err
 
 
 def test_efg_mesh_axial_tensor(capsys):

@@ -2,22 +2,27 @@
 
 Oracles: closed-form decay and Rabi solutions, a literal Lindblad
 right-hand side with a literal stepwise RK4 (both defined here, apart
-from the propagators' matrix form), and exact Kronecker / partial-trace
+from the propagators' matrix form), a chain that corrects the state
+after every interval (defined here, apart from the propagators'
+correct-once-at-the-end pass), and exact Kronecker / partial-trace
 index algebra on random operators.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from onersim import qdyn
+from onersim import oner, qdyn
 from onersim.qdyn import (
     CollapseChannel,
     DensityOperator,
     DimensionMismatchError,
     IntegrationFailureError,
     PropagationDiagnostics,
+    PropagationResult,
     kron,
     liouvillian,
     partial_trace,
@@ -62,6 +67,34 @@ def stepwise_rk4(rhs, y0, t_grid, scale, max_step_phase=qdyn.DEFAULT_MAX_STEP_PH
         states.append(y)
         total += n
     return states, total
+
+
+def corrected_chain(maps, v0, rho0, t, pure):
+    """Interval maps applied one at a time, each to the corrected previous state.
+
+    After every interval the density matrix is re-hermitized and trace
+    renormalized (a state vector is normalized and stored as its outer
+    product) before the next map acts on it: the per-interval arithmetic
+    the propagators ran before they chained raw maps and corrected once
+    at the end.  The drift checks are left out; only the states and the
+    substep count are compared.
+    """
+    d = rho0.dim
+    out, total, v = [rho0.matrix], 0, v0
+    for n_sub, m in maps:
+        total += n_sub
+        v = m @ v
+        if pure:
+            v = v / np.sqrt(float(np.real(np.vdot(v, v))))
+            out.append(np.outer(v, v.conj()))
+            continue
+        mat = v.reshape(d, d)
+        fixed = (mat + mat.conj().T) / 2.0
+        fixed = fixed / np.real(np.trace(fixed))
+        out.append(fixed)
+        v = fixed.reshape(-1)
+    diag = PropagationDiagnostics(n_substeps=total)
+    return PropagationResult(np.asarray(t, dtype=float), np.array(out), diag)
 
 
 def spectral_radius(h):
@@ -304,6 +337,74 @@ def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
         ref[-1] = np.outer(ref[-1], ref[-1].conj()) / np.vdot(ref[-1], ref[-1]).real
     assert res.diagnostics.n_substeps == n_ref == n_sub
     np.testing.assert_allclose(res[-1].matrix, ref[-1], atol=1e-12)
+
+
+def test_correcting_once_matches_the_per_interval_chain(monkeypatch):
+    # criterion 2's eight-period pulse train through _run_piecewise, once
+    # with the propagator and once with the per-interval corrected chain
+    params = oner.TwoLevelParams(omega_rabi=1.432, decay=1.0, dephasing=20.0, tau=50.0)
+    n_periods, spp = 8, 512
+    t_end = n_periods * params.tau
+    samples = np.array(
+        [(k + j / spp) * params.tau for k in range(n_periods) for j in range(spp)] + [t_end]
+    )
+    h_on = oner.drive_hamiltonian(params, on=True)
+    h_off = oner.drive_hamiltonian(params, on=False)
+    segments = oner._pulse_segment_list(params, t_end, h_on, h_off)
+    channels = oner.collapse_channels(params)
+    rho0 = DensityOperator.pure(0, dim=2)
+    phase = qdyn.DEFAULT_MAX_STEP_PHASE
+    states, diag = oner._run_piecewise(segments, channels, rho0, samples, max_step_phase=phase)
+
+    def chained_propagate(h, chans, rho, t_grid, *, max_step_phase):
+        scale = max(total_rate(chans), qdyn._hamiltonian_norm(h))
+        maps = qdyn._interval_maps(t_grid, scale, max_step_phase, liouvillian(h, chans))
+        return corrected_chain(maps, rho.matrix.reshape(-1), rho, t_grid, pure=False)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(qdyn, "propagate", chained_propagate)
+        ref, ref_diag = oner._run_piecewise(segments, channels, rho0, samples, max_step_phase=phase)
+    assert states.shape == ref.shape == (samples.size, 2, 2)
+    np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-13)
+    assert diag.n_substeps == ref_diag.n_substeps
+
+    # a pure-state modulated run over many intervals
+    rng = np.random.default_rng(31)
+    h0 = random_hermitian(rng, 3, scale=1.5)
+    h1 = random_hermitian(rng, 3, scale=0.8)
+    env = lambda tt: np.sin(2.5 * tt)
+    rho0 = DensityOperator.pure(rng.normal(size=3) + 1j * rng.normal(size=3))
+    t = np.linspace(0.0, 20.0, 201)
+    res = propagate_modulated(h0, h1, env, [], rho0, t)
+    scale = qdyn._hamiltonian_norm(h0) + qdyn._hamiltonian_norm(h1)
+    maps = qdyn._interval_maps(t, scale, phase, -1j * h0, -1j * h1, env)
+    ref = corrected_chain(maps, qdyn._pure_state_of(rho0), rho0, t, pure=True)
+    np.testing.assert_allclose(res.matrices, ref.matrices, rtol=0.0, atol=1e-13)
+    assert res.diagnostics.n_substeps == ref.diagnostics.n_substeps
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_failing_interval_is_named(bad, monkeypatch):
+    # a non-finite entry in the third interval's map poisons every later
+    # raw state (inf overflows into NaN on the way); the end-of-run check
+    # must name that interval and leak no RuntimeWarning
+    real = qdyn._interval_maps
+
+    def poisoned(*args):
+        for k, (n_sub, m) in enumerate(real(*args)):
+            if k == 2:
+                m = m.copy()
+                m[0, 0] = bad
+            yield n_sub, m
+
+    monkeypatch.setattr(qdyn, "_interval_maps", poisoned)
+    rng = np.random.default_rng(37)
+    rho0 = random_density(rng, 2)
+    t = np.linspace(0.0, 1.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationFailureError, match=r"over step \[0\.4, 0\.6\]"):
+            propagate(random_hermitian(rng, 2), [CollapseChannel(SIGMA, 0.5)], rho0, t)
 
 
 def test_propagation_is_bit_stable():
