@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -232,77 +231,9 @@ def collapse_channels(params: TwoLevelParams) -> list[CollapseChannel]:
     return out
 
 
-def _merge_close(points: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending unique points, merging values closer than tol."""
-    pts = np.sort(np.asarray(points, dtype=float))
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > tol:
-            keep.append(p)
-    return np.array(keep)
-
-
-def _nearest(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Index of the ascending grid's point nearest each point, the lower on a tie."""
-    lo = np.clip(np.searchsorted(grid, points) - 1, 0, grid.size - 1)
-    hi = np.minimum(lo + 1, grid.size - 1)
-    return np.where(points - grid[lo] <= grid[hi] - points, lo, hi)
-
-
-def _run_piecewise(
-    segments: Sequence[tuple[float, float, np.ndarray]],
-    channels: Sequence[CollapseChannel],
-    rho0: DensityOperator,
-    sample_times: np.ndarray,
-    *,
-    max_step_phase: float,
-) -> tuple[np.ndarray, PropagationDiagnostics]:
-    """Propagate through contiguous constant-Hamiltonian segments.
-
-    Returns the states at the requested sample times (all of which must
-    fall inside the covered range) as one (n_samples, d, d) stack.
-    Segment boundaries are integrated exactly: no RK4 stage ever samples
-    across a discontinuity.
-    """
-    samples = np.asarray(sample_times, dtype=float)
-    span = segments[-1][1] - segments[0][0]
-    tol = 1e-12 * max(span, 1.0)
-    diag = PropagationDiagnostics()
-    collected: list[np.ndarray] = []
-    idx = 0
-    state = rho0
-    for t0, t1, h in segments:
-        start = idx
-        while idx < samples.size and samples[idx] <= t1 + tol:
-            idx += 1
-        inside = samples[start:idx]
-        grid = _merge_close(np.concatenate(([t0, t1], inside)), tol)
-        res = qdyn.propagate(h, channels, state, grid, max_step_phase=max_step_phase)
-        diag = diag.merge(res.diagnostics)
-        collected.append(res.matrices[_nearest(grid, inside)])
-        state = res[-1]
-    if idx != samples.size:
-        raise ValueError("sample times extend beyond the final segment")
-    return np.concatenate(collected), diag
-
-
-def _pulse_segment_list(
-    params: TwoLevelParams, t_end: float, h_on: np.ndarray, h_off: np.ndarray
-) -> list[tuple[float, float, np.ndarray]]:
-    """Alternating on/off constant-H segments covering [0, t_end]."""
-    tau, duty = params.tau, params.duty
-    segments: list[tuple[float, float, np.ndarray]] = []
-    k = 0
-    t = 0.0
-    while t < t_end - 1e-12 * t_end:
-        on_end = (k + duty) * tau
-        off_end = (k + 1.0) * tau
-        segments.append((k * tau, min(on_end, t_end), h_on))
-        if on_end < t_end:
-            segments.append((on_end, min(off_end, t_end), h_off))
-        t = off_end
-        k += 1
-    return segments
+def _pulse_pieces(params: TwoLevelParams, h_on: np.ndarray, h_off: np.ndarray) -> list:
+    """One pulse period as (length, H) pieces: drive on for duty * tau, then off."""
+    return [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
 
 
 @dataclass
@@ -331,7 +262,9 @@ def simulate_pulsed_two_level(
 ) -> TwoLevelTrajectory:
     """Propagate the two-level system over an integer number of pulses.
 
-    The drive is on for the first duty fraction of each period.  Output
+    The drive is on for the first duty fraction of each period.  The
+    on and off pieces get RK4 lattices of their own, so no step crosses
+    a switch, and their maps are built once for the whole train.  Output
     samples sit at uniform fractions j / samples_per_period of each
     period plus the final endpoint, so the last period provides exactly
     the half-open window fourier_coefficients expects.
@@ -347,15 +280,17 @@ def simulate_pulsed_two_level(
     )
     h_on = drive_hamiltonian(params, on=True)
     h_off = drive_hamiltonian(params, on=False)
-    segments = _pulse_segment_list(params, n_periods * tau, h_on, h_off)
     if rho0 is None:
         rho0 = DensityOperator.pure(0, dim=2)
-    states, diag = _run_piecewise(
-        segments, collapse_channels(params), rho0, samples, max_step_phase=max_step_phase
+    res = qdyn.propagate(
+        None, collapse_channels(params), rho0, samples,
+        period=_pulse_pieces(params, h_on, h_off), max_step_phase=max_step_phase,
     )
-    rho_ee = np.real(states[:, 1, 1]).copy()
-    rho_eg = states[:, 1, 0].copy()
-    return TwoLevelTrajectory(times=samples, rho_ee=rho_ee, rho_eg=rho_eg, diagnostics=diag)
+    rho_ee = np.real(res.matrices[:, 1, 1]).copy()
+    rho_eg = res.matrices[:, 1, 0].copy()
+    return TwoLevelTrajectory(
+        times=samples, rho_ee=rho_ee, rho_eg=rho_eg, diagnostics=res.diagnostics
+    )
 
 
 @dataclass
@@ -572,9 +507,11 @@ def simulate_spin_effective(
 ) -> SpinTrajectory:
     """Unitary spin evolution under H(t) = H_zeeman + H_Q0 + H_Q1 sin(wt).
 
-    The modulation frequency is the plan's repetition rate.  The spin
-    starts in the pure level initial_m (default: the transition's source
-    level).  No spin decoherence channels are applied.
+    The modulation frequency is the plan's repetition rate, and one
+    modulation period is the RK4 lattice piece whose step maps serve
+    every period of the run.  The spin starts in the pure level
+    initial_m (default: the transition's source level).  No spin
+    decoherence channels are applied.
     """
     spin = make_spin(nucleus.two_I)
     pair_b = pair_in_b_frame(pair, theta)
@@ -598,6 +535,7 @@ def simulate_spin_effective(
         rho0,
         grid,
         envelope_bound=1.0,
+        period=1.0 / plan_.repetition_rate_hz,
         max_step_phase=max_step_phase,
     )
     return SpinTrajectory(
@@ -648,7 +586,9 @@ def simulate_coupled(
     optionally off-diagonal) block values; the two-level collapse
     channels act as c x 1.  The pulse period is set by the plan's
     repetition rate, so the train is resonant with the chosen
-    transition.  Spin populations are reported from the partial trace.
+    transition; its on and off pieces get RK4 lattices of their own, so
+    no step crosses a switch, and their maps are built once for the whole
+    run.  Spin populations are reported from the partial trace.
 
     Physically scaled hierarchies (optical rates vs kHz couplings) can
     demand astronomically many substeps; the run then aborts with advice
@@ -699,20 +639,20 @@ def simulate_coupled(
     rho0 = DensityOperator.pure(spin.index_of(initial_m), dim=2 * d)
 
     samples = np.linspace(0.0, duration, n_samples + 1)
-    segments = _pulse_segment_list(pulse_params, duration, h_on, h_off)
-    states, diag = _run_piecewise(
-        segments, channels, rho0, samples, max_step_phase=max_step_phase
+    res = qdyn.propagate(
+        None, channels, rho0, samples,
+        period=_pulse_pieces(pulse_params, h_on, h_off), max_step_phase=max_step_phase,
     )
-    reduced_spin = qdyn.partial_trace(states, (2, d), keep=1)
+    reduced_spin = qdyn.partial_trace(res.matrices, (2, d), keep=1)
     spin_pops = np.real(np.diagonal(reduced_spin, axis1=1, axis2=2)).copy()
-    rho_ee = np.real(qdyn.partial_trace(states, (2, d), keep=0)[:, 1, 1]).copy()
+    rho_ee = np.real(qdyn.partial_trace(res.matrices, (2, d), keep=0)[:, 1, 1]).copy()
     return CoupledTrajectory(
         times=samples,
         spin_populations=spin_pops,
         m_values=spin.m_values,
         rho_ee=rho_ee,
         plan=the_plan,
-        diagnostics=diag,
+        diagnostics=res.diagnostics,
     )
 
 

@@ -5,31 +5,40 @@ Lindblad master equation for small dense Hilbert spaces (dim <= 8):
     drho/dt = -i [H, rho] + sum_a k_a (c_a rho c_a+ - 1/2 {c_a+ c_a, rho})
 
 with H in angular-frequency units (hbar = 1).  Propagation is fixed-step
-classical RK4; the substep is chosen so the phase advanced per step,
-h * max(rate_total, spectral radius of H), stays below a small budget.
-Fixed steps keep output grids, and therefore any emitted tables,
-bit-stable across runs.
+classical RK4 on a lattice: a piece of time of length L gets
+N = ceil(L * scale / max_step_phase) equal steps, scale being the larger
+of the total rate and the spectral radius of the piece's Hamiltonian, so
+the phase advanced per step stays below a small budget and no RK4 stage
+crosses a piece boundary.  A periodic drive is given as one period that
+starts at the first grid time and repeats: (length, H) pieces for
+propagate, the modulation period for propagate_modulated.  Without a
+period every output interval is a piece.  Fixed steps keep output grids,
+and therefore any emitted tables, bit-stable across runs.
 
 Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
 Liouvillian acting on the row-major vec(rho), or -iH acting on a state
-vector for channel-free pure states.  On a linear system one RK4 step of
-length h is a matrix, so each output interval's map is a product of
-one-step maps.  A constant generator (propagate) powers one cached
-step map P4(h A0), the degree-4 Taylor polynomial.  A modulated one
-(propagate_modulated) builds the interval's step maps in batches of
-bounded size and multiplies them pairwise, later steps on the left.
-Both are stepwise RK4 with the products reassociated: deterministic,
-equal to a literal step loop up to rounding.
+vector for channel-free pure states.  One RK4 step is then a matrix, and
+each piece's maps are built once per run: the binary powers P^(2^b) of a
+constant piece's step map, or a modulated piece's step maps in batches
+of bounded size with their running products at the sample positions.
+The piece maps carry the state through every period that holds a
+sample, and the period map skips the others.  A sample off the lattice
+is one shorter RK4 step, on the vector, after a prefix of its piece.
+This is stepwise RK4 with the products reassociated: deterministic, and
+equal to a literal step loop on the same lattice up to rounding.
+n_substeps counts the steps of that loop: the lattice steps up to the
+last sample, plus one per sample off the lattice.
 
-A run returns one read-only (n_times, d, d) stack of states.  The
-interval loop only chains raw maps; the raw chain is corrected and
-checked once, at the end: pre-correction drifts are checked and kept as
-diagnostics, every state is re-hermitized as (rho + rho+)/2 and trace
-renormalized, and one batched eigvalsh checks positivity.
+A run returns one read-only (n_times, d, d) stack of states.  The raw
+states are corrected and checked once, at the end: pre-correction drifts
+are checked and kept as diagnostics, every state is re-hermitized as
+(rho + rho+)/2 and trace renormalized, and one batched eigvalsh checks
+positivity.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -226,13 +235,6 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
     return lv
 
 
-def _rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 map for the linear system: P4(hL) acting on vec(rho)."""
-    eye = np.eye(lv.shape[0], dtype=complex)
-    hl = h * lv
-    return eye + hl @ (eye + hl @ (eye / 2.0 + hl @ (eye / 6.0 + hl / 24.0)))
-
-
 def _hamiltonian_norm(h) -> float:
     """Step-control scale of an operator: a bound on its spectral radius.
 
@@ -278,31 +280,26 @@ def _check_phase(max_step_phase: float) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _record(
-    maps, v0: np.ndarray, rho0: DensityOperator, t: np.ndarray, pure: bool, limit: float
+    v: np.ndarray, n_substeps: int, rho0: DensityOperator, t: np.ndarray, pure: bool, limit: float
 ) -> PropagationResult:
-    """Chain raw interval maps from v0 (vec(rho0), or a state vector when pure).
+    """Correct and check the raw vectors at t (vec(rho), or state vectors when pure).
 
-    The raw chain is corrected and checked once, at the end, in order:
-    the first interval whose drift |tr_{k+1}/tr_k - 1| (squared norms when
-    pure) is not within limit raises; hermitize and renormalize (or
-    normalize and take outer products); one batched eigvalsh.  The maps
-    are linear and, exactly, trace and hermiticity preserving, so this
-    differs from correcting between intervals by rounding only.
+    One batched pass, in order: the first interval whose drift
+    |tr_{k+1}/tr_k - 1| (squared norms when pure) is not within limit
+    raises; hermitize and renormalize (or normalize and take outer
+    products); one batched eigvalsh.  The maps are linear and, exactly,
+    trace and hermiticity preserving, so this differs from correcting
+    between intervals by rounding only.  A broken run may overflow on the
+    way; the drift check reports it.
     """
-    raw, n_substeps = [v0], 0
-    # a broken run may overflow on the way; the drift check reports it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n_sub, m in maps:
-            raw.append(m @ raw[-1])
-            n_substeps += n_sub
-        v = np.array(raw)
-        if pure:
-            size = np.einsum("ki,ki->k", v.conj(), v).real
-        else:
-            v = v.reshape(-1, rho0.dim, rho0.dim)
-            size = np.trace(v, axis1=1, axis2=2).real
-        drift = np.abs(size[1:] / size[:-1] - 1.0)
+    if pure:
+        size = np.einsum("ki,ki->k", v.conj(), v).real
+    else:
+        v = v.reshape(-1, rho0.dim, rho0.dim)
+        size = np.trace(v, axis1=1, axis2=2).real
+    drift = np.abs(size[1:] / size[:-1] - 1.0)
     bad = np.flatnonzero(~(drift <= limit))
     if bad.size:
         k = int(bad[0])
@@ -344,26 +341,6 @@ def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
-def _rk4_step_maps(a0, a1, envelope, ends: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 maps of dv/dt = (a0 + envelope(t) a1) v, shape (n, D, D).
-
-    Step j runs from ends[j] to ends[j + 1].  Literal RK4 on a linear
-    system, written on matrices: K1 = A(ta), K2 = A(tm)(I + h/2 K1),
-    K3 = A(tm)(I + h/2 K2), K4 = A(tb)(I + h K3), and the step map is
-    I + h/6 (K1 + 2 K2 + 2 K3 + K4).
-    """
-    f_ends = np.fromiter(map(envelope, ends.tolist()), dtype=float, count=ends.size)
-    mids = (ends[:-1] + 0.5 * h).tolist()
-    f_mids = np.fromiter(map(envelope, mids), dtype=float, count=len(mids))
-    a_ends = a0 + f_ends[:, None, None] * a1
-    a_mid = a0 + f_mids[:, None, None] * a1
-    k1 = a_ends[:-1]
-    k2 = a_mid + (0.5 * h) * (a_mid @ k1)
-    k3 = a_mid + (0.5 * h) * (a_mid @ k2)
-    k4 = a_ends[1:] + h * (a_ends[1:] @ k3)
-    return np.eye(a0.shape[0]) + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _compose(maps: np.ndarray) -> np.ndarray:
     """maps[-1] @ ... @ maps[0] by pairwise (tree) products.
 
@@ -376,34 +353,189 @@ def _compose(maps: np.ndarray) -> np.ndarray:
     return maps[0]
 
 
-def _interval_maps(t: np.ndarray, scale: float, max_step_phase: float, a0, a1=None, envelope=None):
-    """RK4 map of dv/dt = (a0 + envelope(t) a1) v over each grid interval.
+def _rk4(a_start, a_mid, a_end, dt, x: np.ndarray) -> np.ndarray:
+    """One RK4 step of dx/dt = A(t) x on each x[r] from A(t) at its start, middle and end.
 
-    Yields (n_sub, map) per interval: n_sub equal substeps keep the phase
-    dt * scale / n_sub at or below max_step_phase.  Without a1 the
-    generator is constant and the map is P4(h a0) raised to n_sub,
-    cached by (h, n_sub).  With a1 the interval's one-step maps are
-    built in batches of at most BATCH_BYTES and multiplied pairwise,
-    later steps on the left.
+    dt, and each A, is one value or one per row; on x = I this is the step
+    map.  The stages are summed as they come, to hold few arrays of x's size.
     """
-    dt = np.diff(t)
-    n_subs = np.ones(dt.size, dtype=int)
-    if scale > 0:
-        n_subs = np.maximum(np.ceil(dt * scale / max_step_phase), 1).astype(int)
-    cache: dict[tuple[float, int], np.ndarray] = {}
-    chunk = max(1, BATCH_BYTES // (16 * a0.shape[0] ** 2))
-    for t0, h, n_sub in zip(t[:-1].tolist(), (dt / n_subs).tolist(), n_subs.tolist()):
-        if a1 is None:
-            if (h, n_sub) not in cache:
-                cache[h, n_sub] = np.linalg.matrix_power(_rk4_step_matrix(a0, h), n_sub)
-            yield n_sub, cache[h, n_sub]
-            continue
-        m = None
-        for j0 in range(0, n_sub, chunk):
-            ends = t0 + np.arange(j0, min(j0 + chunk, n_sub) + 1) * h
-            part = _compose(_rk4_step_maps(a0, a1, envelope, ends, h))
-            m = part if m is None else part @ m
-        yield n_sub, m
+    dt = np.reshape(dt, (-1, 1, 1))
+    k = a_start @ x
+    out = x + (dt / 6.0) * k
+    for a, c, w in ((a_mid, 0.5, 3.0), (a_mid, 0.5, 3.0), (a_end, 1.0, 6.0)):
+        k = a @ (x + (c * dt) * k)
+        out += (dt / w) * k
+    return out
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant."""
+
+    a0: np.ndarray
+    a1: np.ndarray | None
+    envelope: Callable[[float], float] | None
+    t0: float
+    h: float
+    n: int
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """A(t) at each time in t, shape (len(t), D, D); a0 for a constant piece."""
+        if self.a1 is None:
+            return self.a0
+        f = np.fromiter(map(self.envelope, t.tolist()), dtype=float, count=t.size)
+        return self.a0 + f[:, None, None] * self.a1
+
+    def step_maps(self, j0: int, j1: int) -> np.ndarray:
+        """RK4 maps of lattice steps j0 .. j1 - 1, shape (j1 - j0, D, D)."""
+        ends = self.t0 + np.arange(j0, j1 + 1) * self.h
+        a, mid = self.at(ends), self.at(ends[:-1] + 0.5 * self.h)
+        eye = np.broadcast_to(np.eye(self.a0.shape[0], dtype=complex), (j1 - j0, *self.a0.shape))
+        if self.a1 is None:
+            return _rk4(a, mid, a, self.h, eye)
+        return _rk4(a[:-1], mid, a[1:], self.h, eye)
+
+
+def _prefixes(piece: _Piece, stops):
+    """Yield (j, M_{j-1} ... M_0) at each ascending stop 0 < j <= piece.n.
+
+    The step maps are built once, in batches of at most BATCH_BYTES.
+    """
+    d = piece.a0.shape[0]
+    chunk = max(1, BATCH_BYTES // (16 * d * d))
+    q, at, lo, batch = np.eye(d, dtype=complex), 0, 0, np.empty((0, d, d))
+    for stop in stops:
+        while at < stop:
+            if at == lo + len(batch):
+                lo, batch = at, piece.step_maps(at, min(at + chunk, piece.n))
+            end = min(stop, lo + len(batch))
+            q = _compose(batch[at - lo : end - lo]) @ q
+            at = end
+        yield stop, q
+
+
+def _piece_maps(piece: _Piece, stops: np.ndarray):
+    """The piece map M_{n-1} ... M_0, and advance(y, j): y[r] <- M_{j[r]-1} ... M_0 y[r].
+
+    stops holds the distinct j > 0 advance will get.  A constant piece
+    keeps its step map P and applies the powers P^(2^b) of the set bits
+    of j.  A modulated piece keeps its running products at the stops,
+    unless they would take more than BATCH_BYTES: then advance builds
+    the step maps again.
+    """
+    if piece.a1 is None:
+        step = piece.step_maps(0, 1)[0]
+
+        def powers(top):
+            # squared again on each use, so one power is held at a time
+            p = step
+            for b in range(int(top).bit_length()):
+                p = p @ p if b else p
+                yield b, p
+
+        # low bits first, as np.linalg.matrix_power multiplies them
+        full = functools.reduce(np.matmul, (p for b, p in powers(piece.n) if piece.n >> b & 1))
+
+        def advance(y, j):
+            for b, p in powers(j.max()):
+                sel = (j >> b & 1).astype(bool)
+                y[sel] = y[sel] @ p.T
+
+        return full, advance
+    kept = (stops.size + 1) * 16 * piece.a0.size <= BATCH_BYTES
+    walk = list(_prefixes(piece, [*stops.tolist(), piece.n] if kept else [piece.n]))
+    full = walk.pop()[1]
+
+    def advance(y, j):
+        for stop, q in walk if kept else _prefixes(piece, stops.tolist()):
+            sel = j == stop
+            y[sel] = y[sel] @ q.T
+
+    return full, advance
+
+
+def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
+    """Lattice coordinates (k, i, j, dt): t sits dt past point j of piece i in period k.
+
+    An offset within a few rounding units of a lattice point sits on it.
+    A later period start is the end of the period before, i = len(bounds) - 1.
+    """
+    k, s = np.divmod(t - t[0], bounds[-1])
+    i = np.searchsorted(bounds, s, side="right") - 1
+    j = np.floor((s - bounds[i]) / h[i])
+    dt = s - bounds[i] - j * h[i]
+    tol = 32 * np.finfo(float).eps * float(np.abs(t).max())
+    up = h[i] - dt <= tol
+    j[up] += 1
+    dt[up | (dt <= tol)] = 0.0
+    back = (i == 0) & (j == 0) & (dt == 0.0) & (k > 0)
+    k[back] -= 1
+    i[back] = bounds.size - 1
+    return k.astype(int), i, j.astype(int), dt
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: float):
+    """Raw vectors at the sample times t, and the RK4 steps they stand for.
+
+    Piece i of a period repeated from t[0] is lengths[i] long and driven
+    by gens[i] = (scale, a0, a1); without lengths every grid interval is
+    a piece driven by gens[0].  _record reports an overflow on the way.
+    """
+    if lengths is None:
+        gens, bounds = gens * (t.size - 1), t - t[0]
+    else:
+        lengths = np.asarray(lengths, dtype=float)
+        if not (lengths.size and np.all(np.isfinite(lengths) & (lengths > 0))):
+            raise ValueError("a period needs one or more pieces of finite length > 0")
+        bounds = np.concatenate(([0.0], np.cumsum(lengths)))
+    if t.size == 1:
+        return v0[None].astype(complex), 0
+    lengths = np.diff(bounds)
+    n = np.maximum(np.ceil(lengths * [g[0] for g in gens] / phase), 1).astype(int)
+    h = lengths / n
+    k, i, j, dt = _locate(t, bounds, h)
+    inner = (j > 0) | (dt > 0)
+    busy = np.unique(i[inner]).tolist()
+    stops = {q: np.unique(j[inner & (i == q) & (j > 0)]) for q in busy}
+    pieces = [
+        _Piece(a0, a1, envelope, t[0] + b, hq, nq)
+        for (_, a0, a1), b, hq, nq in zip(gens, bounds.tolist(), h.tolist(), n.tolist())
+    ]
+    # equal constant pieces without samples inside share their maps
+    maps, cache = [], {}
+    for q, p in enumerate(pieces):
+        key = q if p.a1 is not None or q in stops else (id(gens[q][1]), p.h, p.n)
+        if key not in cache:
+            cache[key] = _piece_maps(p, stops.get(q, np.zeros(0, int)))
+        maps.append(cache[key])
+
+    # the state entering every piece of each period that holds a sample
+    need, row = np.unique(k, return_inverse=True)
+    chain = np.empty((need.size, len(pieces) + 1, v0.size), dtype=complex)
+    v, at, period_map = v0, 0, None
+    for r, kk in enumerate(need.tolist()):
+        if kk > at and period_map is None:
+            period_map = functools.reduce(lambda acc, m: m[0] @ acc, maps[1:], maps[0][0])
+        for _ in range(kk - at):
+            v = period_map @ v
+        chain[r, 0] = v
+        for q, (full, _) in enumerate(maps):
+            chain[r, q + 1] = full @ chain[r, q]
+        v, at = chain[r, -1], kk + 1
+
+    raw = chain[row, i]
+    for q in busy:
+        sel = np.flatnonzero(inner & (i == q))
+        y, js, ds, p = raw[sel], j[sel], dt[sel], pieces[q]
+        maps[q][1](y, js)
+        off = ds > 0
+        ta, ds = p.t0 + js[off] * p.h, ds[off]
+        y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off, :, None])[..., 0]
+        raw[sel] = y
+    # the lattice steps up to the last sample, and one remainder step per sample off it
+    first = np.concatenate(([0], np.cumsum(n))).tolist()
+    return raw, int(k[-1]) * first[-1] + first[i[-1]] + int(j[-1]) + int(np.count_nonzero(dt))
 
 
 def propagate(
@@ -412,24 +544,24 @@ def propagate(
     rho0: DensityOperator,
     t_grid,
     *,
+    period: Sequence[tuple[float, np.ndarray]] | None = None,
     max_step_phase: float = DEFAULT_MAX_STEP_PHASE,
     trace_drift_limit: float = STEP_TRACE_DRIFT_LIMIT,
 ) -> PropagationResult:
     """Propagate a density matrix over t_grid with fixed-step RK4.
 
     Args:
-        hamiltonian: constant matrix (rad/s).  A piecewise-constant
-            Hamiltonian runs each constant piece as its own call from
-            the previous piece's final state (see the pulsed
-            simulators); a linearly modulated one goes through
+        hamiltonian: constant matrix (rad/s), or None when period is
+            given.  A linearly modulated Hamiltonian goes through
             propagate_modulated.
         channels: Lindblad collapse channels.
         rho0: initial state.
         t_grid: strictly increasing sample times; the state is stored at
-            every grid point.  Internal substeps subdivide each interval
-            so that the phase advanced per substep, h times the larger
-            of the total rate and the Hamiltonian spectral radius, stays
-            at or below max_step_phase.
+            every grid point.
+        period: one period of a piecewise-constant Hamiltonian as
+            (length, H) pieces in time order, repeated from t_grid[0];
+            grid points may fall anywhere in it.  Without it, every grid
+            interval is a piece (see the module docstring).
         max_step_phase: phase budget per substep, at most 0.05.
         trace_drift_limit: pre-renormalization trace drift per interval
             above which the run aborts.
@@ -437,26 +569,29 @@ def propagate(
     Returns:
         PropagationResult holding one read-only (n_times, d, d) stack of
         the states at the grid points and pre-correction drift
-        diagnostics.  The raw chain of interval maps is corrected and
-        checked once, at the end: an interval whose trace drift exceeds
-        trace_drift_limit raises IntegrationFailureError naming it, then
-        every state is re-hermitized and trace renormalized, and a state
-        with an eigenvalue below -OUTPUT_POSITIVITY_TOL raises
+        diagnostics.  The raw states are corrected and checked once, at
+        the end: an interval whose trace drift exceeds trace_drift_limit
+        raises IntegrationFailureError naming it, then every state is
+        re-hermitized and trace renormalized, and a state with an
+        eigenvalue below -OUTPUT_POSITIVITY_TOL raises
         IntegrationFailureError naming its time.
     """
     t = _check_grid(t_grid)
     _check_phase(max_step_phase)
-    d = rho0.dim
-    h = _as_complex_matrix(hamiltonian, "hamiltonian")
-    if h.shape[0] != d:
-        raise DimensionMismatchError(
-            f"hamiltonian {h.shape} and state dim {d} differ",
-            left=h.shape,
-            right=(d, d),
-        )
-    scale = max(total_rate(channels), _hamiltonian_norm(h))
-    maps = _interval_maps(t, scale, max_step_phase, liouvillian(h, channels))
-    return _record(maps, rho0.matrix.reshape(-1), rho0, t, False, trace_drift_limit)
+    if (hamiltonian is None) == (period is None):
+        raise ValueError("give either a constant hamiltonian or a period of (length, H) pieces")
+    parts = [(None, hamiltonian)] if period is None else list(period)
+    d, gens = rho0.dim, []
+    for _, hp in parts:
+        h = _as_complex_matrix(hp, "hamiltonian")
+        if h.shape[0] != d:
+            msg = f"hamiltonian {h.shape} and state dim {d} differ"
+            raise DimensionMismatchError(msg, left=h.shape, right=(d, d))
+        scale = max(total_rate(channels), _hamiltonian_norm(h))
+        gens.append((scale, liouvillian(h, channels), None))
+    lengths = None if period is None else [length for length, _ in parts]
+    raw = _lattice(gens, lengths, None, t, rho0.matrix.reshape(-1), max_step_phase)
+    return _record(*raw, rho0, t, False, trace_drift_limit)
 
 
 def propagate_modulated(
@@ -468,17 +603,19 @@ def propagate_modulated(
     t_grid,
     *,
     envelope_bound: float = 1.0,
+    period: float | None = None,
     max_step_phase: float = DEFAULT_MAX_STEP_PHASE,
     trace_drift_limit: float = STEP_TRACE_DRIFT_LIMIT,
 ) -> PropagationResult:
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
-    Same stepping rule and bookkeeping as propagate, for the linearly
+    Same lattice rule and bookkeeping as propagate, for the linearly
     modulated generator L0 + f(t) L1.  envelope_bound must bound
-    |envelope| over the run (used for step control).  A channel-free
-    pure state is integrated as a state vector under -iH(t), which
-    keeps the density matrix positive by construction and shrinks the
-    working dimension from d^2 to d.
+    |envelope| over the run (used for step control).  period, when
+    given, is the envelope's period, one piece repeated from t_grid[0].
+    A channel-free pure state is integrated as a state vector under
+    -iH(t), which keeps the density matrix positive by construction and
+    shrinks the working dimension from d^2 to d.
     """
     t = _check_grid(t_grid)
     _check_phase(max_step_phase)
@@ -503,8 +640,9 @@ def propagate_modulated(
     else:
         # the drive part carries no dissipator
         v0, a0, a1 = rho0.matrix.reshape(-1), liouvillian(h0, channels), liouvillian(h1, ())
-    maps = _interval_maps(t, scale, max_step_phase, a0, a1, envelope)
-    return _record(maps, v0, rho0, t, psi is not None, trace_drift_limit)
+    lengths = None if period is None else [period]
+    raw = _lattice([(scale, a0, a1)], lengths, envelope, t, v0, max_step_phase)
+    return _record(*raw, rho0, t, psi is not None, trace_drift_limit)
 
 
 def kron(a, b) -> np.ndarray:

@@ -38,8 +38,6 @@ from onersim.oner import (
     simulate_spin_effective,
     steady_state,
     TwoLevelTrajectory,
-    _merge_close,
-    _nearest,
 )
 from onersim.qdyn import DensityOperator, IntegrationFailureError, propagate
 from onersim.spin import HierarchyWarning, make_spin, transition_energy
@@ -195,20 +193,6 @@ def test_pulsed_validation():
         simulate_pulsed_two_level(p2, 0, 32)
     with pytest.raises(ValueError, match="samples_per_period"):
         simulate_pulsed_two_level(p2, 2, 1)
-
-
-def test_sample_pick_is_the_nearest_grid_point():
-    # _merge_close keeps the first of each close cluster, so a dropped
-    # sample can sit nearer the next kept point than the one it merged
-    # into; the pick must still be the nearest point, the lower on a tie
-    tol = 1e-3
-    inside = np.array([0.0, 0.95e-3, 1.5e-3, 0.2, 0.2 + 0.4e-3, 0.5, 0.75, 1.0 + 0.5e-3])
-    grid = _merge_close(np.concatenate(([0.0, 1.0], inside)), tol)
-    assert 0.95e-3 not in grid and 1.5e-3 in grid
-    loop = [int(np.argmin(np.abs(grid - want))) for want in inside]
-    assert _nearest(grid, inside).tolist() == loop
-    assert loop[1] == 1  # the dropped sample maps forward, not back to 0.0
-    assert _nearest(np.array([2.0]), np.array([2.0, 2.0 + 1e-15])).tolist() == [0, 0]
 
 
 def test_last_period_slice_is_half_open():

@@ -2,10 +2,11 @@
 
 Oracles: closed-form decay and Rabi solutions, a literal Lindblad
 right-hand side with a literal stepwise RK4 (both defined here, apart
-from the propagators' matrix form), a chain that corrects the state
-after every interval (defined here, apart from the propagators'
-correct-once-at-the-end pass), and exact Kronecker / partial-trace
-index algebra on random operators.
+from the propagators' matrix form), run on the output grid or on a
+period lattice, piece maps that correct the state after every piece
+(defined here, apart from the propagators' correct-once-at-the-end
+pass), and exact Kronecker / partial-trace index algebra on random
+operators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from onersim.qdyn import (
     DimensionMismatchError,
     IntegrationFailureError,
     PropagationDiagnostics,
-    PropagationResult,
     kron,
     liouvillian,
     partial_trace,
@@ -69,32 +69,111 @@ def stepwise_rk4(rhs, y0, t_grid, scale, max_step_phase=qdyn.DEFAULT_MAX_STEP_PH
     return states, total
 
 
-def corrected_chain(maps, v0, rho0, t, pure):
-    """Interval maps applied one at a time, each to the corrected previous state.
+def lattice_stepwise(rhss, lengths, scales, y0, n_periods, phase=qdyn.MAX_STEP_PHASE_LIMIT):
+    """Literal stepwise RK4 over n_periods of a period lattice.
 
-    After every interval the density matrix is re-hermitized and trace
-    renormalized (a state vector is normalized and stored as its outer
-    product) before the next map acts on it: the per-interval arithmetic
-    the propagators ran before they chained raw maps and corrected once
-    at the end.  The drift checks are left out; only the states and the
-    substep count are compared.
+    Piece q of the period (length lengths[q], right-hand side rhss[q])
+    is cut into ceil(length * scales[q] / phase) equal steps, each run
+    as one stepwise_rk4 interval.  Returns lat[k][q][j], the state at
+    lattice point j of piece q in period k, with the piece starts and
+    step lengths.
     """
-    d = rho0.dim
-    out, total, v = [rho0.matrix], 0, v0
-    for n_sub, m in maps:
-        total += n_sub
-        v = m @ v
-        if pure:
-            v = v / np.sqrt(float(np.real(np.vdot(v, v))))
-            out.append(np.outer(v, v.conj()))
-            continue
+    starts = np.concatenate(([0.0], np.cumsum(lengths)))
+    ns = [max(1, int(np.ceil(length * s / phase))) for length, s in zip(lengths, scales)]
+    hs = [length / n for length, n in zip(lengths, ns)]
+    lat, y = [], np.array(y0, dtype=complex)
+    for k in range(n_periods):
+        row = []
+        for q, rhs in enumerate(rhss):
+            grid = k * starts[-1] + starts[q] + np.arange(ns[q] + 1) * hs[q]
+            states, _ = stepwise_rk4(rhs, y, grid, 0.0)
+            row.append(states)
+            y = states[-1]
+        lat.append(row)
+    return lat, starts, hs
+
+
+def lattice_samples(rhss, lat, starts, hs, points):
+    """Sample times, reference states and substep count for (k, q, j, frac) points.
+
+    A point sits frac of a step past lattice point j of piece q in
+    period k; off the lattice its state is one RK4 step of that length
+    from the lattice state.  The step count is the lattice steps up to
+    the last point plus one per point off the lattice.
+    """
+    times, states = [], []
+    for k, q, j, frac in points:
+        t_lat = k * starts[-1] + starts[q] + j * hs[q]
+        if k == len(lat):  # t_end = n * T closes the last period
+            t, y = k * starts[-1], lat[-1][-1][-1]
+        elif frac:
+            t = t_lat + frac * hs[q]
+            y = stepwise_rk4(rhss[q], lat[k][q][j], [t_lat, t], 0.0)[0][-1]
+        else:
+            t, y = t_lat, lat[k][q][j]
+        times.append(t)
+        states.append(y)
+    per_period = [len(row) - 1 for row in lat[0]]
+    k, q, j, _ = points[-1]
+    n_steps = k * sum(per_period) + sum(per_period[:q]) + j
+    return np.array(times), states, n_steps + sum(1 for p in points if p[3])
+
+
+class CorrectingMap:
+    """A piece map that corrects the state it returns.
+
+    A density matrix is re-hermitized and trace renormalized, a state
+    vector normalized: the per-interval arithmetic the propagators ran
+    before they chained raw maps and corrected once at the end.
+    """
+
+    def __init__(self, m, pure):
+        self.m, self.pure = m, pure
+
+    def __matmul__(self, v):
+        v = self.m @ v
+        if self.pure:
+            return v / np.sqrt(np.vdot(v, v).real)
+        d = int(round(np.sqrt(v.size)))
         mat = v.reshape(d, d)
         fixed = (mat + mat.conj().T) / 2.0
-        fixed = fixed / np.real(np.trace(fixed))
-        out.append(fixed)
-        v = fixed.reshape(-1)
-    diag = PropagationDiagnostics(n_substeps=total)
-    return PropagationResult(np.asarray(t, dtype=float), np.array(out), diag)
+        return (fixed / np.real(np.trace(fixed))).reshape(-1)
+
+
+def correct_after_every_piece(mp, pure):
+    real = qdyn._piece_maps
+
+    def correcting(piece, stops):
+        full, advance = real(piece, stops)
+        return CorrectingMap(full, pure), advance
+
+    mp.setattr(qdyn, "_piece_maps", correcting)
+
+
+def count_step_maps(mp):
+    """Count the RK4 step maps the propagators build; returns a one-item list."""
+    real, built = qdyn._Piece.step_maps, [0]
+
+    def counting(piece, j0, j1):
+        built[0] += j1 - j0
+        return real(piece, j0, j1)
+
+    mp.setattr(qdyn._Piece, "step_maps", counting)
+    return built
+
+
+def poison_step_maps(mp, bad, hit):
+    """Put a non-finite entry in every step map of a piece whose start time hit accepts."""
+    real = qdyn._Piece.step_maps
+
+    def poisoned(piece, j0, j1):
+        maps = real(piece, j0, j1)
+        if hit(piece.t0):
+            maps = maps.copy()
+            maps[:, 0, 0] = bad
+        return maps
+
+    mp.setattr(qdyn._Piece, "step_maps", poisoned)
 
 
 def spectral_radius(h):
@@ -340,35 +419,20 @@ def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
 
 
 def test_correcting_once_matches_the_per_interval_chain(monkeypatch):
-    # criterion 2's eight-period pulse train through _run_piecewise, once
-    # with the propagator and once with the per-interval corrected chain
+    # criterion 2's eight-period pulse train, once as run and once with
+    # the state corrected after every piece map of the period chain
     params = oner.TwoLevelParams(omega_rabi=1.432, decay=1.0, dephasing=20.0, tau=50.0)
-    n_periods, spp = 8, 512
-    t_end = n_periods * params.tau
-    samples = np.array(
-        [(k + j / spp) * params.tau for k in range(n_periods) for j in range(spp)] + [t_end]
-    )
-    h_on = oner.drive_hamiltonian(params, on=True)
-    h_off = oner.drive_hamiltonian(params, on=False)
-    segments = oner._pulse_segment_list(params, t_end, h_on, h_off)
-    channels = oner.collapse_channels(params)
-    rho0 = DensityOperator.pure(0, dim=2)
-    phase = qdyn.DEFAULT_MAX_STEP_PHASE
-    states, diag = oner._run_piecewise(segments, channels, rho0, samples, max_step_phase=phase)
-
-    def chained_propagate(h, chans, rho, t_grid, *, max_step_phase):
-        scale = max(total_rate(chans), qdyn._hamiltonian_norm(h))
-        maps = qdyn._interval_maps(t_grid, scale, max_step_phase, liouvillian(h, chans))
-        return corrected_chain(maps, rho.matrix.reshape(-1), rho, t_grid, pure=False)
-
+    run = lambda: oner.simulate_pulsed_two_level(params, n_periods=8, samples_per_period=512)
+    traj = run()
     with monkeypatch.context() as mp:
-        mp.setattr(qdyn, "propagate", chained_propagate)
-        ref, ref_diag = oner._run_piecewise(segments, channels, rho0, samples, max_step_phase=phase)
-    assert states.shape == ref.shape == (samples.size, 2, 2)
-    np.testing.assert_allclose(states, ref, rtol=0.0, atol=1e-13)
-    assert diag.n_substeps == ref_diag.n_substeps
+        correct_after_every_piece(mp, pure=False)
+        ref = run()
+    assert traj.rho_ee.shape == ref.rho_ee.shape == (8 * 512 + 1,)
+    np.testing.assert_allclose(traj.rho_ee, ref.rho_ee, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(traj.rho_eg, ref.rho_eg, rtol=0.0, atol=1e-13)
+    assert traj.diagnostics.n_substeps == ref.diagnostics.n_substeps
 
-    # a pure-state modulated run over many intervals
+    # a pure-state modulated run over many intervals, each its own piece
     rng = np.random.default_rng(31)
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
@@ -376,35 +440,169 @@ def test_correcting_once_matches_the_per_interval_chain(monkeypatch):
     rho0 = DensityOperator.pure(rng.normal(size=3) + 1j * rng.normal(size=3))
     t = np.linspace(0.0, 20.0, 201)
     res = propagate_modulated(h0, h1, env, [], rho0, t)
-    scale = qdyn._hamiltonian_norm(h0) + qdyn._hamiltonian_norm(h1)
-    maps = qdyn._interval_maps(t, scale, phase, -1j * h0, -1j * h1, env)
-    ref = corrected_chain(maps, qdyn._pure_state_of(rho0), rho0, t, pure=True)
+    with monkeypatch.context() as mp:
+        correct_after_every_piece(mp, pure=True)
+        ref = propagate_modulated(h0, h1, env, [], rho0, t)
     np.testing.assert_allclose(res.matrices, ref.matrices, rtol=0.0, atol=1e-13)
     assert res.diagnostics.n_substeps == ref.diagnostics.n_substeps
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_failing_interval_is_named(bad, monkeypatch):
-    # a non-finite entry in the third interval's map poisons every later
-    # raw state (inf overflows into NaN on the way); the end-of-run check
-    # must name that interval and leak no RuntimeWarning
-    real = qdyn._interval_maps
-
-    def poisoned(*args):
-        for k, (n_sub, m) in enumerate(real(*args)):
-            if k == 2:
-                m = m.copy()
-                m[0, 0] = bad
-            yield n_sub, m
-
-    monkeypatch.setattr(qdyn, "_interval_maps", poisoned)
+    # a non-finite entry in the third interval's step map poisons that
+    # interval's map and every later raw state (inf overflows into NaN on
+    # the way); the end-of-run check must name that interval and leak no
+    # RuntimeWarning.  The interval is longer than the others, so no
+    # earlier one shares its maps.
     rng = np.random.default_rng(37)
     rho0 = random_density(rng, 2)
-    t = np.linspace(0.0, 1.0, 6)
+    t = np.array([0.0, 0.2, 0.4, 0.7, 0.8, 1.0])
+    poison_step_maps(monkeypatch, bad, lambda start: start == t[2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationFailureError, match=r"over step \[0\.4, 0\.6\]"):
+        with pytest.raises(IntegrationFailureError, match=r"over step \[0\.4, 0\.7\]"):
             propagate(random_hermitian(rng, 2), [CollapseChannel(SIGMA, 0.5)], rho0, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_failing_period_piece_is_named(bad, monkeypatch):
+    # the periodic twin: the drive-off piece's map is poisoned.  No sample
+    # falls inside that piece in period 0 and period 1 holds none, so the
+    # poison first shows at 2.2, reached through the chained piece map
+    # and the period map
+    rng = np.random.default_rng(41)
+    h_on, h_off = random_hermitian(rng, 2, 2.0), random_hermitian(rng, 2, 0.5)
+    t = np.array([0.0, 0.1, 0.3, 2.2, 2.5, 3.0])
+    poison_step_maps(monkeypatch, bad, lambda start: start == 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationFailureError, match=r"over step \[0\.3, 2\.2\]"):
+            propagate(
+                None, [CollapseChannel(SIGMA, 0.5)], random_density(rng, 2), t,
+                period=[(0.4, h_on), (0.6, h_off)],
+            )
+
+
+def test_pulse_lattice_matches_stepwise():
+    # two constant pieces on the Liouvillian over three periods; samples
+    # off the lattice, on an inner lattice point, on a period boundary,
+    # just past it, and at t_end = 3 T
+    rng = np.random.default_rng(43)
+    h_on = random_hermitian(rng, 2, 2.0) - 0.7 * SIGMA_X
+    h_off = random_hermitian(rng, 2, 0.5)
+    channels = [CollapseChannel(SIGMA, 0.6)]
+    rho0 = random_density(rng, 2)
+    lengths = [0.35, 0.65]
+    scales = [max(total_rate(channels), spectral_radius(h)) for h in (h_on, h_off)]
+    rhss = [lambda _t, r, h=h: lindblad_rhs(h, channels, r) for h in (h_on, h_off)]
+    lat, starts, hs = lattice_stepwise(rhss, lengths, scales, rho0.matrix, 3)
+    n_off = len(lat[0][1]) - 1
+    points = [
+        (0, 0, 0, 0.0), (0, 0, 3, 0.37), (0, 1, 5, 0.5), (1, 0, 0, 0.0), (1, 0, 0, 0.25),
+        (1, 1, n_off - 1, 0.8), (2, 1, 2, 0.0), (3, 0, 0, 0.0),
+    ]
+    t, ref, n_ref = lattice_samples(rhss, lat, starts, hs, points)
+    res = propagate(
+        None, channels, rho0, t, period=list(zip(lengths, (h_on, h_off))),
+        max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT,
+    )
+    np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
+    assert res.diagnostics.n_substeps == n_ref
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_sine_period_lattice_matches_stepwise(pure):
+    # H0 + sin(2 pi t / T) H1 over four periods of one modulated piece,
+    # on the state-vector path and on the Liouvillian path
+    rng = np.random.default_rng(47)
+    h0 = random_hermitian(rng, 3, scale=1.5)
+    h1 = random_hermitian(rng, 3, scale=0.8)
+    period = 2.0
+    env = lambda tt: np.sin(2.0 * np.pi * tt / period)
+    if pure:
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho0, channels = DensityOperator.pure(psi0), []
+        y0, rhs = psi0 / np.linalg.norm(psi0), lambda tt, y: -1j * (h0 + env(tt) * h1) @ y
+    else:
+        rho0, channels = random_density(rng, 3), [CollapseChannel(np.diag([1.0, 0.0, -1.0]), 0.3)]
+        y0, rhs = rho0.matrix, lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, channels, r)
+    scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
+    lat, starts, hs = lattice_stepwise([rhs], [period], [scale], y0, 4)
+    n = len(lat[0][0]) - 1
+    points = [
+        (0, 0, 0, 0.0), (0, 0, 7, 0.3), (0, 0, n - 1, 0.95), (1, 0, 0, 0.0), (1, 0, 40, 0.0),
+        (2, 0, 0, 0.5), (2, 0, 7, 0.3), (3, 0, n // 2, 0.6), (4, 0, 0, 0.0),
+    ]
+    t, ref, n_ref = lattice_samples([rhs], lat, starts, hs, points)
+    res = propagate_modulated(
+        h0, h1, env, channels, rho0, t, period=period, max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT
+    )
+    if pure:
+        ref = [np.outer(y, y.conj()) / np.vdot(y, y).real for y in ref]
+    np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
+    assert res.diagnostics.n_substeps == n_ref
+
+
+def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
+    # a modulated Liouvillian period whose prefixes at the samples do not
+    # fit in BATCH_BYTES: none is kept, and the piece's step maps (in
+    # batches of four) are built again for the samples
+    rng = np.random.default_rng(53)
+    h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
+    env = lambda tt: np.sin(np.pi * tt)
+    channels = [CollapseChannel(SIGMA, 0.4)]
+    rho0 = random_density(rng, 2)
+    t = np.array([0.0, 0.13, 0.5, 0.77, 1.2, 1.9, 2.35, 4.0, 5.5])
+    run = lambda: propagate_modulated(h0, h1, env, channels, rho0, t, period=2.0)
+    with monkeypatch.context() as mp:
+        built = count_step_maps(mp)
+        ref = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(qdyn, "BATCH_BYTES", 4 * 16 * 4 * 4)
+        rebuilt = count_step_maps(mp)
+        res = run()
+    assert rebuilt[0] > built[0]
+    np.testing.assert_allclose(res.matrices, ref.matrices, rtol=0.0, atol=1e-13)
+    assert res.diagnostics.n_substeps == ref.diagnostics.n_substeps
+
+
+@pytest.mark.parametrize("kind", ["pulse", "sine"])
+def test_doubling_the_periods_builds_no_more_step_maps(kind, monkeypatch):
+    # the work that depends on the period is done once per run: twice as
+    # many periods, sampled at the same fractions, build the same maps
+    rng = np.random.default_rng(59)
+    h0, h1 = random_hermitian(rng, 2, 1.5), random_hermitian(rng, 2, 0.7)
+    period, counts = 3.0, []
+    for n_periods in (4, 8):
+        t = np.array(
+            [(k + f) * period for k in range(n_periods) for f in (0.0, 0.1, 0.45, 0.8)]
+            + [n_periods * period]
+        )
+        with monkeypatch.context() as mp:
+            built = count_step_maps(mp)
+            if kind == "pulse":
+                propagate(
+                    None, [CollapseChannel(SIGMA, 0.3)], DensityOperator.pure(0, dim=2), t,
+                    period=[(1.0, h0 + h1), (2.0, h0)],
+                )
+            else:
+                env = lambda tt: np.sin(2.0 * np.pi * tt / period)
+                rho0 = DensityOperator.pure(0, dim=2)
+                propagate_modulated(h0, h1, env, [], rho0, t, period=period)
+        counts.append(built[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_equal_intervals_share_their_maps(monkeypatch):
+    # without a period every grid interval is a piece; on a uniform grid
+    # a constant generator still builds one step map for all of them
+    built = count_step_maps(monkeypatch)
+    rng = np.random.default_rng(61)
+    t = 0.25 * np.arange(65)
+    h, rho0 = random_hermitian(rng, 2), random_density(rng, 2)
+    res = propagate(h, [CollapseChannel(SIGMA, 0.5)], rho0, t)
+    assert built[0] == 1
+    assert res.diagnostics.n_substeps > 64
 
 
 def test_propagation_is_bit_stable():
@@ -460,12 +658,24 @@ def test_grid_and_phase_validation():
         propagate(h, [], rho0, [0.0, 1.0], max_step_phase=0.2)
     with pytest.raises(ValueError, match="max_step_phase"):
         propagate(h, [], rho0, [0.0, 1.0], max_step_phase=0.0)
+    with pytest.raises(ValueError, match="either"):
+        propagate(h, [], rho0, [0.0, 1.0], period=[(1.0, h)])
+    with pytest.raises(ValueError, match="either"):
+        propagate(None, [], rho0, [0.0, 1.0])
+    for bad in ([], [(0.0, h)], [(1.0, h), (-1.0, h)], [(np.inf, h)]):
+        with pytest.raises(ValueError, match="period"):
+            propagate(None, [], rho0, [0.0, 1.0], period=bad)
+    with pytest.raises(ValueError, match="period"):
+        propagate_modulated(h, h, np.sin, [], rho0, [0.0, 1.0], period=0.0)
 
 
 def test_dimension_mismatches_raise():
     rho0 = DensityOperator.pure(0, dim=2)
     with pytest.raises(DimensionMismatchError):
         propagate(np.zeros((3, 3)), [], rho0, [0.0, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        period = [(0.5, np.zeros((2, 2))), (0.5, np.zeros((3, 3)))]
+        propagate(None, [], rho0, [0.0, 1.0], period=period)
     with pytest.raises(DimensionMismatchError):
         liouvillian(np.zeros((2, 2)), [CollapseChannel(np.zeros((3, 3)), 1.0)])
     with pytest.raises(DimensionMismatchError):
