@@ -274,10 +274,8 @@ def simulate_pulsed_two_level(
     if n_periods < 1 or samples_per_period < 2:
         raise ValueError("need n_periods >= 1 and samples_per_period >= 2")
     tau = params.tau
-    samples = np.array(
-        [(k + j / samples_per_period) * tau for k in range(n_periods) for j in range(samples_per_period)]
-        + [n_periods * tau]
-    )
+    spp = samples_per_period
+    samples = np.append(np.add.outer(np.arange(n_periods), np.arange(spp) / spp), n_periods) * tau
     h_on = drive_hamiltonian(params, on=True)
     h_off = drive_hamiltonian(params, on=False)
     if rho0 is None:
@@ -530,7 +528,7 @@ def simulate_spin_effective(
     res = qdyn.propagate_modulated(
         h0,
         h1,
-        lambda t: math.sin(omega_mod * t),
+        lambda t: np.sin(omega_mod * t),
         (),
         rho0,
         grid,

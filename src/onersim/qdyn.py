@@ -18,9 +18,11 @@ and therefore any emitted tables, bit-stable across runs.
 Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
 Liouvillian acting on the row-major vec(rho), or -iH acting on a state
 vector for channel-free pure states.  One RK4 step is then a matrix, and
-each piece's maps are built once per run: the binary powers P^(2^b) of a
-constant piece's step map, or a modulated piece's step maps in batches
-of bounded size with their running products at the sample positions.
+each piece's maps are built once per run, as whole arrays: the binary
+powers P^(2^b) of a constant piece's step map, or a modulated piece's
+step maps (one GEMM of the envelope's monomials with 12 coefficients per
+batch of bounded size) and their products up to the sample positions
+(one segmented pairwise pass per batch).
 The piece maps carry the state through every period that holds a
 sample, and the period map skips the others.  A sample off the lattice
 is one shorter RK4 step, on the vector, after a prefix of its piece.
@@ -32,13 +34,14 @@ last sample, plus one per sample off the lattice.
 A run returns one read-only (n_times, d, d) stack of states.  The raw
 states are corrected and checked once, at the end: pre-correction drifts
 are checked and kept as diagnostics, every state is re-hermitized as
-(rho + rho+)/2 and trace renormalized, and one batched eigvalsh checks
-positivity.
+(rho + rho+)/2 and trace renormalized, and positivity is checked in
+closed form at d = 2, by one batched eigvalsh above.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,8 +64,8 @@ MAX_STEP_PHASE_LIMIT = 0.05
 # is considered broken
 STEP_TRACE_DRIFT_LIMIT = 1e-6
 
-# bytes one batch of RK4 step maps may occupy; the steps per batch follow
-# from the map dimension (4096 for a 4 x 4 map, 16 for a 64 x 64 one)
+# bytes one batch of RK4 step maps may hold, its temporaries included
+# (_step_bytes per step): 1024 steps of 4 x 4 maps, 6 of 64 x 64 ones
 BATCH_BYTES = 1 << 20
 
 
@@ -219,7 +222,8 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
     h = _as_complex_matrix(hamiltonian, "hamiltonian")
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    kron_ = lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+    lv = -1j * (kron_(h, eye) - kron_(eye, h.T))
     for ch in channels:
         c = ch.operator
         if c.shape != h.shape:
@@ -230,7 +234,7 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
             )
         cdc = c.conj().T @ c
         lv += ch.rate * (
-            np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+            kron_(c, c.conj()) - 0.5 * (kron_(cdc, eye) + kron_(eye, cdc.T))
         )
     return lv
 
@@ -289,7 +293,7 @@ def _record(
     One batched pass, in order: the first interval whose drift
     |tr_{k+1}/tr_k - 1| (squared norms when pure) is not within limit
     raises; hermitize and renormalize (or normalize and take outer
-    products); one batched eigvalsh.  The maps are linear and, exactly,
+    products); _min_eigenvalues.  The maps are linear and, exactly,
     trace and hermiticity preserving, so this differs from correcting
     between intervals by rounding only.  A broken run may overflow on the
     way; the drift check reports it.
@@ -319,7 +323,7 @@ def _record(
         stack = (v + vh) / 2.0
         stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
     stack[0] = rho0.matrix
-    w = np.linalg.eigvalsh(stack)[:, 0]
+    w = _min_eigenvalues(stack)
     diag.min_eigenvalue = float(w.min())
     bad = np.flatnonzero(w < -OUTPUT_POSITIVITY_TOL)
     if bad.size:
@@ -332,6 +336,14 @@ def _record(
     return PropagationResult(times=t, matrices=stack, diagnostics=diag)
 
 
+def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each hermitian matrix in stack; in closed form at d = 2."""
+    if stack.shape[-1] != 2:
+        return np.linalg.eigvalsh(stack)[:, 0]
+    a, d = stack[:, 0, 0].real, stack[:, 1, 1].real
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(stack[:, 0, 1]))
+
+
 def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
     """Normalized state vector if rho is numerically pure, else None."""
     w, u = np.linalg.eigh(rho.matrix)
@@ -341,77 +353,114 @@ def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
-def _compose(maps: np.ndarray) -> np.ndarray:
-    """maps[-1] @ ... @ maps[0] by pairwise (tree) products.
-
-    Each level multiplies neighbours, the later map on the left, and
-    carries an unpaired last map up unchanged.
-    """
-    while len(maps) > 1:
-        paired = maps[1::2] @ maps[:-1:2]
-        maps = np.concatenate((paired, maps[-1:])) if len(maps) % 2 else paired
-    return maps[0]
-
-
 def _rk4(a_start, a_mid, a_end, dt, x: np.ndarray) -> np.ndarray:
-    """One RK4 step of dx/dt = A(t) x on each x[r] from A(t) at its start, middle and end.
+    """One RK4 step of dx/dt = A(t) x on each row x[r], from A(t) at its start, middle and end.
 
-    dt, and each A, is one value or one per row; on x = I this is the step
-    map.  The stages are summed as they come, to hold few arrays of x's size.
+    dt is one value or one per row; each A is one matrix (one GEMM on all
+    rows) or one per row.  The stages are summed as they come.
     """
-    dt = np.reshape(dt, (-1, 1, 1))
-    k = a_start @ x
+    dt = np.reshape(dt, (-1, 1))
+    act = lambda a, y: y @ a.T if a.ndim == 2 else np.einsum("rij,rj->ri", a, y)
+    k = act(a_start, x)
     out = x + (dt / 6.0) * k
     for a, c, w in ((a_mid, 0.5, 3.0), (a_mid, 0.5, 3.0), (a_end, 1.0, 6.0)):
-        k = a @ (x + (c * dt) * k)
+        k = act(a, x + (c * dt) * k)
         out += (dt / w) * k
     return out
 
 
+def _step_bytes(dim: int) -> int:
+    """Bytes per step of a batch of step maps: its map, 3/2 maps of pass temporaries, 48 floats."""
+    return 40 * dim * dim + 8 * 48
+
+
 @dataclass(frozen=True)
 class _Piece:
-    """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant."""
+    """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant.
+
+    A constant piece's step map is _rk4 on the identity; a modulated
+    step's map is a polynomial in the envelope (poly), built once.
+    """
 
     a0: np.ndarray
     a1: np.ndarray | None
-    envelope: Callable[[float], float] | None
+    envelope: Callable[[np.ndarray], np.ndarray | float] | None
     t0: float
     h: float
     n: int
+
+    def f(self, t: np.ndarray) -> np.ndarray:
+        """The envelope at each time in t: one call on the array, a scalar result broadcast."""
+        return np.broadcast_to(np.asarray(self.envelope(t), dtype=float), t.shape)
 
     def at(self, t: np.ndarray) -> np.ndarray:
         """A(t) at each time in t, shape (len(t), D, D); a0 for a constant piece."""
         if self.a1 is None:
             return self.a0
-        f = np.fromiter(map(self.envelope, t.tolist()), dtype=float, count=t.size)
-        return self.a0 + f[:, None, None] * self.a1
+        return self.a0 + self.f(t)[:, None, None] * self.a1
+
+    @functools.cached_property
+    def poly(self) -> np.ndarray:
+        """Coefficients of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c], as reals.
+
+        f_s, f_m, f_e are the envelope at a step's start, middle and end,
+        a, c <= 1 and b <= 2: the coefficients sum the 30 words of length
+        1 to 4 in h a0 and h a1.  The RK4 stages run on such polynomials;
+        A(t) = a0 + f a1 raises the power of f at t within its axis, so
+        np.roll wraps zeros.
+        """
+        eye = np.zeros((2, 3, 2, *self.a0.shape), dtype=complex)
+        eye[0, 0, 0] = np.eye(self.a0.shape[0])
+        times = lambda axis, p: self.a0 @ p + np.roll(self.a1 @ p, 1, axis)
+        k = out = 0.0
+        for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
+            k = times(axis, eye + (c * self.h) * k)
+            out += (self.h / w) * k
+        return out.reshape(12, -1).view(float)
 
     def step_maps(self, j0: int, j1: int) -> np.ndarray:
         """RK4 maps of lattice steps j0 .. j1 - 1, shape (j1 - j0, D, D)."""
-        ends = self.t0 + np.arange(j0, j1 + 1) * self.h
-        a, mid = self.at(ends), self.at(ends[:-1] + 0.5 * self.h)
-        eye = np.broadcast_to(np.eye(self.a0.shape[0], dtype=complex), (j1 - j0, *self.a0.shape))
+        d = self.a0.shape[0]
         if self.a1 is None:
-            return _rk4(a, mid, a, self.h, eye)
-        return _rk4(a[:-1], mid, a[1:], self.h, eye)
+            # the rows of _rk4 on the identity are the step map's columns
+            step = _rk4(self.a0, self.a0, self.a0, self.h, np.eye(d, dtype=complex)).T
+            return np.tile(step, (j1 - j0, 1, 1))
+        # the envelope at the steps' starts, middles and ends, from one call
+        f = self.f(self.t0 + np.arange(2 * j0, 2 * j1 + 1) * (0.5 * self.h))
+        se = np.vander(f[::2], 2, increasing=True)
+        mono = np.einsum("ra,rb,rc->rabc", se[:-1], np.vander(f[1::2], 3, increasing=True), se[1:])
+        maps = (mono.reshape(-1, 12) @ self.poly).view(complex)
+        # the identity last, so entries near 1 are rounded once
+        maps[:, :: d + 1] += 1.0
+        return maps.reshape(j1 - j0, d, d)
 
 
-def _prefixes(piece: _Piece, stops):
-    """Yield (j, M_{j-1} ... M_0) at each ascending stop 0 < j <= piece.n.
+def _prefixes(piece: _Piece, stops: np.ndarray):
+    """Yield (s, Q) per batch of step maps: Q[r] = M_{s[r]-1} ... M_0 at the stops s it completes.
 
-    The step maps are built once, in batches of at most BATCH_BYTES.
+    stops ascend, 0 < stops <= piece.n.  The maps up to the last stop are
+    built once, in batches holding at most BATCH_BYTES.  Per batch, each
+    run of maps between neighbouring stops is multiplied as a tree (each
+    level pairs a run's even positions with their successors, later map
+    on the left), and a running product over the runs gives the prefixes.
     """
     d = piece.a0.shape[0]
-    chunk = max(1, BATCH_BYTES // (16 * d * d))
-    q, at, lo, batch = np.eye(d, dtype=complex), 0, 0, np.empty((0, d, d))
-    for stop in stops:
-        while at < stop:
-            if at == lo + len(batch):
-                lo, batch = at, piece.step_maps(at, min(at + chunk, piece.n))
-            end = min(stop, lo + len(batch))
-            q = _compose(batch[at - lo : end - lo]) @ q
-            at = end
-        yield stop, q
+    q, last = np.eye(d, dtype=complex), int(stops.max(initial=0))
+    chunk = max(1, BATCH_BYTES // _step_bytes(d))
+    for lo in range(0, last, chunk):
+        hi = min(lo + chunk, last)
+        maps, seg = piece.step_maps(lo, hi), np.searchsorted(stops, np.arange(lo, hi), side="right")
+        while True:
+            lead = (np.arange(seg.size) - np.searchsorted(seg, seg)) % 2 == 0
+            pair = np.flatnonzero(lead[:-1] & (seg[1:] == seg[:-1]))
+            if not pair.size:
+                break
+            maps[pair] = maps[pair + 1] @ maps[pair]
+            maps, seg = maps[lead], seg[lead]
+        run = list(itertools.accumulate(maps, lambda acc, p: p @ acc, initial=q))
+        q, done = run[-1], stops[seg] <= hi
+        if done.any():
+            yield stops[seg[done]], np.array(run[1:])[done]
 
 
 def _piece_maps(piece: _Piece, stops: np.ndarray):
@@ -419,9 +468,9 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
 
     stops holds the distinct j > 0 advance will get.  A constant piece
     keeps its step map P and applies the powers P^(2^b) of the set bits
-    of j.  A modulated piece keeps its running products at the stops,
-    unless they would take more than BATCH_BYTES: then advance builds
-    the step maps again.
+    of j.  A modulated piece keeps its prefixes at the stops, unless they
+    would take more than BATCH_BYTES: then advance builds the step maps
+    again.  It applies each batch's prefixes by one gather and einsum.
     """
     if piece.a1 is None:
         step = piece.step_maps(0, 1)[0]
@@ -443,13 +492,13 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
 
         return full, advance
     kept = (stops.size + 1) * 16 * piece.a0.size <= BATCH_BYTES
-    walk = list(_prefixes(piece, [*stops.tolist(), piece.n] if kept else [piece.n]))
-    full = walk.pop()[1]
+    walk = list(_prefixes(piece, np.union1d(stops, piece.n) if kept else np.array([piece.n])))
+    full = walk[-1][1][-1]
 
     def advance(y, j):
-        for stop, q in walk if kept else _prefixes(piece, stops.tolist()):
-            sel = j == stop
-            y[sel] = y[sel] @ q.T
+        for s, q in walk if kept else _prefixes(piece, stops):
+            sel = (j >= s[0]) & (j <= s[-1])
+            y[sel] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[sel])], y[sel])
 
     return full, advance
 
@@ -531,7 +580,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         maps[q][1](y, js)
         off = ds > 0
         ta, ds = p.t0 + js[off] * p.h, ds[off]
-        y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off, :, None])[..., 0]
+        y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off])
         raw[sel] = y
     # the lattice steps up to the last sample, and one remainder step per sample off it
     first = np.concatenate(([0], np.cumsum(n))).tolist()
@@ -597,7 +646,7 @@ def propagate(
 def propagate_modulated(
     h_static,
     h_drive,
-    envelope: Callable[[float], float],
+    envelope: Callable[[np.ndarray], np.ndarray | float],
     channels: Sequence[CollapseChannel],
     rho0: DensityOperator,
     t_grid,
@@ -610,8 +659,10 @@ def propagate_modulated(
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
     Same lattice rule and bookkeeping as propagate, for the linearly
-    modulated generator L0 + f(t) L1.  envelope_bound must bound
-    |envelope| over the run (used for step control).  period, when
+    modulated generator L0 + f(t) L1.  envelope is called with a 1-D
+    float array of times and returns the envelope at each, as an array
+    of that shape or one scalar for all of them.  envelope_bound must
+    bound |envelope| over the run (used for step control).  period, when
     given, is the envelope's period, one piece repeated from t_grid[0].
     A channel-free pure state is integrated as a state vector under
     -iH(t), which keeps the density matrix positive by construction and

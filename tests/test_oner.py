@@ -156,7 +156,9 @@ def test_pulsed_halves_settle_and_decay():
     assert traj.rho_ee[k_later] == pytest.approx(expect, rel=0.01)
 
     assert traj.diagnostics.max_step_trace_drift < 1e-9
-    assert traj.times.size == 3 * spp + 1
+    # the grid is the period fractions, bit for bit, and the end point
+    grid = [(k + j / spp) * p.tau for k in range(3) for j in range(spp)] + [3 * p.tau]
+    assert np.array_equal(traj.times, np.array(grid))
 
 
 def test_pulsed_without_drive_stays_in_ground_state():

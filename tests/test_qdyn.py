@@ -11,6 +11,7 @@ operators.
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,8 +247,16 @@ def test_liouvillian_matches_direct_rhs():
         channels = [random_channel(rng, d) for _ in range(2)]
         rho = random_density(rng, d)
         direct = lindblad_rhs(h, channels, rho.matrix)
-        vec = liouvillian(h, channels) @ rho.matrix.reshape(-1)
+        lv = liouvillian(h, channels)
+        vec = lv @ rho.matrix.reshape(-1)
         np.testing.assert_allclose(vec.reshape(d, d), direct, atol=1e-12 * max(1.0, float(np.max(np.abs(direct)))))
+        # and the same matrix, bit for bit, as the sum of np.kron terms
+        eye = np.eye(d, dtype=complex)
+        ref = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for ch in channels:
+            c, cdc = ch.operator, ch.operator.conj().T @ ch.operator
+            ref += ch.rate * (np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T)))
+        assert np.array_equal(lv, ref)
 
 
 def test_lindblad_rhs_is_traceless_and_hermiticity_preserving():
@@ -407,7 +416,7 @@ def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
     else:
         rho0, channels, dim = random_density(rng, 2), [CollapseChannel(SIGMA, 0.4)], 4
         y0, rhs = rho0.matrix, lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, channels, r)
-    monkeypatch.setattr(qdyn, "BATCH_BYTES", 16 * 16 * dim * dim)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 16 * qdyn._step_bytes(dim))
     scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
     t = [0.0, (n_sub - 0.5) * phase / scale]
     res = propagate_modulated(h0, h1, env, channels, rho0, t, max_step_phase=phase)
@@ -545,8 +554,8 @@ def test_sine_period_lattice_matches_stepwise(pure):
 
 def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
     # a modulated Liouvillian period whose prefixes at the samples do not
-    # fit in BATCH_BYTES: none is kept, and the piece's step maps (in
-    # batches of four) are built again for the samples
+    # fit in BATCH_BYTES: none is kept, and the piece's step maps (one
+    # per batch) are built again for the samples
     rng = np.random.default_rng(53)
     h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
     env = lambda tt: np.sin(np.pi * tt)
@@ -603,6 +612,130 @@ def test_equal_intervals_share_their_maps(monkeypatch):
     res = propagate(h, [CollapseChannel(SIGMA, 0.5)], rho0, t)
     assert built[0] == 1
     assert res.diagnostics.n_substeps > 64
+
+
+@pytest.mark.parametrize("dim, liouville", [(2, False), (3, False), (4, False), (2, True), (3, True)])
+def test_modulated_step_maps_match_rk4_on_the_identity(dim, liouville):
+    # one GEMM of envelope monomials with the piece's coefficients against
+    # the RK4 stages run on each column of the identity, step by step, on
+    # the state-vector path (D = dim) and the Liouvillian path (D = dim^2)
+    rng = np.random.default_rng(67)
+    h0, h1 = random_hermitian(rng, dim, 1.5), random_hermitian(rng, dim, 0.8)
+    if liouville:
+        a0, a1 = liouvillian(h0, [random_channel(rng, dim)]), liouvillian(h1, [])
+    else:
+        a0, a1 = -1j * h0, -1j * h1
+    big = a0.shape[0]
+    h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
+    piece = qdyn._Piece(a0, a1, lambda tt: np.cos(1.7 * tt) - 0.3, 0.4, h, 40)
+    maps = piece.step_maps(5, 37)
+    ta = piece.t0 + np.arange(5, 37) * h
+    rows = lambda tt: np.repeat(piece.at(tt), big, axis=0)
+    eye = np.tile(np.eye(big, dtype=complex), (ta.size, 1))
+    ref = qdyn._rk4(rows(ta), rows(ta + 0.5 * h), rows(ta + h), h, eye)
+    ref = ref.reshape(-1, big, big).swapaxes(1, 2)
+    assert np.abs(maps - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("batch", [4, None])
+def test_prefix_pass_matches_sequential_products(batch, monkeypatch):
+    # prefixes at ragged stops (neighbours, a long gap, the batch edges
+    # 4, 8 and 12, the piece's end) against a running product of the step
+    # maps; in batches of four maps, three batches hold no stop
+    rng = np.random.default_rng(71)
+    h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
+    a0, a1 = liouvillian(h0, [CollapseChannel(SIGMA, 0.4)]), liouvillian(h1, [])
+    piece = qdyn._Piece(a0, a1, lambda tt: np.sin(2.0 * tt), 0.0, 0.01, 30)
+    stops = np.array([1, 2, 3, 4, 7, 8, 12, 13, 29, 30])
+    seq, ref = np.eye(4, dtype=complex), []
+    for k, m in enumerate(piece.step_maps(0, piece.n), start=1):
+        seq = m @ seq
+        if k in stops:
+            ref.append(seq)
+    if batch:
+        monkeypatch.setattr(qdyn, "BATCH_BYTES", batch * qdyn._step_bytes(4))
+    built = count_step_maps(monkeypatch)
+    got = list(qdyn._prefixes(piece, stops))
+    assert built[0] == piece.n
+    assert len(got) == (5 if batch else 1)
+    assert np.array_equal(np.concatenate([s for s, _ in got]), stops)
+    q = np.concatenate([q for _, q in got])
+    np.testing.assert_allclose(q, np.array(ref), rtol=0.0, atol=1e-14)
+
+
+def test_closed_form_smallest_eigenvalue_matches_eigvalsh():
+    # d = 2: pure, mixed, near-degenerate and maximally mixed states
+    rng = np.random.default_rng(73)
+    pure = [DensityOperator.pure(rng.normal(size=2) + 1j * rng.normal(size=2)).matrix for _ in range(50)]
+    mixed = [random_density(rng, 2).matrix for _ in range(50)]
+    near = [0.5 * np.eye(2) + eps * random_hermitian(rng, 2) for eps in (1e-6, 1e-10, 1e-14)]
+    stack = np.array(pure + mixed + near + [DensityOperator.maximally_mixed(2).matrix])
+    w = qdyn._min_eigenvalues(stack)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(stack)[:, 0], rtol=0.0, atol=1e-15)
+    assert w[-1] == 0.5
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_positive_output_state_is_named_by_its_time(dim):
+    # raw trace-preserving states, the third with eigenvalue -1e-6: the
+    # closed form (d = 2) and eigvalsh (d = 3) name the same time
+    rho0 = DensityOperator.maximally_mixed(dim)
+    raw = np.array([rho0.matrix] * 4)
+    raw[2] = np.diag([1.0 + 1e-6, -1e-6] + [0.0] * (dim - 2))
+    t = np.array([0.0, 0.5, 1.25, 2.0])
+    with pytest.raises(IntegrationFailureError, match=r"t=1\.25 has eigenvalue -1\.000e-06"):
+        qdyn._record(raw.reshape(4, -1), 0, rho0, t, False, qdyn.STEP_TRACE_DRIFT_LIMIT)
+
+
+def test_envelope_calls_do_not_grow_with_the_substeps():
+    # the envelope is called on whole arrays, per batch of step maps and
+    # per remainder step: twice the substeps, in one batch and at the
+    # same samples, make no more calls
+    rng = np.random.default_rng(79)
+    h0, h1 = random_hermitian(rng, 2, 1.5), random_hermitian(rng, 2, 0.7)
+    t = np.array([0.0, 0.3, 1.7, 2.2, 5.9, 6.0])
+    calls, steps = [], []
+    for phase in (0.02, 0.01):
+        count = [0]
+
+        def env(tt):
+            count[0] += 1
+            return np.sin(2.0 * np.pi * tt / 3.0)
+
+        res = propagate_modulated(
+            h0, h1, env, [], DensityOperator.pure(0, dim=2), t, period=3.0, max_step_phase=phase
+        )
+        calls.append(count[0])
+        steps.append(res.diagnostics.n_substeps)
+    assert steps[1] > 1.9 * steps[0]
+    assert calls[0] == calls[1] > 0
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_modulated_run_memory_stays_within_the_batch_bound(pure, monkeypatch):
+    # a modulated period of 10,000 to 16,000 4 x 4 step maps (2.5 to 4 MB)
+    # in batches of 64 KiB: the traced peak of the run stays within twice
+    # BATCH_BYTES
+    rng = np.random.default_rng(83)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
+    if pure:
+        dim, channels, rho0 = 4, [], DensityOperator.pure(0, dim=4)
+    else:
+        dim, channels, rho0 = 2, [CollapseChannel(SIGMA, 0.3)], random_density(rng, 2)
+    h0, h1 = random_hermitian(rng, dim, 3.0), random_hermitian(rng, dim, 2.0)
+    env = lambda tt: np.sin(2.0 * np.pi * tt / 6.0)
+    t = np.linspace(0.0, 12.0, 9)
+    run = lambda: propagate_modulated(h0, h1, env, channels, rho0, t, period=6.0)
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics.n_substeps > 9_000
+    assert peak <= 2 * qdyn.BATCH_BYTES
 
 
 def test_propagation_is_bit_stable():
