@@ -42,7 +42,7 @@ print(f"predicted Rabi:   {the_plan.predicted_rabi_hz:12.2f} Hz")
 
 duration = 2.0 / the_plan.predicted_rabi_hz
 coupled = simulate_coupled(
-    pair, nucleus, 1.0, theta, params, transition, duration, n_samples=400
+    pair, nucleus, 1.0, theta, params, transition, duration, plan_=the_plan, n_samples=400
 )
 effective = simulate_spin_effective(
     the_plan, pair, nucleus, 1.0, theta, duration, n_samples=400

@@ -497,10 +497,8 @@ def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
     no-oscillation sentinel (NaN fit values).
     """
     setup = resolve_setup(sc, unit_mode)
-    the_plan = plan(
-        setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params,
-        setup.transition, allow_zero_amplitude=True,
-    )
+    args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params, setup.transition)
+    the_plan = plan(*args, allow_zero_amplitude=True)
     predicted = the_plan.predicted_rabi_hz
     if predicted > 0:
         duration = sc.duration_rabi_periods / predicted
@@ -511,17 +509,7 @@ def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
         tau = 1.0 / the_plan.repetition_rate_hz
         duration = 200.0 * tau
         scale = 1.0 / tau
-    traj = simulate_coupled(
-        setup.pair,
-        setup.nucleus,
-        setup.b0_tesla,
-        setup.theta,
-        setup.params,
-        setup.transition,
-        duration,
-        n_samples=sc.n_samples,
-        allow_zero_amplitude=True,
-    )
+    traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
     header = ["t_normalized"] + [_m_label(m) for m in traj.m_values]
     rows = [
         [t * scale] + list(traj.spin_populations[k]) for k, t in enumerate(traj.times)

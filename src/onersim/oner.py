@@ -338,14 +338,10 @@ def fourier_coefficients(times, values, n_max: int) -> FourierSeries:
     if n_max >= n / 2:
         raise ValueError(f"n_max = {n_max} unresolvable with {n} samples per period")
     tau = n * float(dt[0])
-    rel = t - t[0]
-    a = np.empty(n_max + 1)
-    b = np.zeros(n_max + 1)
-    a[0] = 2.0 * float(np.mean(v))
-    for k in range(1, n_max + 1):
-        w = TWO_PI * k / tau
-        a[k] = 2.0 * float(np.mean(v * np.cos(w * rel)))
-        b[k] = 2.0 * float(np.mean(v * np.sin(w * rel)))
+    phase = np.outer(TWO_PI * np.arange(n_max + 1) / tau, t - t[0])
+    a = 2.0 * np.mean(v * np.cos(phase), axis=1)
+    b = 2.0 * np.mean(v * np.sin(phase), axis=1)
+    b[0] = 0.0
     return FourierSeries(a=a, b=b)
 
 
@@ -571,6 +567,7 @@ def simulate_coupled(
     transition: tuple[float, float],
     duration: float,
     *,
+    plan_: OnerPlan | None = None,
     initial_m: float | None = None,
     n_samples: int = 400,
     max_step_phase: float = qdyn.DEFAULT_MAX_STEP_PHASE,
@@ -592,16 +589,20 @@ def simulate_coupled(
     demand astronomically many substeps; the run then aborts with advice
     to use proportionally rescaled inputs, which leave the Rabi physics
     invariant.  Pass max_substeps=float("inf") to force a physical run.
+    A plan_ passed in must be for this pair and transition; without one
+    the run calls plan, with allow_zero_amplitude.
     """
-    the_plan = plan(
-        pair, nucleus, b0_tesla, theta, params, transition,
-        allow_zero_amplitude=allow_zero_amplitude,
-    )
     spin = make_spin(nucleus.two_I)
     pair_b = pair_in_b_frame(pair, theta)
+    if plan_ is None:
+        args = pair, nucleus, b0_tesla, theta, params, transition
+        plan_ = plan(*args, allow_zero_amplitude=allow_zero_amplitude)
+    elif plan_.transition != (float(transition[0]), float(transition[1])):
+        raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
+    _check_plan_consistency(plan_, pair_b)
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    tau = 1.0 / the_plan.repetition_rate_hz
+    tau = 1.0 / plan_.repetition_rate_hz
     pulse_params = replace(params, tau=tau)
 
     d = spin.dim
@@ -649,7 +650,7 @@ def simulate_coupled(
         spin_populations=spin_pops,
         m_values=spin.m_values,
         rho_ee=rho_ee,
-        plan=the_plan,
+        plan=plan_,
         diagnostics=res.diagnostics,
     )
 

@@ -18,14 +18,15 @@ and therefore any emitted tables, bit-stable across runs.
 Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
 Liouvillian acting on the row-major vec(rho), or -iH acting on a state
 vector for channel-free pure states.  One RK4 step is then a matrix, and
-each piece's maps are built once per run, as whole arrays: the binary
-powers P^(2^b) of a constant piece's step map, or a modulated piece's
-step maps (one GEMM of the envelope's monomials with 12 coefficients per
-batch of bounded size) and their products up to the sample positions
-(one segmented pairwise pass per batch).
-The piece maps carry the state through every period that holds a
-sample, and the period map skips the others.  A sample off the lattice
-is one shorter RK4 step, on the vector, after a prefix of its piece.
+each piece's maps are built once per run: the powers P^(2^b) of a
+constant piece's step map, on the samples or, when S stops serve R > S D
+samples, on prefix tables P^s; a modulated piece's step maps (a GEMM of
+envelope monomials and 12 coefficients per bounded batch) and their
+products at the samples (one segmented pairwise pass per batch).  Piece
+maps carry the state through each period that holds a sample, powers
+U^(2^b) of the period map skip the others, and prefixes reach stops that
+recur across periods by one GEMM on the period states.  A sample off the
+lattice is one shorter RK4 step, on the vector, after a prefix of its piece.
 This is stepwise RK4 with the products reassociated: deterministic, and
 equal to a literal step loop on the same lattice up to rounding.
 n_substeps counts the steps of that loop: the lattice steps up to the
@@ -292,11 +293,11 @@ def _record(
 
     One batched pass, in order: the first interval whose drift
     |tr_{k+1}/tr_k - 1| (squared norms when pure) is not within limit
-    raises; hermitize and renormalize (or normalize and take outer
-    products); _min_eigenvalues.  The maps are linear and, exactly,
-    trace and hermiticity preserving, so this differs from correcting
-    between intervals by rounding only.  A broken run may overflow on the
-    way; the drift check reports it.
+    raises; hermitize and divide by those traces, which hermitizing
+    keeps (or normalize and take outer products); _min_eigenvalues.  The
+    maps are linear and, exactly, trace and hermiticity preserving, so
+    this differs from correcting between intervals by rounding only.  A
+    broken run may overflow on the way; the drift check reports it.
     """
     if pure:
         size = np.einsum("ki,ki->k", v.conj(), v).real
@@ -321,7 +322,7 @@ def _record(
         vh = v.conj().swapaxes(1, 2)
         diag.max_hermiticity_residual = float(np.abs(v - vh).max())
         stack = (v + vh) / 2.0
-        stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+        stack /= size[:, None, None]
     stack[0] = rho0.matrix
     w = _min_eigenvalues(stack)
     diag.min_eigenvalue = float(w.min())
@@ -464,14 +465,17 @@ def _prefixes(piece: _Piece, stops: np.ndarray):
 
 
 def _piece_maps(piece: _Piece, stops: np.ndarray):
-    """The piece map M_{n-1} ... M_0, and advance(y, j): y[r] <- M_{j[r]-1} ... M_0 y[r].
+    """The piece map M_{n-1} ... M_0, and advance(v, k, j): rows M_{j[r]-1} ... M_0 v[k[r]].
 
     stops holds the distinct j > 0 advance will get.  A constant piece
-    keeps its step map P and applies the powers P^(2^b) of the set bits
-    of j.  A modulated piece keeps its prefixes at the stops, unless they
-    would take more than BATCH_BYTES: then advance builds the step maps
-    again.  It applies each batch's prefixes by one gather and einsum.
+    applies the powers P^(2^b) of its step map for the set bits of j to
+    the R rows (R D^2 per bit) or, when S D < R and three stacks of S maps
+    fit in half of BATCH_BYTES, to the tables P^s at the S stops (S D^3
+    per bit).  A modulated piece keeps its prefixes at the stops, unless
+    they would take more than BATCH_BYTES: then advance builds the step
+    maps again.  Tables and prefixes reach the rows through _gather.
     """
+    d = piece.a0.shape[0]
     if piece.a1 is None:
         step = piece.step_maps(0, 1)[0]
 
@@ -485,22 +489,45 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
         # low bits first, as np.linalg.matrix_power multiplies them
         full = functools.reduce(np.matmul, (p for b, p in powers(piece.n) if piece.n >> b & 1))
 
-        def advance(y, j):
-            for b, p in powers(j.max()):
-                sel = (j >> b & 1).astype(bool)
-                y[sel] = y[sel] @ p.T
+        def advance(v, k, j):
+            tables = 0 < stops.size * d < j.size and 96 * stops.size * d * d <= BATCH_BYTES
+            x, e, bits = (None, stops, powers(stops[-1])) if tables else (v[k], j, powers(j.max()))
+            if tables:
+                # P^c for c < 2^lo <= S by doubling; the rows of (P^s)^T step like state rows
+                lo = stops.size.bit_length() - 1
+                x = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1))
+                for b, p in itertools.islice(bits, lo):
+                    x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
+                x = x[stops & (1 << lo) - 1]
+            for b, p in bits:
+                r = np.flatnonzero(e >> b & 1)
+                x[r] = (x[r].reshape(-1, d) @ p.T).reshape(-1, *x.shape[1:])
+            return _gather(v, k, j, [(stops, x.swapaxes(1, 2))]) if tables else x
 
         return full, advance
     kept = (stops.size + 1) * 16 * piece.a0.size <= BATCH_BYTES
     walk = list(_prefixes(piece, np.union1d(stops, piece.n) if kept else np.array([piece.n])))
-    full = walk[-1][1][-1]
+    advance = lambda v, k, j: _gather(v, k, j, walk if kept else _prefixes(piece, stops))
+    return walk[-1][1][-1], advance
 
-    def advance(y, j):
-        for s, q in walk if kept else _prefixes(piece, stops):
-            sel = (j >= s[0]) & (j <= s[-1])
-            y[sel] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[sel])], y[sel])
 
-    return full, advance
+def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
+    """Rows Q v[k[r]], Q the prefix at j[r] in its batch (s, prefixes at s); v[k[r]] at j[r] = 0.
+
+    A batch with at most twice as many (stop, state) pairs as rows acts on
+    every state by one GEMM; otherwise its rows gather their prefixes for a
+    batched matvec, in chunks that take at most half of BATCH_BYTES.
+    """
+    y, d = v[k], v.shape[1]
+    for s, q in batches:
+        sel = np.flatnonzero((j >= s[0]) & (j <= s[-1]))
+        if s.size * v.shape[0] <= 2 * sel.size:
+            z = (q.reshape(-1, d) @ v.T).reshape(s.size, d, -1)
+            y[sel] = z[np.searchsorted(s, j[sel]), :, k[sel]]
+            continue
+        for r in np.array_split(sel, 1 + sel.size * (32 * d * d + 64 * d + 48) // BATCH_BYTES):
+            y[r] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[r])], y[r])
+    return y
 
 
 def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
@@ -562,12 +589,15 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     # the state entering every piece of each period that holds a sample
     need, row = np.unique(k, return_inverse=True)
     chain = np.empty((need.size, len(pieces) + 1, v0.size), dtype=complex)
-    v, at, period_map = v0, 0, None
+    # periods without samples: U^(2^b) of the period map U for the set bits of the gap
+    period = lambda: functools.reduce(lambda acc, m: m[0] @ acc, maps[1:], maps[0][0])
+    v, at, squares = v0, 0, []
     for r, kk in enumerate(need.tolist()):
-        if kk > at and period_map is None:
-            period_map = functools.reduce(lambda acc, m: m[0] @ acc, maps[1:], maps[0][0])
-        for _ in range(kk - at):
-            v = period_map @ v
+        for b in range((kk - at).bit_length()):
+            if b == len(squares):
+                squares.append(squares[-1] @ squares[-1] if b else period())
+            if kk - at >> b & 1:
+                v = squares[b] @ v
         chain[r, 0] = v
         for q, (full, _) in enumerate(maps):
             chain[r, q + 1] = full @ chain[r, q]
@@ -576,8 +606,8 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     raw = chain[row, i]
     for q in busy:
         sel = np.flatnonzero(inner & (i == q))
-        y, js, ds, p = raw[sel], j[sel], dt[sel], pieces[q]
-        maps[q][1](y, js)
+        js, ds, p = j[sel], dt[sel], pieces[q]
+        y = maps[q][1](chain[:, q], row[sel], js)
         off = ds > 0
         ta, ds = p.t0 + js[off] * p.h, ds[off]
         y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from onersim import qdyn
+from onersim import cli, oner, qdyn
 from onersim.cli import (
     EXIT_CONFIG,
     EXIT_INGESTION,
@@ -265,6 +265,21 @@ def test_coupled_scaled_run_matches_prediction(tmp_path, capsys):
     assert series["p_0.5"].max() >= 0.9
     total = sum(series[f"p_{m:g}"] for m in (1.5, 0.5, -0.5, -1.5))
     np.testing.assert_allclose(total, 1.0, atol=1e-6)
+
+
+def test_coupled_command_plans_once(tmp_path, monkeypatch, capsys):
+    # the plan run_coupled builds for its time axis is the plan of the run
+    real, calls = oner.plan, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oner, "plan", counting)
+    monkeypatch.setattr(cli, "plan", counting)
+    path = write_scenario(tmp_path, unit_mode="scaled", duration_rabi_periods=0.2, n_samples=20)
+    assert main(["coupled", "--scenario", path]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_coupled_zero_amplitude_sentinel(tmp_path, capsys):

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from onersim import oner
 from onersim.cli import default_scenario, resolve_setup
 from onersim.constants import TWO_PI, NucleusRecord
 from onersim.efg import NqiTensor, axial_nqi
@@ -228,6 +229,24 @@ def test_fourier_constant_and_single_harmonic():
     assert fs.b[3] == pytest.approx(-amp * np.sin(phase), abs=1e-12)
     others = np.concatenate([fs.a[:3], fs.a[4:], fs.b[:3], fs.b[4:]])
     np.testing.assert_allclose(others, 0.0, atol=1e-12)
+
+
+def test_fourier_matches_the_per_harmonic_loop():
+    # the phase-matrix form against a literal loop over harmonics, with the
+    # same operations per harmonic: equal to the last bit
+    rng = np.random.default_rng(5)
+    for n, n_max in ((512, 6), (64, 31), (2, 0)):
+        t = 3.0 + np.arange(n) * 0.0977
+        v = rng.random(n) - 0.3
+        fs = fourier_coefficients(t, v, n_max=n_max)
+        tau, rel = n * float(np.diff(t)[0]), t - t[0]
+        a, b = np.empty(n_max + 1), np.zeros(n_max + 1)
+        a[0] = 2.0 * float(np.mean(v))
+        for k in range(1, n_max + 1):
+            w = TWO_PI * k / tau
+            a[k] = 2.0 * float(np.mean(v * np.cos(w * rel)))
+            b[k] = 2.0 * float(np.mean(v * np.sin(w * rel)))
+        assert np.array_equal(fs.a, a) and np.array_equal(fs.b, b)
 
 
 def test_fourier_square_wave():
@@ -537,6 +556,29 @@ def test_coupled_static_spin_stays_put():
     # the electronic factor relaxes into its pulsed cycle
     assert 0.0 < traj.rho_ee[-1] < 0.5
     assert traj.plan.predicted_rabi_hz == 0.0
+
+
+def test_coupled_takes_its_plan(monkeypatch):
+    # a plan passed in is the run's plan: plan is not called again, the
+    # run is the one it would have planned itself, and a plan of another
+    # pair or transition is refused
+    nuc, pair, pl = effective_setup()
+    run = lambda **kw: simulate_coupled(
+        pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), 20.0 / pl.repetition_rate_hz,
+        n_samples=40, **kw,
+    )
+    ref = run()
+    calls = []
+    monkeypatch.setattr(oner, "plan", lambda *a, **kw: calls.append(a))
+    traj = run(plan_=pl)
+    assert calls == [] and traj.plan is pl
+    np.testing.assert_array_equal(traj.spin_populations, ref.spin_populations)
+    np.testing.assert_array_equal(traj.rho_ee, ref.rho_ee)
+    shifted = StatePairNqi(qg=axial_nqi(TWO_PI * 300.0), qe=axial_nqi(TWO_PI * 300.0))
+    with pytest.raises(ValueError, match="inconsistent"):
+        simulate_coupled(shifted, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), 0.001, plan_=pl)
+    with pytest.raises(ValueError, match="plan is for transition"):
+        simulate_coupled(pair, nuc, 1.0, np.pi / 4.0, CW, (0.5, -0.5), 0.001, plan_=pl)
 
 
 def test_coupled_substep_budget_guard():

@@ -492,10 +492,21 @@ def test_failing_period_piece_is_named(bad, monkeypatch):
             )
 
 
-def test_pulse_lattice_matches_stepwise():
-    # two constant pieces on the Liouvillian over three periods; samples
-    # off the lattice, on an inner lattice point, on a period boundary,
-    # just past it, and at t_end = 3 T
+def spy_gather(mp):
+    """Record (stops, rows) of every _gather batch; returns the list."""
+    real, calls = qdyn._gather, []
+
+    def spying(v, k, j, batches):
+        batches = list(batches)
+        calls.extend((s.size, j.size) for s, _ in batches)
+        return real(v, k, j, batches)
+
+    mp.setattr(qdyn, "_gather", spying)
+    return calls
+
+
+def pulse_setup():
+    """Two constant pieces on the Liouvillian (16 and 11 steps at the phase limit)."""
     rng = np.random.default_rng(43)
     h_on = random_hermitian(rng, 2, 2.0) - 0.7 * SIGMA_X
     h_off = random_hermitian(rng, 2, 0.5)
@@ -504,25 +515,123 @@ def test_pulse_lattice_matches_stepwise():
     lengths = [0.35, 0.65]
     scales = [max(total_rate(channels), spectral_radius(h)) for h in (h_on, h_off)]
     rhss = [lambda _t, r, h=h: lindblad_rhs(h, channels, r) for h in (h_on, h_off)]
-    lat, starts, hs = lattice_stepwise(rhss, lengths, scales, rho0.matrix, 3)
-    n_off = len(lat[0][1]) - 1
-    points = [
+    return rho0, channels, list(zip(lengths, (h_on, h_off))), rhss, lengths, scales
+
+
+PULSE_POINTS = {
+    # samples off the lattice, on an inner lattice point, on a period
+    # boundary, just past it, and at t_end = 3 T; every stop its own row
+    "mixed": (3, [
         (0, 0, 0, 0.0), (0, 0, 3, 0.37), (0, 1, 5, 0.5), (1, 0, 0, 0.0), (1, 0, 0, 0.25),
-        (1, 1, n_off - 1, 0.8), (2, 1, 2, 0.0), (3, 0, 0, 0.0),
-    ]
-    t, ref, n_ref = lattice_samples(rhss, lat, starts, hs, points)
-    res = propagate(
-        None, channels, rho0, t, period=list(zip(lengths, (h_on, h_off))),
-        max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT,
-    )
+        (1, 1, 10, 0.8), (2, 1, 2, 0.0), (3, 0, 0, 0.0),
+    ], []),
+    # three stops per piece, each in all six periods: prefix tables at the
+    # stops, applied to the six period states by one GEMM
+    "shared": (6, [(0, 0, 0, 0.0)] + [
+        (k, q, j, f) for k in range(6)
+        for q, j, f in ((0, 2, 0.3), (0, 9, 0.0), (0, 15, 0.6), (1, 1, 0.5), (1, 4, 0.0),
+                        (1, 9, 0.25))
+    ] + [(6, 0, 0, 0.0)], [(3, 18), (3, 18)]),
+    # one sample in each of 13 periods, cycling through three stops:
+    # prefix tables gathered row by row
+    "spread": (
+        13, [(0, 0, 0, 0.0)] + [(k, 0, (2, 5, 9)[k % 3], 0.4) for k in range(13)], [(3, 13)]
+    ),
+    # every row its own stop: the powers act on the rows
+    "own": (4, [(0, 0, 0, 0.0)] + [
+        (k, q, j, 0.5) for k in range(4) for q, j in ((0, 1 + 3 * k), (1, 2 + 2 * k))
+    ], []),
+}
+
+
+def test_pulse_lattice_matches_stepwise(monkeypatch):
+    rho0, channels, period, rhss, lengths, scales = pulse_setup()
+    for name, (n_periods, points, tables) in PULSE_POINTS.items():
+        lat, starts, hs = lattice_stepwise(rhss, lengths, scales, rho0.matrix, n_periods)
+        assert [len(piece) - 1 for piece in lat[0]] == [16, 11]
+        t, ref, n_ref = lattice_samples(rhss, lat, starts, hs, points)
+        with monkeypatch.context() as mp:
+            calls = spy_gather(mp)
+            phase = qdyn.MAX_STEP_PHASE_LIMIT
+            res = propagate(None, channels, rho0, t, period=period, max_step_phase=phase)
+        assert calls == tables, name
+        np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12, err_msg=name)
+        assert res.diagnostics.n_substeps == n_ref, name
+
+
+@pytest.mark.parametrize("kind", ["pulse", "sine"])
+def test_period_gaps_match_stepwise(kind):
+    # samples 13 and 22 periods apart: the state crosses each gap by the
+    # squared period maps of its set bits
+    points = [(0, 0, 0, 0.0), (0, 0, 3, 0.4), (1, 0, 5, 0.5), (15, 0, 2, 0.0), (15, 0, 7, 0.3)]
+    points += [(38, 0, 1, 0.25), (40, 0, 0, 0.0)]
+    if kind == "pulse":
+        rho0, channels, period, rhss, lengths, scales = pulse_setup()
+        lat, starts, hs = lattice_stepwise(rhss, lengths, scales, rho0.matrix, 40)
+        t, ref, n_ref = lattice_samples(rhss, lat, starts, hs, points)
+        phase = qdyn.MAX_STEP_PHASE_LIMIT
+        res = propagate(None, channels, rho0, t, period=period, max_step_phase=phase)
+    else:
+        rng = np.random.default_rng(89)
+        h0, h1 = random_hermitian(rng, 3, 1.0), random_hermitian(rng, 3, 0.5)
+        env = lambda tt: np.sin(np.pi * tt)
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi0 /= np.linalg.norm(psi0)
+        rhs = lambda tt, y: -1j * (h0 + env(tt) * h1) @ y
+        scale = spectral_radius(h0) + spectral_radius(h1)
+        lat, starts, hs = lattice_stepwise([rhs], [2.0], [scale], psi0, 40)
+        t, ref, n_ref = lattice_samples([rhs], lat, starts, hs, points)
+        ref = [np.outer(y, y.conj()) / np.vdot(y, y).real for y in ref]
+        res = propagate_modulated(
+            h0, h1, env, [], DensityOperator.pure(psi0), t, period=2.0,
+            max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT,
+        )
     np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
     assert res.diagnostics.n_substeps == n_ref
 
 
+@pytest.mark.parametrize(
+    "states, batch, tables", [(10, 1 << 16, True), (70, 1 << 16, True), (70, 1 << 15, False)]
+)
+def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables, monkeypatch):
+    # a qutrit Liouvillian piece (9 x 9 maps), 7 stops and 70 rows: each
+    # stop reached in all ten periods (one GEMM on the ten states), or
+    # each row in a period of its own (the rows gather their tables, 89
+    # KiB at once, so in chunks); in 32 KiB the tables and their pass
+    # temporaries do not fit, and the powers act on the rows.  The traced
+    # peak of advance stays within BATCH_BYTES.
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", batch)
+    rng = np.random.default_rng(97)
+    a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
+    h = qdyn.MAX_STEP_PHASE_LIMIT / np.linalg.norm(a0, 2)
+    piece = qdyn._Piece(a0, None, None, 0.0, h, 4000)
+    stops = 301 * np.arange(1, 8)
+    j = np.tile(stops, 10)
+    k = np.arange(70) if states == 70 else np.repeat(np.arange(10), 7)
+    v = rng.normal(size=(states, 9)) + 1j * rng.normal(size=(states, 9))
+    assert 70 * 16 * 81 > qdyn.BATCH_BYTES
+    calls = spy_gather(monkeypatch)
+    _, advance = qdyn._piece_maps(piece, stops)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = advance(v, k, j)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert calls == ([(7, 70)] if tables else [])
+    assert peak <= qdyn.BATCH_BYTES
+    step = piece.step_maps(0, 1)[0]
+    ref = np.array([np.linalg.matrix_power(step, jj) @ v[kk] for jj, kk in zip(j, k)])
+    np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("pure", [True, False])
-def test_sine_period_lattice_matches_stepwise(pure):
+def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     # H0 + sin(2 pi t / T) H1 over four periods of one modulated piece,
-    # on the state-vector path and on the Liouvillian path
+    # on the state-vector path and on the Liouvillian path; the prefixes
+    # reach scattered samples row by row, and three stops sampled in every
+    # period by one GEMM on the four period states
     rng = np.random.default_rng(47)
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
@@ -538,18 +647,26 @@ def test_sine_period_lattice_matches_stepwise(pure):
     scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
     lat, starts, hs = lattice_stepwise([rhs], [period], [scale], y0, 4)
     n = len(lat[0][0]) - 1
-    points = [
+    scattered = [
         (0, 0, 0, 0.0), (0, 0, 7, 0.3), (0, 0, n - 1, 0.95), (1, 0, 0, 0.0), (1, 0, 40, 0.0),
         (2, 0, 0, 0.5), (2, 0, 7, 0.3), (3, 0, n // 2, 0.6), (4, 0, 0, 0.0),
     ]
-    t, ref, n_ref = lattice_samples([rhs], lat, starts, hs, points)
-    res = propagate_modulated(
-        h0, h1, env, channels, rho0, t, period=period, max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT
-    )
-    if pure:
-        ref = [np.outer(y, y.conj()) / np.vdot(y, y).real for y in ref]
-    np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
-    assert res.diagnostics.n_substeps == n_ref
+    shared = [(0, 0, 0, 0.0)] + [
+        (k, 0, j, f) for k in range(4) for j, f in ((7, 0.3), (40, 0.0), (n // 2, 0.6))
+    ] + [(4, 0, 0, 0.0)]
+    for points, batches in ((scattered, [(5, 6)]), (shared, [(4, 12)])):
+        t, ref, n_ref = lattice_samples([rhs], lat, starts, hs, points)
+        with monkeypatch.context() as mp:
+            calls = spy_gather(mp)
+            res = propagate_modulated(
+                h0, h1, env, channels, rho0, t, period=period,
+                max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT,
+            )
+        assert calls == batches
+        if pure:
+            ref = [np.outer(y, y.conj()) / np.vdot(y, y).real for y in ref]
+        np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
+        assert res.diagnostics.n_substeps == n_ref
 
 
 def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
