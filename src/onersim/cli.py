@@ -50,25 +50,17 @@ from .efg import (
     surface_mesh,
 )
 from .oner import (
-    ZERO_AMPLITUDE_RTOL,
     StatePairNqi,
     TwoLevelParams,
     fit_rabi,
     fourier_coefficients,
-    pair_in_b_frame,
     plan,
-    q0_q1,
     simulate_coupled,
     simulate_pulsed_two_level,
     steady_state,
+    transition_table,
 )
-from .spin import (
-    HierarchyWarning,
-    allowed_transitions,
-    make_spin,
-    transition_amplitude,
-    transition_energy,
-)
+from .spin import HierarchyWarning
 
 logger = logging.getLogger(__name__)
 
@@ -331,9 +323,9 @@ class ResolvedSetup:
 
 
 def _apply_unit_mode(
-    sc: Scenario, nucleus: NucleusRecord, pair: StatePairNqi, unit_mode: str
+    sc: Scenario, nucleus: NucleusRecord, pair: StatePairNqi
 ) -> tuple[NucleusRecord, StatePairNqi]:
-    if unit_mode == UNIT_PHYSICAL:
+    if sc.unit_mode == UNIT_PHYSICAL:
         return nucleus, pair
     gamma_b0_hz = sc.omega_hz / sc.zeeman_ratio
     scaled_nucleus = replace(
@@ -354,13 +346,8 @@ def _apply_unit_mode(
     return scaled_nucleus, scaled_pair
 
 
-def resolve_setup(sc: Scenario, unit_mode: str | None = None) -> ResolvedSetup:
-    mode = unit_mode or sc.unit_mode
-    if mode not in (UNIT_PHYSICAL, UNIT_SCALED):
-        raise ScenarioError(f"unknown unit mode {mode!r}")
-    nucleus = get_nucleus(sc.nucleus)
-    pair = scenario_pair(sc)
-    nucleus, pair = _apply_unit_mode(sc, nucleus, pair, mode)
+def resolve_setup(sc: Scenario) -> ResolvedSetup:
+    nucleus, pair = _apply_unit_mode(sc, get_nucleus(sc.nucleus), scenario_pair(sc))
     return ResolvedSetup(
         nucleus=nucleus,
         pair=pair,
@@ -421,49 +408,30 @@ def run_pulse(sc: Scenario) -> str:
     return series + "\n" + fourier
 
 
-def _spectrum_rows(
-    nucleus: NucleusRecord, b0: float, q0: NqiTensor
-) -> list[list[float]]:
-    spin = make_spin(nucleus.two_I)
-    rows = []
-    for m_from, m_to in allowed_transitions(spin):
-        zeeman = abs(nucleus.gamma_hz_per_t * b0 * (m_to - m_from))
-        total = abs(
-            transition_energy(m_from, m_to, nucleus.gamma_hz_per_t, b0, q0.qzz_hz, spin)
-        )
-        rows.append([m_from, m_to, zeeman, total - zeeman, total])
-    return rows
-
-
-def run_spectrum(sc: Scenario, unit_mode: str | None = None) -> str:
-    setup = resolve_setup(sc, unit_mode)
+def run_spectrum(sc: Scenario) -> str:
+    setup = resolve_setup(sc)
     rho_inf, _ = steady_state(setup.params)
-    q0, _ = q0_q1(pair_in_b_frame(setup.pair, setup.theta), rho_inf)
-    rows = _spectrum_rows(setup.nucleus, setup.b0_tesla, q0)
+    _, _, table = transition_table(setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, rho_inf)
     return _csv_block(
         ["transition_from", "transition_to", "zeeman_hz", "correction_hz", "total_hz"],
-        rows,
+        [[m_from, m_to, zeeman, total - zeeman, total] for m_from, m_to, zeeman, total, _ in table],
     )
 
 
-def run_rabi_map(sc: Scenario, grid: SweepGrid, unit_mode: str | None = None) -> str:
+def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     """Rabi frequency and energy correction over (theta, field) nodes.
 
     Requires a table-backed scenario; each node interpolates the ground
-    and excited tensors at that field, rotates by theta, and evaluates
-    every |delta m| in {1, 2} transition.  Transitions with no drivable
-    amplitude carry rabi_hz = 0 rather than erroring, so full maps
-    always emit.
+    and excited tensors at that field and reads every |delta m| in
+    {1, 2} transition from transition_table at that theta.  Transitions
+    with no drivable amplitude carry rabi_hz = 0 rather than erroring,
+    so full maps always emit.
     """
-    mode = unit_mode or sc.unit_mode
     if sc.table_ground_state is None or sc.table_excited_state is None:
         raise ScenarioError("rabi-map needs table_ground_state and table_excited_state")
     table = scenario_table(sc)
     nucleus = get_nucleus(sc.nucleus)
-    spin = make_spin(nucleus.two_I)
-    params = scenario_params(sc)
-    rho_inf, _ = steady_state(params)
-    transitions = allowed_transitions(spin)
+    rho_inf, _ = steady_state(scenario_params(sc))
     rows = []
     for theta in grid.thetas:
         for field_au in grid.fields:
@@ -471,24 +439,19 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid, unit_mode: str | None = None) ->
                 qg=table.interpolate(sc.table_ground_state, field_au),
                 qe=table.interpolate(sc.table_excited_state, field_au),
             )
-            nuc, pair = _apply_unit_mode(sc, nucleus, pair, mode)
-            q0, q1 = q0_q1(pair_in_b_frame(pair, theta), rho_inf)
-            for m_from, m_to in transitions:
-                g = abs(transition_amplitude(m_from, m_to, q1, spin))
-                if g <= ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300):
-                    g = 0.0
-                total = transition_energy(
-                    m_from, m_to, nuc.gamma_hz_per_t, sc.b0_tesla, q0.qzz_hz, spin
-                )
-                zeeman = abs(nuc.gamma_hz_per_t * sc.b0_tesla * (m_to - m_from))
-                rows.append([theta, field_au, m_from, m_to, g / TWO_PI, abs(total) - zeeman])
+            nuc, pair = _apply_unit_mode(sc, nucleus, pair)
+            _, _, node = transition_table(pair, nuc, sc.b0_tesla, theta, rho_inf)
+            rows += [
+                [theta, field_au, m_from, m_to, rabi, total - zeeman]
+                for m_from, m_to, zeeman, total, rabi in node
+            ]
     return _csv_block(
         ["theta_rad", "field_au", "transition_from", "transition_to", "rabi_hz", "correction_hz"],
         rows,
     )
 
 
-def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
+def run_coupled(sc: Scenario) -> str:
     """Full coupled run: normalized spin populations plus a fit summary.
 
     The time column is in units of the predicted Rabi period (t *
@@ -496,7 +459,7 @@ def run_coupled(sc: Scenario, unit_mode: str | None = None) -> str:
     column falls back to pulse periods and the summary carries the
     no-oscillation sentinel (NaN fit values).
     """
-    setup = resolve_setup(sc, unit_mode)
+    setup = resolve_setup(sc)
     args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params, setup.transition)
     the_plan = plan(*args, allow_zero_amplitude=True)
     predicted = the_plan.predicted_rabi_hz
@@ -624,9 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_for(args) -> Scenario:
-    if args.scenario:
-        return load_scenario(args.scenario)
-    return default_scenario()
+    sc = load_scenario(args.scenario) if args.scenario else default_scenario()
+    return replace(sc, unit_mode=args.unit_mode) if args.unit_mode else sc
 
 
 def _emit(args, text: str) -> None:
@@ -648,7 +610,7 @@ def _cmd_pulse(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _emit(args, run_spectrum(_scenario_for(args), args.unit_mode))
+    _emit(args, run_spectrum(_scenario_for(args)))
     return EXIT_OK
 
 
@@ -669,12 +631,12 @@ def _cmd_rabi_map(args) -> int:
         field_max=fmax,
         field_count=args.field_count,
     )
-    _emit(args, run_rabi_map(sc, grid, args.unit_mode))
+    _emit(args, run_rabi_map(sc, grid))
     return EXIT_OK
 
 
 def _cmd_coupled(args) -> int:
-    _emit(args, run_coupled(_scenario_for(args), args.unit_mode))
+    _emit(args, run_coupled(_scenario_for(args)))
     return EXIT_OK
 
 

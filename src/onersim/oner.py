@@ -17,9 +17,10 @@ The pipeline implemented here:
 3. q0_q1: the static tensor Q0 and the fundamental-harmonic amplitude
    Q1 of the effective coupling, built from the square-wave limit of the
    population (DC value rho_inf / 2, fundamental 2 rho_inf / pi).
-4. plan: repetition rate from the first-order transition energy with
-   Q0, predicted Rabi frequency |g(Q1)| / 2 pi from the transition
-   amplitude.
+4. transition_table / plan: per transition, the repetition rate from
+   the first-order transition energy with Q0 and the predicted Rabi
+   frequency |g(Q1)| / 2 pi from the transition amplitude; plan reads
+   the row of one target transition.
 5. simulate_spin_effective / simulate_coupled: the spin-only model with
    a harmonically modulated tensor, and the full 2 x (2I+1) density
    matrix with the operator-valued coupling, for cross-validation.
@@ -43,6 +44,7 @@ from .qdyn import CollapseChannel, DensityOperator, PropagationDiagnostics
 from .spin import (
     HierarchyWarning,
     SpinSystem,
+    allowed_transitions,
     make_spin,
     quadrupole_hamiltonian,
     transition_amplitude,
@@ -402,6 +404,38 @@ def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
     raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
 
 
+def transition_table(
+    pair: StatePairNqi,
+    nucleus: NucleusRecord,
+    b0_tesla: float,
+    theta: float,
+    rho_inf: float,
+    transitions=None,
+) -> tuple[NqiTensor, NqiTensor, list[tuple[float, float, float, float, float]]]:
+    """Q0, Q1 and one (m_from, m_to, zeeman_hz, energy_hz, rabi_hz) row per transition.
+
+    Rotates the state pair into the magnetic-field frame and forms Q0
+    and Q1 from the excited-state steady-state population rho_inf.
+    zeeman_hz is |gamma B0 delta m|, energy_hz the first-order transition
+    energy |E(m_to) - E(m_from)| with Q0 (the resonant repetition rate),
+    and rabi_hz is |g(Q1)| / 2 pi, set to exactly 0.0 when the amplitude
+    vanishes relative to the norm of Q1 (a forbidden or geometrically
+    suppressed transition).  transitions defaults to every allowed one.
+    """
+    spin = make_spin(nucleus.two_I)
+    q0, q1 = q0_q1(pair_in_b_frame(pair, theta), rho_inf)
+    gamma = nucleus.gamma_hz_per_t
+    rows = []
+    for m_from, m_to in allowed_transitions(spin) if transitions is None else transitions:
+        zeeman = abs(gamma * b0_tesla * (m_to - m_from))
+        energy = abs(transition_energy(m_from, m_to, gamma, b0_tesla, q0.qzz_hz, spin))
+        g = abs(transition_amplitude(m_from, m_to, q1, spin))
+        if g <= ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300):
+            g = 0.0
+        rows.append((m_from, m_to, zeeman, energy, g / TWO_PI))
+    return q0, q1, rows
+
+
 def plan(
     pair: StatePairNqi,
     nucleus: NucleusRecord,
@@ -414,46 +448,46 @@ def plan(
 ) -> OnerPlan:
     """Resolve pulse-train parameters for one target spin transition.
 
-    Rotates the state-pair tensors into the magnetic-field frame,
-    computes Q0 and Q1 from the drive steady state, sets the repetition
-    rate to the Q0-corrected transition energy, and predicts the Rabi
-    frequency from the Q1 transition amplitude.  A transition whose
-    amplitude vanishes (symmetry-forbidden, or suppressed by geometry
-    such as a diagonal tensor at theta = 0) raises ZeroAmplitudeError
-    unless allow_zero_amplitude, which instead records a zero predicted
-    Rabi frequency (useful for deliberately off-target runs).
+    Reads the transition's row of transition_table at the drive steady
+    state: the repetition rate is the Q0-corrected transition energy and
+    the predicted Rabi frequency comes from the Q1 transition amplitude.
+    A transition whose amplitude vanishes (symmetry-forbidden, or
+    suppressed by geometry such as a diagonal tensor at theta = 0)
+    raises ZeroAmplitudeError unless allow_zero_amplitude, which instead
+    records a zero predicted Rabi frequency (useful for deliberately
+    off-target runs).
     """
-    spin = make_spin(nucleus.two_I)
-    m_from, m_to = transition
-    pair_b = pair_in_b_frame(pair, theta)
     rho_inf, _ = steady_state(params)
-    q0, q1 = q0_q1(pair_b, rho_inf)
-    rep_hz = abs(
-        transition_energy(m_from, m_to, nucleus.gamma_hz_per_t, b0_tesla, q0.qzz_hz, spin)
+    q0, q1, [(m_from, m_to, _, rep_hz, rabi_hz)] = transition_table(
+        pair, nucleus, b0_tesla, theta, rho_inf, [transition]
     )
-    g = transition_amplitude(m_from, m_to, q1, spin)
-    if abs(g) <= ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300):
-        if not allow_zero_amplitude:
-            raise ZeroAmplitudeError(
-                f"transition {m_from:g} -> {m_to:g} cannot be driven: amplitude "
-                f"|g| = {abs(g):.3e} rad/s vanishes relative to the modulated tensor "
-                f"(norm {q1.norm:.3e}); either the geometric prefactor is identically "
-                "zero for this level pair or the relevant tensor components vanish "
-                "at this orientation"
-            )
-        g = 0.0
+    if rabi_hz == 0.0 and not allow_zero_amplitude:
+        raise ZeroAmplitudeError(
+            f"transition {m_from:g} -> {m_to:g} cannot be driven: its amplitude "
+            f"vanishes relative to the modulated tensor (norm {q1.norm:.3e}); either "
+            "the geometric prefactor is identically zero for this level pair or the "
+            "relevant tensor components vanish at this orientation"
+        )
     return OnerPlan(
         q0=q0,
         q1=q1,
         transition=(float(m_from), float(m_to)),
         repetition_rate_hz=rep_hz,
-        predicted_rabi_hz=abs(g) / TWO_PI,
+        predicted_rabi_hz=rabi_hz,
     )
 
 
 def detuned(plan_: OnerPlan, rate_offset_hz: float) -> OnerPlan:
     """Copy of a plan with the repetition rate shifted off resonance."""
     return replace(plan_, repetition_rate_hz=plan_.repetition_rate_hz + rate_offset_hz)
+
+
+def _population_of(populations: np.ndarray, m_values: np.ndarray, m: float) -> np.ndarray:
+    """Population column of the level with magnetic quantum number m."""
+    idx = int(np.argmin(np.abs(m_values - m)))
+    if abs(m_values[idx] - m) > 1e-9:
+        raise ValueError(f"no level with m = {m}")
+    return populations[:, idx]
 
 
 @dataclass
@@ -466,10 +500,7 @@ class SpinTrajectory:
     diagnostics: PropagationDiagnostics
 
     def population_of(self, m: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.m_values - m)))
-        if abs(self.m_values[idx] - m) > 1e-9:
-            raise ValueError(f"no level with m = {m}")
-        return self.populations[:, idx]
+        return _population_of(self.populations, self.m_values, m)
 
 
 def _check_plan_consistency(plan_: OnerPlan, pair_b: StatePairNqi) -> None:
@@ -552,10 +583,7 @@ class CoupledTrajectory:
     diagnostics: PropagationDiagnostics
 
     def population_of(self, m: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.m_values - m)))
-        if abs(self.m_values[idx] - m) > 1e-9:
-            raise ValueError(f"no level with m = {m}")
-        return self.spin_populations[:, idx]
+        return _population_of(self.spin_populations, self.m_values, m)
 
 
 def simulate_coupled(

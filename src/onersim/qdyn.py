@@ -261,11 +261,10 @@ def _hamiltonian_norm(h) -> float:
 
 
 def total_rate(channels: Sequence[CollapseChannel]) -> float:
-    """Step-control rate scale: sum of rate * ||c+c||_max over channels."""
+    """Step-control rate scale: sum of rate * (spectral radius of c+c) over channels."""
     tot = 0.0
     for ch in channels:
-        cdc = ch.operator.conj().T @ ch.operator
-        tot += ch.rate * float(np.max(np.abs(cdc)))
+        tot += ch.rate * _hamiltonian_norm(ch.operator.conj().T @ ch.operator)
     return tot
 
 

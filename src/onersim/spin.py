@@ -151,11 +151,6 @@ def quadrupole_hamiltonian(q, spin: SpinSystem) -> np.ndarray:
     return h
 
 
-def _check_level(m: float, spin: SpinSystem) -> float:
-    spin.index_of(m)  # raises on invalid m
-    return m
-
-
 def first_order_energies(
     gamma_hz_per_t: float, b0_tesla: float, qzz_hz: float, spin: SpinSystem
 ) -> list[tuple[float, float]]:
@@ -187,8 +182,8 @@ def transition_energy(
     spin: SpinSystem,
 ) -> float:
     """First-order energy difference E(m_to) - E(m_from) in Hz."""
-    _check_level(m_from, spin)
-    _check_level(m_to, spin)
+    spin.index_of(m_from)
+    spin.index_of(m_to)
     dm = round(2 * (m_to - m_from)) / 2.0
     if abs(dm) not in (1.0, 2.0):
         raise UnsupportedTransitionError(m_from, m_to)
@@ -216,29 +211,19 @@ def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem) -> com
     units as the tensor components; |g| is the Rabi angular frequency
     when q is the oscillating tensor amplitude in rad/s.
     """
-    _check_level(m_from, spin)
-    _check_level(m_to, spin)
+    prefactor = transition_prefactor(m_from, m_to, spin)
     mat = _tensor_matrix(q)
-    m_hi = max(m_from, m_to)
-    dm = round(2 * abs(m_to - m_from)) / 2.0
-    ii = spin.I * (spin.I + 1.0)
-    if dm == 1.0:
-        alpha = 0.5 * abs(2.0 * m_hi - 1.0) * np.sqrt(ii - m_hi * (m_hi - 1.0))
-        g = alpha * complex(mat[0, 2], mat[1, 2])
-    elif dm == 2.0:
-        beta = 0.25 * np.sqrt(
-            (ii - (m_hi - 1.0) * (m_hi - 2.0)) * (ii - m_hi * (m_hi - 1.0))
-        )
-        g = beta * complex(mat[0, 0] - mat[1, 1], 2.0 * mat[1, 0])
+    if round(2 * abs(m_to - m_from)) == 2:  # |delta m| = 1
+        g = prefactor * complex(mat[0, 2], mat[1, 2])
     else:
-        raise UnsupportedTransitionError(m_from, m_to)
+        g = prefactor * complex(mat[0, 0] - mat[1, 1], 2.0 * mat[1, 0])
     return g if m_to < m_from else np.conj(g)
 
 
 def transition_prefactor(m_from: float, m_to: float, spin: SpinSystem) -> float:
     """Geometric prefactor (alpha or beta) of a transition amplitude."""
-    _check_level(m_from, spin)
-    _check_level(m_to, spin)
+    spin.index_of(m_from)
+    spin.index_of(m_to)
     m_hi = max(m_from, m_to)
     dm = round(2 * abs(m_to - m_from)) / 2.0
     ii = spin.I * (spin.I + 1.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -188,6 +189,32 @@ def test_spectrum_without_tensors_has_no_corrections(tmp_path, capsys):
     assert main(["spectrum", "--scenario", path]) == EXIT_OK
     data = parse_csv(capsys.readouterr().out)
     np.testing.assert_allclose(data["correction_hz"], 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum"], ["rabi-map", "--theta-count", "3", "--field-count", "2"]]
+)
+def test_unit_mode_flag_is_the_scenario_key(tmp_path, capsys, argv):
+    # --unit-mode on the packaged scenario is that scenario with the key set
+    assert main([*argv, "--unit-mode", "scaled"]) == EXIT_OK
+    flagged = capsys.readouterr().out
+    assert main([*argv, "--scenario", write_scenario(tmp_path, unit_mode="scaled")]) == EXIT_OK
+    assert capsys.readouterr().out == flagged
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out != flagged
+
+
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+def test_plan_repetition_rate_is_the_spectrum_total(unit_mode):
+    sc = replace(default_scenario(), unit_mode=unit_mode)
+    data = parse_csv(run_spectrum(sc))
+    setup = cli.resolve_setup(sc)
+    args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params)
+    assert data["total_hz"].size == 5
+    rows = zip(data["transition_from"], data["transition_to"], data["total_hz"])
+    for m_from, m_to, total in rows:
+        pl = oner.plan(*args, (m_from, m_to), allow_zero_amplitude=True)
+        assert "%.17g" % pl.repetition_rate_hz == "%.17g" % total
 
 
 def test_rabi_map_orientation_and_field_scaling(capsys):

@@ -38,6 +38,7 @@ from onersim.oner import (
     simulate_pulsed_two_level,
     simulate_spin_effective,
     steady_state,
+    transition_table,
     TwoLevelTrajectory,
 )
 from onersim.qdyn import DensityOperator, IntegrationFailureError, propagate
@@ -425,6 +426,25 @@ def test_plan_zero_amplitude_paths():
         plan(biax, nuc, 1.0, 0.0, CW, (1.5, 0.5))
 
 
+def test_transition_table_rows_are_the_plans():
+    # every allowed transition's row carries its plan's repetition rate
+    # and Rabi frequency, forbidden ones included
+    nuc = nucleus_for(33333.0)
+    pair = axial_pair(TWO_PI * 1000.0)
+    rho_inf, _ = steady_state(CW)
+    q0, q1, rows = transition_table(pair, nuc, 1.0, 0.9, rho_inf)
+    assert [r[:2] for r in rows] == [
+        (1.5, 0.5), (0.5, -0.5), (-0.5, -1.5), (1.5, -0.5), (0.5, -1.5)
+    ]
+    for m_from, m_to, zeeman, energy, rabi in rows:
+        pl = plan(pair, nuc, 1.0, 0.9, CW, (m_from, m_to), allow_zero_amplitude=True)
+        assert (energy, rabi) == (pl.repetition_rate_hz, pl.predicted_rabi_hz)
+        assert zeeman == pytest.approx(33333.0 * abs(m_to - m_from), rel=1e-15)
+        np.testing.assert_array_equal(pl.q0.matrix, q0.matrix)
+        np.testing.assert_array_equal(pl.q1.matrix, q1.matrix)
+    assert rows[1][4] == 0.0 and rows[0][4] > 0.0
+
+
 def test_plan_accepts_prerotated_pairs():
     nuc = nucleus_for(33333.0)
     theta = 0.7
@@ -596,7 +616,7 @@ def test_coupled_budget_estimate_uses_spectral_radius():
     # radius of the drive-on Hamiltonian; its largest entry would
     # estimate 6.6e6 and let a 6.7e6 budget through
     sc = default_scenario()
-    setup = resolve_setup(sc, "physical")
+    setup = resolve_setup(sc)
     args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params, setup.transition)
     duration = sc.duration_rabi_periods / plan(*args).predicted_rabi_hz
     with pytest.raises(IntegrationFailureError, match="6.80e"):

@@ -235,6 +235,9 @@ def test_total_rate_sums_channel_scales():
     channels = [CollapseChannel(SIGMA, 2.0), CollapseChannel(np.diag([1.0, -1.0]), 3.0)]
     assert total_rate(channels) == pytest.approx(5.0)
     assert total_rate([]) == 0.0
+    # c = ones((3, 3)) gives c+c = 3 ones((3, 3)): its largest entry is 3,
+    # its spectral radius 9, which bounds the rate the step must resolve
+    assert total_rate([CollapseChannel(np.ones((3, 3)), 2.0)]) == pytest.approx(18.0, rel=1e-12)
 
 
 def test_liouvillian_matches_direct_rhs():
