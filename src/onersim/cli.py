@@ -12,7 +12,9 @@ deterministic CSV output:
     onersim efg-mesh     ... [--which excited] [--mesh-scale 1.0]
     onersim ingest-check [--table t.csv]
 
-All numbers are printed with 17 significant digits so repeated runs are
+Each subcommand is one row of COMMANDS: a body that turns the parsed
+arguments into CSV text, which main writes to --out or stdout.  All
+numbers are printed with 17 significant digits so repeated runs are
 byte-identical.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 data-ingestion error.
 
@@ -22,7 +24,11 @@ the Zeeman splitting gamma*B0 is set to omega / zeeman_ratio and the
 coupling tensors are rescaled so their largest component is gamma*B0 /
 quad_ratio (in angular-frequency terms), preserving tensor shapes.
 Ratios >= 30 keep each tier well separated while making coupled runs
-tractable; all reported frequencies simply rescale.
+tractable; all reported frequencies simply rescale.  The mode is the
+scenario's unit_mode, which --unit-mode overrides.  It acts on the
+nucleus and the coupling tensors only, so it changes spectrum,
+rabi-map, coupled and efg-mesh and leaves steady-state, pulse and
+ingest-check as they are.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import logging
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -48,6 +55,7 @@ from .efg import (
     TableRangeError,
     load_nqi_table,
     surface_mesh,
+    symmetric_tensor,
 )
 from .oner import (
     StatePairNqi,
@@ -77,6 +85,10 @@ TENSOR_KEY_ORDER = "xx, yy, zz, xy, xz, yz"
 
 class ScenarioError(ValueError):
     """Scenario file or key set violates the configuration contract."""
+
+
+# Scenario field annotation -> the type its value is coerced to
+_NUMBER_TYPES = {"float": float, "float | None": float, "int": int}
 
 
 @dataclass
@@ -118,25 +130,21 @@ class Scenario:
     quad_ratio: float = 30.0
     base_dir: Path | None = field(default=None, compare=False, repr=False)
 
-    _FLOAT_KEYS = (
-        "b0_tesla", "theta_rad", "omega_hz", "decay_hz", "dephasing_hz",
-        "detuning_hz", "duty", "gamma_tau", "transition_from", "transition_to",
-        "duration_rabi_periods", "zeeman_ratio", "quad_ratio",
-    )
-    _OPTIONAL_FLOAT_KEYS = ("tau_s", "table_field_au")
-    _INT_KEYS = ("n_samples", "n_periods", "samples_per_period", "fourier_n_max")
-
     def __post_init__(self) -> None:
         # YAML 1.1 floats need a signed exponent ("1.0e+9"); the common
-        # unsigned spelling arrives as a string, so coerce everything
-        for key in self._FLOAT_KEYS + self._OPTIONAL_FLOAT_KEYS + self._INT_KEYS:
-            val = getattr(self, key)
-            if val is None and key in self._OPTIONAL_FLOAT_KEYS:
+        # unsigned spelling arrives as a string, so each number is coerced
+        # to the type of its field (annotations are strings in this module)
+        for f in fields(self):
+            kind = _NUMBER_TYPES.get(f.type)
+            val = getattr(self, f.name)
+            if kind is None or (val is None and f.type.endswith("None")):
                 continue
             try:
-                setattr(self, key, int(val) if key in self._INT_KEYS else float(val))
+                setattr(self, f.name, kind(val))
             except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"{key} must be a number, got {val!r}") from exc
+                raise ScenarioError(f"{f.name} must be a number, got {val!r}") from exc
+            if kind is int and getattr(self, f.name) < 1:
+                raise ScenarioError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         for key in ("omega_hz", "decay_hz", "dephasing_hz", "b0_tesla"):
             if getattr(self, key) < 0:
                 raise ScenarioError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -148,9 +156,6 @@ class Scenario:
             )
         if self.zeeman_ratio <= 0 or self.quad_ratio <= 0:
             raise ScenarioError("zeeman_ratio and quad_ratio must be > 0")
-        for key in ("n_samples", "n_periods", "samples_per_period", "fourier_n_max"):
-            if getattr(self, key) < 1:
-                raise ScenarioError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("qg_khz", "qe_khz", "qeg_khz"):
             val = getattr(self, key)
             if val is not None:
@@ -177,16 +182,7 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
     def to_mapping(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "base_dir":
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
-
-    @property
-    def transition(self) -> tuple[float, float]:
-        return (float(self.transition_from), float(self.transition_to))
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "base_dir"}
 
 
 def load_scenario(path) -> Scenario:
@@ -211,20 +207,24 @@ def default_scenario() -> Scenario:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis definitions for the orientation/field-strength sweep."""
+    """Axis definitions for the orientation/field-strength sweep.
+
+    A field bound of None stands for that end of the table's range for
+    the ground state; run_rabi_map fills it in.
+    """
 
     theta_min: float
     theta_max: float
     theta_count: int
-    field_min: float
-    field_max: float
+    field_min: float | None
+    field_max: float | None
     field_count: int
 
     def __post_init__(self) -> None:
         if self.theta_count < 2 or self.field_count < 2:
             raise ScenarioError("sweep axis counts must be >= 2")
         for v in (self.theta_min, self.theta_max, self.field_min, self.field_max):
-            if not math.isfinite(v):
+            if v is not None and not math.isfinite(v):
                 raise ScenarioError("sweep axis ranges must be finite")
 
     @property
@@ -241,22 +241,16 @@ class SweepGrid:
 
 
 def _tensor_from_components(comps: list[float]) -> NqiTensor:
-    xx, yy, zz, xy, xz, yz = comps
-    mat = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
-    return NqiTensor.from_khz(mat, frame=FRAME_E)
+    return NqiTensor.from_khz(symmetric_tensor(*comps), frame=FRAME_E)
 
 
-def _resolve_table_path(sc: Scenario) -> Path:
+def scenario_table(sc: Scenario) -> NqiTable:
     if sc.table_path is None:
         raise ScenarioError("scenario does not set table_path")
     p = Path(sc.table_path)
     if not p.is_absolute() and sc.base_dir is not None:
         p = sc.base_dir / p
-    return p
-
-
-def scenario_table(sc: Scenario) -> NqiTable:
-    return ingest_efg_table(_resolve_table_path(sc))
+    return ingest_efg_table(p)
 
 
 def scenario_pair(sc: Scenario) -> StatePairNqi:
@@ -354,7 +348,7 @@ def resolve_setup(sc: Scenario) -> ResolvedSetup:
         params=scenario_params(sc),
         theta=sc.theta_rad,
         b0_tesla=sc.b0_tesla,
-        transition=sc.transition,
+        transition=(sc.transition_from, sc.transition_to),
     )
 
 
@@ -366,15 +360,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _csv_block(header: list[str], rows: list[list[float]]) -> str:
+def _csv_block(header: list[str], rows: Iterable[Iterable[float]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _m_label(m: float) -> str:
-    return f"p_{m:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +420,12 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     if sc.table_ground_state is None or sc.table_excited_state is None:
         raise ScenarioError("rabi-map needs table_ground_state and table_excited_state")
     table = scenario_table(sc)
+    lo, hi = table.field_range(sc.table_ground_state)
+    grid = replace(
+        grid,
+        field_min=lo if grid.field_min is None else grid.field_min,
+        field_max=hi if grid.field_max is None else grid.field_max,
+    )
     nucleus = get_nucleus(sc.nucleus)
     rho_inf, _ = steady_state(scenario_params(sc))
     rows = []
@@ -473,32 +469,30 @@ def run_coupled(sc: Scenario) -> str:
         duration = 200.0 * tau
         scale = 1.0 / tau
     traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
-    header = ["t_normalized"] + [_m_label(m) for m in traj.m_values]
+    header = ["t_normalized"] + [f"p_{m:g}" for m in traj.m_values]
     rows = [
         [t * scale] + list(traj.spin_populations[k]) for k, t in enumerate(traj.times)
     ]
     series = _csv_block(header, rows)
 
     target = traj.population_of(setup.transition[1])
+    # fit_rabi fits only when predicted > 0, and its sentinel frequency is NaN
     fit = fit_rabi(traj.times, target, predicted)
-    if not fit.oscillating:
-        logger.info("no oscillation detected; summary carries the sentinel")
-        deviation = float("nan")
-    elif predicted > 0:
+    if fit.oscillating:
         deviation = abs(fit.frequency_hz - predicted) / predicted
     else:
+        logger.info("no oscillation detected; summary carries the sentinel")
         deviation = float("nan")
     summary = _csv_block(
         ["fit_rabi_hz", "predicted_rabi_hz", "relative_deviation"],
-        [[fit.frequency_hz if fit.oscillating else float("nan"), predicted, deviation]],
+        [[fit.frequency_hz, predicted, deviation]],
     )
     return series + "\n" + summary
 
 
 def run_efg_mesh(tensor, s: float, n_theta: int, n_phi: int) -> str:
     mesh = surface_mesh(tensor, s, n_theta, n_phi)
-    rows = [list(row) for row in mesh.iter_rows()]
-    return _csv_block(["theta_rad", "phi_rad", "radius", "sign"], rows)
+    return _csv_block(["theta_rad", "phi_rad", "radius", "sign"], mesh.iter_rows())
 
 
 def ingest_efg_table(path) -> NqiTable:
@@ -521,52 +515,78 @@ def ingest_report(table: NqiTable) -> str:
 # argparse front end
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="scenario YAML (default: packaged example)")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument(
+def _scenario_for(args) -> Scenario:
+    sc = load_scenario(args.scenario) if args.scenario else default_scenario()
+    return replace(sc, unit_mode=args.unit_mode) if args.unit_mode else sc
+
+
+def _rabi_map(args) -> str:
+    sc = _scenario_for(args)
+    # the sweep flags are named after the SweepGrid fields
+    grid = SweepGrid(**{f.name: getattr(args, f.name) for f in fields(SweepGrid)})
+    return run_rabi_map(sc, grid)
+
+
+def _efg_mesh(args) -> str:
+    pair = resolve_setup(_scenario_for(args)).pair
+    tensor = {"ground": pair.qg, "excited": pair.qe, "difference": pair.delta}[args.which]
+    return run_efg_mesh(tensor, args.mesh_scale, args.n_theta, args.n_phi)
+
+
+def _ingest_check(args) -> str:
+    if args.table:
+        return ingest_report(ingest_efg_table(args.table))
+    return ingest_report(scenario_table(_scenario_for(args)))
+
+
+# (name, help, body): a body takes the parsed arguments and returns the
+# output text.  Bodies look the run functions up when called, so a
+# wrapper installed on this module later (a tracer, a test spy) sees them.
+COMMANDS = (
+    ("steady-state", "driven two-level steady state",
+     lambda a: run_steady_state(_scenario_for(a))),
+    ("pulse", "pulsed two-level time series + Fourier block",
+     lambda a: run_pulse(_scenario_for(a))),
+    ("spectrum", "spin transition energies with Q0 corrections",
+     lambda a: run_spectrum(_scenario_for(a))),
+    ("rabi-map", "Rabi frequency sweep over theta and field", _rabi_map),
+    ("coupled", "full electron-nucleus density-matrix run",
+     lambda a: run_coupled(_scenario_for(a))),
+    ("efg-mesh", "radial surface map of a coupling tensor", _efg_mesh),
+    ("ingest-check", "validate an NQI-vs-field table", _ingest_check),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", help="scenario YAML (default: packaged example)")
+    common.add_argument("--out", help="output file (default: stdout)")
+    common.add_argument(
         "--unit-mode",
         choices=[UNIT_PHYSICAL, UNIT_SCALED],
         help="override the scenario's unit_mode",
     )
-    p.add_argument("--verbose", action="store_true", help="info-level notes on stderr")
+    common.add_argument("--verbose", action="store_true", help="info-level notes on stderr")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onersim",
         description="Pulsed-modulation nuclear spin control: deterministic CSV runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, help_text, body in COMMANDS:
+        subs[name] = sub.add_parser(name, help=help_text, parents=[common])
+        subs[name].set_defaults(body=body)
 
-    p = sub.add_parser("steady-state", help="driven two-level steady state")
-    _add_common(p)
-    p.set_defaults(func=_cmd_steady_state)
-
-    p = sub.add_parser("pulse", help="pulsed two-level time series + Fourier block")
-    _add_common(p)
-    p.set_defaults(func=_cmd_pulse)
-
-    p = sub.add_parser("spectrum", help="spin transition energies with Q0 corrections")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("rabi-map", help="Rabi frequency sweep over theta and field")
-    _add_common(p)
+    p = subs["rabi-map"]
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi / 2.0)
     p.add_argument("--theta-count", type=int, default=9)
     p.add_argument("--field-min", type=float, default=None, help="default: table minimum")
     p.add_argument("--field-max", type=float, default=None, help="default: table maximum")
     p.add_argument("--field-count", type=int, default=5)
-    p.set_defaults(func=_cmd_rabi_map)
 
-    p = sub.add_parser("coupled", help="full electron-nucleus density-matrix run")
-    _add_common(p)
-    p.set_defaults(func=_cmd_coupled)
-
-    p = sub.add_parser("efg-mesh", help="radial surface map of a coupling tensor")
-    _add_common(p)
+    p = subs["efg-mesh"]
     p.add_argument(
         "--which",
         choices=["ground", "excited", "difference"],
@@ -576,85 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh-scale", type=float, default=1.0)
     p.add_argument("--n-theta", type=int, default=24)
     p.add_argument("--n-phi", type=int, default=48)
-    p.set_defaults(func=_cmd_efg_mesh)
 
-    p = sub.add_parser("ingest-check", help="validate an NQI-vs-field table")
-    _add_common(p)
-    p.add_argument("--table", help="table path (default: scenario's table_path)")
-    p.set_defaults(func=_cmd_ingest_check)
-
+    subs["ingest-check"].add_argument("--table", help="table path (default: scenario's table_path)")
     return parser
-
-
-def _scenario_for(args) -> Scenario:
-    sc = load_scenario(args.scenario) if args.scenario else default_scenario()
-    return replace(sc, unit_mode=args.unit_mode) if args.unit_mode else sc
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_steady_state(args) -> int:
-    _emit(args, run_steady_state(_scenario_for(args)))
-    return EXIT_OK
-
-
-def _cmd_pulse(args) -> int:
-    _emit(args, run_pulse(_scenario_for(args)))
-    return EXIT_OK
-
-
-def _cmd_spectrum(args) -> int:
-    _emit(args, run_spectrum(_scenario_for(args)))
-    return EXIT_OK
-
-
-def _cmd_rabi_map(args) -> int:
-    sc = _scenario_for(args)
-    fmin, fmax = args.field_min, args.field_max
-    if fmin is None or fmax is None:
-        table = scenario_table(sc)
-        state = sc.table_ground_state or table.states[0]
-        lo, hi = table.field_range(state)
-        fmin = lo if fmin is None else fmin
-        fmax = hi if fmax is None else fmax
-    grid = SweepGrid(
-        theta_min=args.theta_min,
-        theta_max=args.theta_max,
-        theta_count=args.theta_count,
-        field_min=fmin,
-        field_max=fmax,
-        field_count=args.field_count,
-    )
-    _emit(args, run_rabi_map(sc, grid))
-    return EXIT_OK
-
-
-def _cmd_coupled(args) -> int:
-    _emit(args, run_coupled(_scenario_for(args)))
-    return EXIT_OK
-
-
-def _cmd_efg_mesh(args) -> int:
-    sc = _scenario_for(args)
-    pair = scenario_pair(sc)
-    tensor = {"ground": pair.qg, "excited": pair.qe, "difference": pair.delta}[args.which]
-    _emit(args, run_efg_mesh(tensor, args.mesh_scale, args.n_theta, args.n_phi))
-    return EXIT_OK
-
-
-def _cmd_ingest_check(args) -> int:
-    if args.table:
-        table = ingest_efg_table(args.table)
-    else:
-        table = scenario_table(_scenario_for(args))
-    _emit(args, ingest_report(table))
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -668,19 +612,22 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        text = args.body(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (TableFormatError, TableRangeError) as exc:
         print(f"onersim: ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except RuntimeError as exc:
         print(f"onersim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"onersim: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ScenarioError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
         print(f"onersim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

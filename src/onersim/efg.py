@@ -164,6 +164,11 @@ class NqiTensor:
         return f"NqiTensor(frame={self.frame!r}, norm={self.norm:.3g} rad/s)"
 
 
+def symmetric_tensor(xx, yy, zz, xy, xz, yz) -> np.ndarray:
+    """The symmetric 3x3 matrix of six components given as xx, yy, zz, xy, xz, yz."""
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]], dtype=float)
+
+
 def axial_nqi(qzz_rad: float, frame: str = FRAME_E) -> NqiTensor:
     """Axially symmetric tensor diag(-qzz/2, -qzz/2, qzz)."""
     return NqiTensor(np.diag([-qzz_rad / 2.0, -qzz_rad / 2.0, qzz_rad]), frame=frame)
@@ -192,7 +197,7 @@ def nqi_from_efg(phi: EfgTensor, nucleus: NucleusRecord) -> NqiTensor:
     divided by hbar for rad/s.  Nuclei with I <= 1/2 have no quadrupole
     moment and are rejected.
     """
-    if nucleus.two_I < 2:
+    if not nucleus.has_quadrupole:
         raise NoQuadrupoleError(
             f"{nucleus.name}: spin I = {nucleus.spin:g} <= 1/2 has no quadrupole coupling"
         )
@@ -442,19 +447,13 @@ def load_nqi_table(path) -> NqiTable:
             )
         label = parts[col["state_label"]]
         try:
-            field = float(parts[col["field_au"]])
-            xx = float(parts[col["Qxx_kHz"]])
-            yy = float(parts[col["Qyy_kHz"]])
-            zz = float(parts[col["Qzz_kHz"]])
-            xy = float(parts[col["Qxy_kHz"]])
-            xz = float(parts[col["Qxz_kHz"]])
-            yz = float(parts[col["Qyz_kHz"]])
+            values = [float(parts[col[c]]) for c in TABLE_COLUMNS if c != "state_label"]
         except ValueError as exc:
             raise TableFormatError(f"non-numeric value ({exc})", line=line_no) from None
-        values = (field, xx, yy, zz, xy, xz, yz)
+        field, xx, yy, zz, xy, xz, yz = values
         if not all(np.isfinite(values)):
             raise TableFormatError("non-finite value", line=line_no)
-        mat = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+        mat = symmetric_tensor(xx, yy, zz, xy, xz, yz)
         norm = float(np.max(np.abs(mat)))
         tr = xx + yy + zz
         if norm > 0 and abs(tr) > TABLE_TRACE_TOL * norm:

@@ -151,6 +151,11 @@ def quadrupole_hamiltonian(q, spin: SpinSystem) -> np.ndarray:
     return h
 
 
+def _level_energy(zeeman_hz: float, m: float, ii: float, qzz_hz: float) -> float:
+    """E_m = -gamma B0 m + (3 m^2 / 2 - I(I+1)/2) Qzz, with ii = I(I+1)."""
+    return -zeeman_hz * m + (1.5 * m * m - 0.5 * ii) * qzz_hz
+
+
 def first_order_energies(
     gamma_hz_per_t: float, b0_tesla: float, qzz_hz: float, spin: SpinSystem
 ) -> list[tuple[float, float]]:
@@ -170,11 +175,7 @@ def first_order_energies(
             stacklevel=2,
         )
     ii = spin.I * (spin.I + 1.0)
-    out = []
-    for m in spin.m_values:
-        e = -zeeman * m + (1.5 * m * m - 0.5 * ii) * qzz_hz
-        out.append((float(m), float(e)))
-    return out
+    return [(float(m), float(_level_energy(zeeman, m, ii, qzz_hz))) for m in spin.m_values]
 
 
 def transition_energy(
@@ -187,12 +188,9 @@ def transition_energy(
     dm = round(2 * (m_to - m_from)) / 2.0
     if abs(dm) not in (1.0, 2.0):
         raise UnsupportedTransitionError(m_from, m_to)
+    zeeman = gamma_hz_per_t * b0_tesla
     ii = spin.I * (spin.I + 1.0)
-
-    def energy(m: float) -> float:
-        return -gamma_hz_per_t * b0_tesla * m + (1.5 * m * m - 0.5 * ii) * qzz_hz
-
-    return energy(m_to) - energy(m_from)
+    return _level_energy(zeeman, m_to, ii, qzz_hz) - _level_energy(zeeman, m_from, ii, qzz_hz)
 
 
 def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem) -> complex:

@@ -34,6 +34,20 @@ def test_tracer_installs_on_the_live_package():
     assert not tracer._restore
 
 
+def test_tracer_sees_the_subcommand_calls(capsys):
+    # the CLI must look its run and scenario functions up when a command
+    # runs; a dispatch table bound at import time hides them from the tracer
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert onersim.cli.main(["steady-state"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.run", "cli.scenario"} <= names
+
+
 def test_import_probe_finds_both_modules(monkeypatch):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     monkeypatch.setenv("PYTHONPATH", path)

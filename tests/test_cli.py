@@ -72,6 +72,26 @@ def test_scenario_round_trip(tmp_path):
     assert again.to_mapping() == sc.to_mapping()
 
 
+def test_scenario_numbers_take_their_field_types():
+    # YAML 1.1 reads "1.0e9" as a string; each number takes its field's type
+    sc = Scenario.from_mapping(
+        {"omega_hz": "1.0e9", "n_samples": "5", "tau_s": "2e-8", "table_field_au": None}
+    )
+    assert type(sc.omega_hz) is float and sc.omega_hz == 1.0e9
+    assert type(sc.n_samples) is int and sc.n_samples == 5
+    assert type(sc.tau_s) is float and sc.tau_s == 2e-8
+    assert sc.table_field_au is None
+    assert type(Scenario.from_mapping({"n_periods": 3.0}).n_periods) is int
+    with pytest.raises(ScenarioError, match="decay_hz must be a number"):
+        Scenario.from_mapping({"decay_hz": "fast"})
+    with pytest.raises(ScenarioError, match="n_periods must be a number"):
+        Scenario.from_mapping({"n_periods": "2.5"})
+    with pytest.raises(ScenarioError, match="tau_s must be a number"):
+        Scenario.from_mapping({"tau_s": [1.0]})
+    with pytest.raises(ScenarioError, match="fourier_n_max must be >= 1"):
+        Scenario.from_mapping({"fourier_n_max": "0"})
+
+
 def test_scenario_validation(tmp_path):
     with pytest.raises(ScenarioError, match="unknown scenario keys: omega_hZ"):
         Scenario.from_mapping({"omega_hZ": 1.0})
@@ -116,12 +136,23 @@ def test_steady_state_command_default_scenario(capsys):
     assert data["rho_eg_im"][0] > 0.0
 
 
-def test_out_flag_matches_stdout(tmp_path, capsys):
-    out = tmp_path / "ss.csv"
-    assert main(["steady-state"]) == EXIT_OK
+@pytest.mark.parametrize(
+    "command",
+    ["steady-state", "pulse", "spectrum", "rabi-map", "coupled", "efg-mesh", "ingest-check"],
+)
+def test_out_flag_matches_stdout(tmp_path, capsys, command):
+    # main writes every subcommand's text, to --out or to stdout
+    argv = [command]
+    if command == "rabi-map":
+        argv += ["--theta-count", "3", "--field-count", "2"]
+    if command == "coupled":
+        small = write_scenario(tmp_path, unit_mode="scaled", duration_rabi_periods=0.2, n_samples=20)
+        argv += ["--scenario", small]
+    out = tmp_path / "out.csv"
+    assert main(argv) == EXIT_OK
     text = capsys.readouterr().out
-    assert main(["steady-state", "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == text
     assert text.endswith("\n")
 
@@ -192,7 +223,8 @@ def test_spectrum_without_tensors_has_no_corrections(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["spectrum"], ["rabi-map", "--theta-count", "3", "--field-count", "2"]]
+    "argv",
+    [["spectrum"], ["rabi-map", "--theta-count", "3", "--field-count", "2"], ["efg-mesh"]],
 )
 def test_unit_mode_flag_is_the_scenario_key(tmp_path, capsys, argv):
     # --unit-mode on the packaged scenario is that scenario with the key set
@@ -261,6 +293,23 @@ def test_rabi_map_orientation_and_field_scaling(capsys):
     c1 = data["correction_hz"][sel(math.pi / 4.0, 0.02, 1.5, 0.5)]
     c3 = data["correction_hz"][sel(math.pi / 4.0, 0.02, -0.5, -1.5)]
     assert c1 == pytest.approx(-c3, rel=1e-9)
+
+
+def test_rabi_map_reads_its_table_once(monkeypatch, capsys):
+    # the default field axis is the table's range, from the one table read
+    real, calls = cli.load_nqi_table, []
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_nqi_table", counting)
+    assert main(["rabi-map", "--theta-count", "3", "--field-count", "2"]) == EXIT_OK
+    assert len(calls) == 1
+    default_axis = capsys.readouterr().out
+    explicit = ["--field-min", "0", "--field-max", "0.02"]
+    assert main(["rabi-map", "--theta-count", "3", "--field-count", "2", *explicit]) == EXIT_OK
+    assert capsys.readouterr().out == default_axis
 
 
 def test_rabi_map_refuses_extrapolation(capsys):
