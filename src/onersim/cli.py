@@ -87,8 +87,9 @@ class ScenarioError(ValueError):
     """Scenario file or key set violates the configuration contract."""
 
 
-# Scenario field annotation -> the type its value is coerced to
-_NUMBER_TYPES = {"float": float, "float | None": float, "int": int}
+# Scenario field annotation -> the type its value (or each of its
+# components, for a list) is coerced to
+_NUMBER_TYPES = {"float": float, "float | None": float, "int": int, "list[float] | None": float}
 
 
 @dataclass
@@ -134,17 +135,26 @@ class Scenario:
         # YAML 1.1 floats need a signed exponent ("1.0e+9"); the common
         # unsigned spelling arrives as a string, so each number is coerced
         # to the type of its field (annotations are strings in this module)
+        # and must be finite
         for f in fields(self):
             kind = _NUMBER_TYPES.get(f.type)
             val = getattr(self, f.name)
             if kind is None or (val is None and f.type.endswith("None")):
                 continue
+            many = f.type.startswith("list")
+            if many and len(val) != 6:
+                raise ScenarioError(
+                    f"{f.name} must list 6 components ({TENSOR_KEY_ORDER}), got {len(val)}"
+                )
             try:
-                setattr(self, f.name, kind(val))
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"{f.name} must be a number, got {val!r}") from exc
-            if kind is int and getattr(self, f.name) < 1:
-                raise ScenarioError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+                nums = [kind(v) for v in (val if many else [val])]
+            except (TypeError, ValueError, OverflowError):
+                nums = [math.nan]  # not a number, or an infinity int() refuses
+            if not all(map(math.isfinite, nums)):
+                raise ScenarioError(f"{f.name} must be a number with a finite value, got {val!r}")
+            setattr(self, f.name, nums if many else nums[0])
+            if kind is int and nums[0] < 1:
+                raise ScenarioError(f"{f.name} must be >= 1, got {nums[0]}")
         for key in ("omega_hz", "decay_hz", "dephasing_hz", "b0_tesla"):
             if getattr(self, key) < 0:
                 raise ScenarioError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -156,17 +166,9 @@ class Scenario:
             )
         if self.zeeman_ratio <= 0 or self.quad_ratio <= 0:
             raise ScenarioError("zeeman_ratio and quad_ratio must be > 0")
-        for key in ("qg_khz", "qe_khz", "qeg_khz"):
-            val = getattr(self, key)
-            if val is not None:
-                if len(val) != 6:
-                    raise ScenarioError(
-                        f"{key} must list 6 components ({TENSOR_KEY_ORDER}), got {len(val)}"
-                    )
-                try:
-                    setattr(self, key, [float(v) for v in val])
-                except (TypeError, ValueError) as exc:
-                    raise ScenarioError(f"{key} components must be numbers") from exc
+        # the scaled mode divides by both
+        if self.unit_mode == UNIT_SCALED and not (self.b0_tesla > 0 and self.omega_hz > 0):
+            raise ScenarioError("the scaled unit mode needs b0_tesla > 0 and omega_hz > 0")
 
     @classmethod
     def from_mapping(cls, data: dict, base_dir: Path | None = None) -> "Scenario":

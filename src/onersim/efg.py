@@ -77,10 +77,18 @@ class TableRangeError(ValueError):
     """Field value outside the tabulated range; extrapolation refused."""
 
 
-def _validated_tensor(matrix, what: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=float)
+def tensor_matrix(q, what: str = "tensor") -> np.ndarray:
+    """The 3x3 float matrix of q: a 3x3 array, or anything with a .matrix attribute."""
+    arr = np.asarray(getattr(q, "matrix", q), dtype=float)
     if arr.shape != (3, 3):
         raise ValueError(f"{what} must be 3x3, got shape {arr.shape}")
+    return arr
+
+
+def _validated_tensor(matrix, what: str) -> np.ndarray:
+    arr = tensor_matrix(matrix, what)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
     norm = float(np.max(np.abs(arr)))
     asym = float(np.max(np.abs(arr - arr.T)))
     if asym > SYMMETRY_RTOL * max(norm, 1e-300):
@@ -223,16 +231,13 @@ def rotate_about_x(q, theta: float):
     axis); other labels are kept.
     """
     r = rotation_about_x(theta)
+    mat = r @ tensor_matrix(q) @ r.T
+    if not isinstance(q, (EfgTensor, NqiTensor)):
+        return mat
+    frame = FRAME_B if q.frame == FRAME_E else q.frame
     if isinstance(q, EfgTensor):
-        frame = FRAME_B if q.frame == FRAME_E else q.frame
-        return EfgTensor(r @ q.matrix @ r.T, unit=q.unit, frame=frame)
-    if isinstance(q, NqiTensor):
-        frame = FRAME_B if q.frame == FRAME_E else q.frame
-        return NqiTensor(r @ q.matrix @ r.T, frame=frame)
-    mat = np.asarray(q, dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"tensor must be 3x3, got shape {mat.shape}")
-    return r @ mat @ r.T
+        return EfgTensor(mat, unit=q.unit, frame=frame)
+    return NqiTensor(mat, frame=frame)
 
 
 def asymmetry(phi) -> float:
@@ -243,9 +248,7 @@ def asymmetry(phi) -> float:
     |lambda| are broken by descending signed value; eta is unaffected in
     the degenerate cases.
     """
-    mat = np.asarray(getattr(phi, "matrix", phi), dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"tensor must be 3x3, got shape {mat.shape}")
+    mat = tensor_matrix(phi)
     if np.all(mat == 0.0):
         raise UndefinedAsymmetryError("asymmetry parameter undefined for the zero tensor")
     w = np.linalg.eigvalsh((mat + mat.T) / 2.0)
@@ -289,9 +292,7 @@ def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
     """
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"mesh resolution must be >= 8 per axis, got {n_theta} x {n_phi}")
-    mat = np.asarray(getattr(phi_tensor, "matrix", phi_tensor), dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"tensor must be 3x3, got shape {mat.shape}")
+    mat = tensor_matrix(phi_tensor)
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
@@ -337,14 +338,6 @@ class LinearResponseModel:
         self._s = s
         self._r = r
 
-    @property
-    def s_tensor(self) -> np.ndarray:
-        return self._s
-
-    @property
-    def r_tensor(self) -> np.ndarray:
-        return self._r
-
 
 def linear_response(model: LinearResponseModel, strain, field) -> EfgTensor:
     """Evaluate Phi0 + S : strain + R . field as an EfgTensor.
@@ -376,9 +369,8 @@ class NqiTable:
     between tabulated fields; extrapolation is refused.
     """
 
-    def __init__(self, entries: dict[str, tuple[np.ndarray, np.ndarray]], source: str = ""):
+    def __init__(self, entries: dict[str, tuple[np.ndarray, np.ndarray]]):
         self._entries = entries
-        self.source = source
 
     @property
     def states(self) -> list[str]:
@@ -481,4 +473,4 @@ def load_nqi_table(path) -> NqiTable:
             )
         tensors = np.stack([m for _, _, m in triples])
         entries[label] = (fields, tensors)
-    return NqiTable(entries, source=str(path))
+    return NqiTable(entries)

@@ -351,26 +351,23 @@ def effective_nqi_series(
     trajectory: TwoLevelTrajectory,
     pair: StatePairNqi,
     carrier_omega: float | None = None,
-) -> list[NqiTensor]:
+) -> np.ndarray:
     """Electronic-state-averaged coupling tensor along a trajectory.
 
-    <Q>(t) = rho_ee Qe + (1 - rho_ee) Qg + 2 Re{rho_eg(t)} Qeg.  The
-    stored coherence is the rotating-frame one; when carrier_omega is
-    given the optical phase factor is restored before taking the real
-    part, which is what makes the Qeg term average out on spin
-    timescales.
+    <Q>(t) = rho_ee Qe + (1 - rho_ee) Qg + 2 Re{rho_eg(t)} Qeg, one
+    read-only (n_times, 3, 3) array in rad/s in the pair's frame.  The
+    blend is linear in validated tensors, so every row is symmetric and
+    traceless.  The stored coherence is the rotating-frame one; when
+    carrier_omega is given the optical phase factor is restored before
+    taking the real part, which is what makes the Qeg term average out
+    on spin timescales.
     """
-    out = []
-    qg, qe = pair.qg.matrix, pair.qe.matrix
-    for k, t in enumerate(trajectory.times):
-        p = trajectory.rho_ee[k]
-        mat = p * qe + (1.0 - p) * qg
-        if pair.qeg is not None:
-            coh = trajectory.rho_eg[k]
-            if carrier_omega is not None:
-                coh = coh * np.exp(-1j * carrier_omega * t)
-            mat = mat + 2.0 * np.real(coh) * pair.qeg.matrix
-        out.append(NqiTensor(mat, frame=pair.frame))
+    p, coh = trajectory.rho_ee[:, None, None], trajectory.rho_eg
+    if carrier_omega is not None:
+        coh = coh * np.exp(-1j * carrier_omega * trajectory.times)
+    qeg = 0.0 if pair.qeg is None else pair.qeg.matrix
+    out = p * pair.qe.matrix + (1.0 - p) * pair.qg.matrix + 2.0 * coh.real[:, None, None] * qeg
+    out.setflags(write=False)
     return out
 
 

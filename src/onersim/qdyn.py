@@ -68,6 +68,10 @@ STEP_TRACE_DRIFT_LIMIT = 1e-6
 # bytes one batch of RK4 step maps may hold, its temporaries included
 # (_step_bytes per step): 1024 steps of 4 x 4 maps, 6 of 64 x 64 ones
 BATCH_BYTES = 1 << 20
+# stacks of a column block counted for building _Piece.poly: six live at
+# once (the identity block, a stage, its input and three matrix products),
+# two more cover the buffers of matmul and np.roll
+_POLY_STACKS = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -407,15 +411,29 @@ class _Piece:
         a, c <= 1 and b <= 2: the coefficients sum the 30 words of length
         1 to 4 in h a0 and h a1.  The RK4 stages run on such polynomials;
         A(t) = a0 + f a1 raises the power of f at t within its axis, so
-        np.roll wraps zeros.
+        np.roll wraps zeros.  The stages multiply from the left only, so
+        the identity's columns are built in blocks: the output and
+        _POLY_STACKS stacks of a block's width fit in BATCH_BYTES, and a
+        bound without room for one column raises ValueError.
         """
-        eye = np.zeros((2, 3, 2, *self.a0.shape), dtype=complex)
-        eye[0, 0, 0] = np.eye(self.a0.shape[0])
+        d = self.a0.shape[0]
+        column = 12 * d * 16  # bytes of one column of the 12 complex matrices
+        width = (BATCH_BYTES - column * d) // (_POLY_STACKS * column)
+        if width < 1:
+            raise ValueError(
+                f"BATCH_BYTES = {BATCH_BYTES} cannot hold the step-map polynomial of a "
+                f"{d} x {d} generator, which needs {column * (d + _POLY_STACKS)} bytes"
+            )
+        out = np.zeros((2, 3, 2, d, d), dtype=complex)
         times = lambda axis, p: self.a0 @ p + np.roll(self.a1 @ p, 1, axis)
-        k = out = 0.0
-        for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
-            k = times(axis, eye + (c * self.h) * k)
-            out += (self.h / w) * k
+        for c0 in range(0, d, width):
+            block = out[..., c0 : c0 + width]  # a view: the stages add into out
+            eye = np.zeros_like(block)
+            eye[0, 0, 0] = np.eye(d)[:, c0 : c0 + width]
+            k = 0.0
+            for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
+                k = times(axis, eye + (c * self.h) * k)
+                block += (self.h / w) * k
         return out.reshape(12, -1).view(float)
 
     def step_maps(self, j0: int, j1: int) -> np.ndarray:

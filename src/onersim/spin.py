@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import TWO_PI
+from .efg import tensor_matrix
 
 # warn when the Zeeman term fails to dominate the quadrupole coupling by
 # at least this factor; first-order energies degrade beyond it
@@ -38,14 +39,6 @@ class UnsupportedTransitionError(ValueError):
             f"transition {m_from:g} -> {m_to:g} changes m by {abs(m_to - m_from):g}; "
             "supported branches are |delta m| = 1 and |delta m| = 2"
         )
-
-
-def _tensor_matrix(q) -> np.ndarray:
-    """Accept a 3x3 array or any object exposing a .matrix attribute."""
-    mat = np.asarray(getattr(q, "matrix", q), dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"coupling tensor must be 3x3, got shape {mat.shape}")
-    return mat
 
 
 class SpinSystem:
@@ -141,7 +134,7 @@ def quadrupole_hamiltonian(q, spin: SpinSystem) -> np.ndarray:
 
     q: NqiTensor (rad/s components) or plain symmetric 3x3 array.
     """
-    mat = _tensor_matrix(q)
+    mat = tensor_matrix(q, "coupling tensor")
     ops = (spin.Ix, spin.Iy, spin.Iz)
     h = np.zeros((spin.dim, spin.dim), dtype=complex)
     for u in range(3):
@@ -210,7 +203,7 @@ def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem) -> com
     when q is the oscillating tensor amplitude in rad/s.
     """
     prefactor = transition_prefactor(m_from, m_to, spin)
-    mat = _tensor_matrix(q)
+    mat = tensor_matrix(q, "coupling tensor")
     if round(2 * abs(m_to - m_from)) == 2:  # |delta m| = 1
         g = prefactor * complex(mat[0, 2], mat[1, 2])
     else:

@@ -458,6 +458,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("steady-state", {"n_samples": math.inf}),
+        ("pulse", {"n_periods": math.nan}),
+        ("spectrum", {"b0_tesla": math.nan}),
+        ("spectrum", {"qg_khz": [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0]}),
+        ("coupled", {"transition_from": math.inf}),
+        ("spectrum", {"unit_mode": "scaled", "b0_tesla": 0.0}),
+        ("coupled", {"unit_mode": "scaled", "omega_hz": 0.0}),
+    ],
+    ids=["inf-int", "nan-int", "nan-float", "nan-tensor", "inf-level", "scaled-b0", "scaled-omega"],
+)
+def test_bad_numbers_stop_at_the_scenario(tmp_path, capsys, command, overrides):
+    # a non-finite number, or a zero the scaled mode divides by, is a
+    # configuration error (exit 2), never a traceback or a table of nan
+    path = write_scenario(tmp_path, **overrides)
+    assert main([command, "--scenario", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "onersim.cli", "steady-state"],

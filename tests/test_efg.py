@@ -63,6 +63,8 @@ def test_tensor_validation():
         EfgTensor(np.eye(3))
     with pytest.raises(ValueError, match="3x3"):
         NqiTensor(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        NqiTensor(np.diag([np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="unit"):
         EfgTensor(AXIAL, unit="cgs")
     # the zero tensor is fine: symmetric and traceless

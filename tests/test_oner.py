@@ -331,9 +331,10 @@ def test_effective_nqi_series_blends_state_tensors():
         times=times, rho_ee=rho_ee, rho_eg=np.zeros(3, dtype=complex), diagnostics=None
     )
     series = effective_nqi_series(traj, pair)
+    assert series.shape == (3, 3, 3) and not series.flags.writeable
     for k, p in enumerate(rho_ee):
         np.testing.assert_allclose(
-            series[k].matrix, p * qe.matrix + (1.0 - p) * qg.matrix, rtol=1e-12
+            series[k], p * qe.matrix + (1.0 - p) * qg.matrix, rtol=1e-12
         )
 
 
@@ -350,12 +351,12 @@ def test_effective_nqi_coherence_term_averages_out_at_carrier():
     )
     carrier = TWO_PI * 500.0
     series = effective_nqi_series(traj, pair, carrier_omega=carrier)
-    mean = np.mean([s.matrix for s in series], axis=0) - pair.qg.matrix
+    mean = series.mean(axis=0) - pair.qg.matrix
     assert np.max(np.abs(mean)) < 1e-3 * qeg.norm
     # without the carrier the term survives at full strength
     series_dc = effective_nqi_series(traj, pair)
     np.testing.assert_allclose(
-        series_dc[0].matrix, pair.qg.matrix + 0.6 * qeg.matrix, rtol=1e-12
+        series_dc[0], pair.qg.matrix + 0.6 * qeg.matrix, rtol=1e-12
     )
 
 

@@ -674,20 +674,23 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
 
 def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
     # a modulated Liouvillian period whose prefixes at the samples do not
-    # fit in BATCH_BYTES: none is kept, and the piece's step maps (one
-    # per batch) are built again for the samples
+    # fit in BATCH_BYTES: none is kept, and the piece's step maps (a few
+    # per batch) are built again for the samples.  The 12 KiB bound holds
+    # the step-map polynomial and one column of its build, but not the
+    # prefixes at the 60 stops of 60 samples.
     rng = np.random.default_rng(53)
     h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
     env = lambda tt: np.sin(np.pi * tt)
     channels = [CollapseChannel(SIGMA, 0.4)]
     rho0 = random_density(rng, 2)
-    t = np.array([0.0, 0.13, 0.5, 0.77, 1.2, 1.9, 2.35, 4.0, 5.5])
+    t = np.linspace(0.0, 5.5, 61)
     run = lambda: propagate_modulated(h0, h1, env, channels, rho0, t, period=2.0)
     with monkeypatch.context() as mp:
         built = count_step_maps(mp)
         ref = run()
     with monkeypatch.context() as mp:
-        mp.setattr(qdyn, "BATCH_BYTES", 4 * 16 * 4 * 4)
+        mp.setattr(qdyn, "BATCH_BYTES", 12 << 10)
+        assert (60 + 1) * 16 * 4 * 4 > qdyn.BATCH_BYTES  # _piece_maps's rule for kept prefixes
         rebuilt = count_step_maps(mp)
         res = run()
     assert rebuilt[0] > built[0]
@@ -831,17 +834,23 @@ def test_envelope_calls_do_not_grow_with_the_substeps():
     assert calls[0] == calls[1] > 0
 
 
-@pytest.mark.parametrize("pure", [True, False])
-def test_modulated_run_memory_stays_within_the_batch_bound(pure, monkeypatch):
-    # a modulated period of 10,000 to 16,000 4 x 4 step maps (2.5 to 4 MB)
-    # in batches of 64 KiB: the traced peak of the run stays within twice
-    # BATCH_BYTES
+@pytest.mark.parametrize(
+    "dim, pure",
+    [pytest.param(4, True, id="True"), pytest.param(2, False, id="False"),
+     pytest.param(3, False, id="qutrit")],
+)
+def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatch):
+    # a modulated period of 10,000 to 16,000 4 x 4 step maps (2.5 to 4 MB),
+    # or of 9 x 9 ones for a qutrit Liouvillian, in batches of 64 KiB: the
+    # traced peak of the run stays within twice BATCH_BYTES
     rng = np.random.default_rng(83)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
     if pure:
-        dim, channels, rho0 = 4, [], DensityOperator.pure(0, dim=4)
+        channels, rho0 = [], DensityOperator.pure(0, dim=dim)
+    elif dim == 2:
+        channels, rho0 = [CollapseChannel(SIGMA, 0.3)], random_density(rng, 2)
     else:
-        dim, channels, rho0 = 2, [CollapseChannel(SIGMA, 0.3)], random_density(rng, 2)
+        channels, rho0 = [random_channel(rng, dim)], random_density(rng, dim)
     h0, h1 = random_hermitian(rng, dim, 3.0), random_hermitian(rng, dim, 2.0)
     env = lambda tt: np.sin(2.0 * np.pi * tt / 6.0)
     t = np.linspace(0.0, 12.0, 9)
@@ -856,6 +865,43 @@ def test_modulated_run_memory_stays_within_the_batch_bound(pure, monkeypatch):
         tracemalloc.stop()
     assert res.diagnostics.n_substeps > 9_000
     assert peak <= 2 * qdyn.BATCH_BYTES
+
+
+def test_step_map_polynomial_is_built_within_the_batch_bound(monkeypatch):
+    # a qutrit Liouvillian's 12 coefficient maps (9 x 9, 15,552 bytes kept)
+    # built in blocks of identity columns under a 64 KiB bound: the traced
+    # peak of the build stays within BATCH_BYTES, and the blocks agree
+    # with the one-block build up to rounding
+    rng = np.random.default_rng(29)
+    a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
+    a1 = liouvillian(random_hermitian(rng, 3), [])
+    piece = lambda: qdyn._Piece(a0, a1, None, 0.0, 0.01, 10)
+    whole = piece().poly
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
+    blocked = piece()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blocked.poly
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= qdyn.BATCH_BYTES
+    np.testing.assert_allclose(blocked.poly, whole, rtol=0.0, atol=1e-15 * np.abs(whole).max())
+
+
+def test_step_map_polynomial_beyond_the_batch_bound_is_refused(monkeypatch):
+    # the bound must hold the kept maps and one column of their build;
+    # one byte less is refused before anything is built
+    rng = np.random.default_rng(31)
+    a0, a1 = -1j * random_hermitian(rng, 4), -1j * random_hermitian(rng, 4)
+    column = 12 * 4 * 16
+    need = column * (4 + qdyn._POLY_STACKS)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", need)
+    assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 32)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", need - 1)
+    with pytest.raises(ValueError, match="cannot hold the step-map polynomial"):
+        qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly
 
 
 def test_propagation_is_bit_stable():
