@@ -276,12 +276,14 @@ def scenario_pair(sc: Scenario) -> StatePairNqi:
                 "table-backed tensors need table_field_au, table_ground_state "
                 "and table_excited_state"
             )
-        table = scenario_table(sc)
-        return StatePairNqi(
-            qg=table.interpolate(sc.table_ground_state, sc.table_field_au),
-            qe=table.interpolate(sc.table_excited_state, sc.table_field_au),
-        )
+        return _table_pair(sc, scenario_table(sc), sc.table_field_au)
     raise ScenarioError("scenario provides neither inline tensors nor a table source")
+
+
+def _table_pair(sc: Scenario, table: NqiTable, field_au: float) -> StatePairNqi:
+    """The scenario's ground and excited table states at field_au."""
+    states = (sc.table_ground_state, sc.table_excited_state)
+    return StatePairNqi(*(table.interpolate(state, field_au) for state in states))
 
 
 def scenario_params(sc: Scenario, tau: float | None = None) -> TwoLevelParams:
@@ -433,11 +435,7 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     rows = []
     for theta in grid.thetas:
         for field_au in grid.fields:
-            pair = StatePairNqi(
-                qg=table.interpolate(sc.table_ground_state, field_au),
-                qe=table.interpolate(sc.table_excited_state, field_au),
-            )
-            nuc, pair = _apply_unit_mode(sc, nucleus, pair)
+            nuc, pair = _apply_unit_mode(sc, nucleus, _table_pair(sc, table, field_au))
             _, _, node = transition_table(pair, nuc, sc.b0_tesla, theta, rho_inf)
             rows += [
                 [theta, field_au, m_from, m_to, rabi, total - zeeman]

@@ -233,9 +233,31 @@ def collapse_channels(params: TwoLevelParams) -> list[CollapseChannel]:
     return out
 
 
-def _pulse_pieces(params: TwoLevelParams, h_on: np.ndarray, h_off: np.ndarray) -> list:
-    """One pulse period as (length, H) pieces: drive on for duty * tau, then off."""
-    return [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
+def _pulse_run(params, h_static, rho0, samples, max_step_phase, max_substeps=math.inf):
+    """Pulse train on a 2 x d space: H_2L x 1 + h_static, drive on for duty * tau, then off.
+
+    The channels act as c x 1.  The on and off pieces get RK4 lattices of
+    their own, so no step crosses a switch, and their maps are built once
+    for the whole train.  A run estimated at more than max_substeps RK4
+    substeps raises IntegrationFailureError.
+    """
+    eye = np.eye(len(h_static) // 2)
+    h_on, h_off = (h_static + qdyn.kron(drive_hamiltonian(params, on), eye) for on in (True, False))
+    channels = [
+        CollapseChannel(qdyn.kron(c.operator, eye), c.rate) for c in collapse_channels(params)
+    ]
+    scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
+    est = (samples[-1] - samples[0]) * scale / max_step_phase
+    if est > max_substeps:
+        raise qdyn.IntegrationFailureError(
+            f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
+            "rescale the inputs proportionally (scaled-unit mode) so the rate "
+            "hierarchy stays >= ~30 per tier without the optical-frequency gap"
+        )
+    pieces = [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
+    return qdyn.propagate(
+        None, channels, rho0, samples, period=pieces, max_step_phase=max_step_phase
+    )
 
 
 @dataclass
@@ -259,17 +281,15 @@ def simulate_pulsed_two_level(
     n_periods: int,
     samples_per_period: int,
     *,
-    rho0: DensityOperator | None = None,
     max_step_phase: float = qdyn.DEFAULT_MAX_STEP_PHASE,
 ) -> TwoLevelTrajectory:
     """Propagate the two-level system over an integer number of pulses.
 
-    The drive is on for the first duty fraction of each period.  The
-    on and off pieces get RK4 lattices of their own, so no step crosses
-    a switch, and their maps are built once for the whole train.  Output
-    samples sit at uniform fractions j / samples_per_period of each
-    period plus the final endpoint, so the last period provides exactly
-    the half-open window fourier_coefficients expects.
+    The system starts in its ground state, and the drive is on for the
+    first duty fraction of each period (_pulse_run with no spin factor).
+    Output samples sit at uniform fractions j / samples_per_period of
+    each period plus the final endpoint, so the last period provides
+    exactly the half-open window fourier_coefficients expects.
     """
     if params.tau is None:
         raise ValueError("params.tau must be set for a pulsed simulation")
@@ -278,14 +298,8 @@ def simulate_pulsed_two_level(
     tau = params.tau
     spp = samples_per_period
     samples = np.append(np.add.outer(np.arange(n_periods), np.arange(spp) / spp), n_periods) * tau
-    h_on = drive_hamiltonian(params, on=True)
-    h_off = drive_hamiltonian(params, on=False)
-    if rho0 is None:
-        rho0 = DensityOperator.pure(0, dim=2)
-    res = qdyn.propagate(
-        None, collapse_channels(params), rho0, samples,
-        period=_pulse_pieces(params, h_on, h_off), max_step_phase=max_step_phase,
-    )
+    rho0 = DensityOperator.pure(0, dim=2)
+    res = _pulse_run(params, np.zeros((2, 2)), rho0, samples, max_step_phase)
     rho_ee = np.real(res.matrices[:, 1, 1]).copy()
     rho_eg = res.matrices[:, 1, 0].copy()
     return TwoLevelTrajectory(
@@ -500,8 +514,14 @@ class SpinTrajectory:
         return _population_of(self.populations, self.m_values, m)
 
 
-def _check_plan_consistency(plan_: OnerPlan, pair_b: StatePairNqi) -> None:
-    """Verify the plan's tensors derive from this pair (any rho_inf)."""
+def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_samples):
+    """Start a spin run: (spin, pair in the B frame, index of the start level, sample grid).
+
+    Checks that the plan's tensors derive from this pair (any rho_inf)
+    and that duration > 0; initial_m defaults to the plan's source level.
+    """
+    spin = make_spin(nucleus.two_I)
+    pair_b = pair_in_b_frame(pair, theta)
     dq = pair_b.delta.matrix
     q1 = plan_.q1.matrix
     scale = max(float(np.max(np.abs(q1))), float(np.max(np.abs(dq))), 1e-300)
@@ -513,6 +533,10 @@ def _check_plan_consistency(plan_: OnerPlan, pair_b: StatePairNqi) -> None:
     resid = plan_.q0.matrix - pair_b.qg.matrix - (math.pi / 4.0) * q1
     if float(np.max(np.abs(resid))) > 1e-9 * scale:
         raise ValueError("plan.q0 inconsistent with the supplied pair")
+    if duration <= 0:
+        raise ValueError("duration must be > 0")
+    start = spin.index_of(plan_.transition[0] if initial_m is None else initial_m)
+    return spin, pair_b, start, np.linspace(0.0, duration, n_samples + 1)
 
 
 def simulate_spin_effective(
@@ -535,20 +559,15 @@ def simulate_spin_effective(
     initial_m (default: the transition's source level).  No spin
     decoherence channels are applied.
     """
-    spin = make_spin(nucleus.two_I)
-    pair_b = pair_in_b_frame(pair, theta)
-    _check_plan_consistency(plan_, pair_b)
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
+    spin, _, start, grid = _check_plan_consistency(
+        plan_, pair, nucleus, theta, duration, initial_m, n_samples
+    )
     h0 = zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin) + quadrupole_hamiltonian(
         plan_.q0, spin
     )
     h1 = quadrupole_hamiltonian(plan_.q1, spin)
     omega_mod = TWO_PI * plan_.repetition_rate_hz
-    if initial_m is None:
-        initial_m = plan_.transition[0]
-    rho0 = DensityOperator.pure(spin.index_of(initial_m), dim=spin.dim)
-    grid = np.linspace(0.0, duration, n_samples + 1)
+    rho0 = DensityOperator.pure(start, dim=spin.dim)
     res = qdyn.propagate_modulated(
         h0,
         h1,
@@ -604,11 +623,9 @@ def simulate_coupled(
     The Hamiltonian is H_2L(t) x 1 + 1 x H_zeeman + sum_uv Q_uv x I_u I_v
     with the operator-valued tensor taking the ground/excited (and
     optionally off-diagonal) block values; the two-level collapse
-    channels act as c x 1.  The pulse period is set by the plan's
-    repetition rate, so the train is resonant with the chosen
-    transition; its on and off pieces get RK4 lattices of their own, so
-    no step crosses a switch, and their maps are built once for the whole
-    run.  Spin populations are reported from the partial trace.
+    channels act as c x 1 (_pulse_run).  The pulse period is set by the
+    plan's repetition rate, so the train is resonant with the chosen
+    transition.  Spin populations are reported from the partial trace.
 
     Physically scaled hierarchies (optical rates vs kHz couplings) can
     demand astronomically many substeps; the run then aborts with advice
@@ -617,59 +634,28 @@ def simulate_coupled(
     A plan_ passed in must be for this pair and transition; without one
     the run calls plan, with allow_zero_amplitude.
     """
-    spin = make_spin(nucleus.two_I)
-    pair_b = pair_in_b_frame(pair, theta)
     if plan_ is None:
         args = pair, nucleus, b0_tesla, theta, params, transition
         plan_ = plan(*args, allow_zero_amplitude=allow_zero_amplitude)
     elif plan_.transition != (float(transition[0]), float(transition[1])):
         raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
-    _check_plan_consistency(plan_, pair_b)
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    tau = 1.0 / plan_.repetition_rate_hz
-    pulse_params = replace(params, tau=tau)
-
-    d = spin.dim
-    eye_s = np.eye(d, dtype=complex)
-    h_spin = zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin)
+    spin, pair_b, start, samples = _check_plan_consistency(
+        plan_, pair, nucleus, theta, duration, initial_m, n_samples
+    )
     h_static = (
-        qdyn.kron(np.eye(2), h_spin)
+        qdyn.kron(np.eye(2), zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin))
         + qdyn.kron(PROJ_G, quadrupole_hamiltonian(pair_b.qg, spin))
         + qdyn.kron(PROJ_E, quadrupole_hamiltonian(pair_b.qe, spin))
     )
     if pair_b.qeg is not None:
         h_static += qdyn.kron(SIGMA + SIGMA.conj().T, quadrupole_hamiltonian(pair_b.qeg, spin))
-    h_on = h_static + qdyn.kron(drive_hamiltonian(pulse_params, on=True), eye_s)
-    h_off = h_static + qdyn.kron(drive_hamiltonian(pulse_params, on=False), eye_s)
-
-    channels = [
-        CollapseChannel(qdyn.kron(ch.operator, eye_s), ch.rate)
-        for ch in collapse_channels(pulse_params)
-    ]
-
-    scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
-    est = duration * scale / max_step_phase
-    if est > max_substeps:
-        raise qdyn.IntegrationFailureError(
-            f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
-            "rescale the inputs proportionally (scaled-unit mode) so the rate "
-            "hierarchy stays >= ~30 per tier without the optical-frequency gap"
-        )
-
-    if initial_m is None:
-        initial_m = float(transition[0])
-    # product basis |g> x |m>: ground block occupies indices [0, d)
-    rho0 = DensityOperator.pure(spin.index_of(initial_m), dim=2 * d)
-
-    samples = np.linspace(0.0, duration, n_samples + 1)
-    res = qdyn.propagate(
-        None, channels, rho0, samples,
-        period=_pulse_pieces(pulse_params, h_on, h_off), max_step_phase=max_step_phase,
-    )
-    reduced_spin = qdyn.partial_trace(res.matrices, (2, d), keep=1)
+    # product basis |g> x |m>: the ground block holds the first 2I + 1 indices
+    rho0 = DensityOperator.pure(start, dim=2 * spin.dim)
+    pulse_params = replace(params, tau=1.0 / plan_.repetition_rate_hz)
+    res = _pulse_run(pulse_params, h_static, rho0, samples, max_step_phase, max_substeps)
+    reduced_spin = qdyn.partial_trace(res.matrices, (2, spin.dim), keep=1)
     spin_pops = np.real(np.diagonal(reduced_spin, axis1=1, axis2=2)).copy()
-    rho_ee = np.real(qdyn.partial_trace(res.matrices, (2, d), keep=0)[:, 1, 1]).copy()
+    rho_ee = np.real(qdyn.partial_trace(res.matrices, (2, spin.dim), keep=0)[:, 1, 1]).copy()
     return CoupledTrajectory(
         times=samples,
         spin_populations=spin_pops,

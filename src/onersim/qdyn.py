@@ -12,8 +12,8 @@ the phase advanced per step stays below a small budget and no RK4 stage
 crosses a piece boundary.  A periodic drive is given as one period that
 starts at the first grid time and repeats: (length, H) pieces for
 propagate, the modulation period for propagate_modulated.  Without a
-period every output interval is a piece.  Fixed steps keep output grids,
-and therefore any emitted tables, bit-stable across runs.
+period the run is one piece that spans the grid.  Fixed steps keep output
+grids, and therefore any emitted tables, bit-stable across runs.
 
 Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
 Liouvillian acting on the row-major vec(rho), or -iH acting on a state
@@ -227,8 +227,7 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
     h = _as_complex_matrix(hamiltonian, "hamiltonian")
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    kron_ = lambda a, b: (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
-    lv = -1j * (kron_(h, eye) - kron_(eye, h.T))
+    lv = -1j * (kron(h, eye) - kron(eye, h.T))
     for ch in channels:
         c = ch.operator
         if c.shape != h.shape:
@@ -239,7 +238,7 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
             )
         cdc = c.conj().T @ c
         lv += ch.rate * (
-            kron_(c, c.conj()) - 0.5 * (kron_(cdc, eye) + kron_(eye, cdc.T))
+            kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
         )
     return lv
 
@@ -572,18 +571,16 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     """Raw vectors at the sample times t, and the RK4 steps they stand for.
 
     Piece i of a period repeated from t[0] is lengths[i] long and driven
-    by gens[i] = (scale, a0, a1); without lengths every grid interval is
-    a piece driven by gens[0].  _record reports an overflow on the way.
+    by gens[i] = (scale, a0, a1); without lengths the period is one piece
+    that spans t.  _record reports an overflow on the way.
     """
-    if lengths is None:
-        gens, bounds = gens * (t.size - 1), t - t[0]
-    else:
+    if lengths is not None:
         lengths = np.asarray(lengths, dtype=float)
         if not (lengths.size and np.all(np.isfinite(lengths) & (lengths > 0))):
             raise ValueError("a period needs one or more pieces of finite length > 0")
-        bounds = np.concatenate(([0.0], np.cumsum(lengths)))
     if t.size == 1:
         return v0[None].astype(complex), 0
+    bounds = np.concatenate(([0.0], np.cumsum([t[-1] - t[0]] if lengths is None else lengths)))
     lengths = np.diff(bounds)
     n = np.maximum(np.ceil(lengths * [g[0] for g in gens] / phase), 1).astype(int)
     h = lengths / n
@@ -595,13 +592,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         _Piece(a0, a1, envelope, t[0] + b, hq, nq)
         for (_, a0, a1), b, hq, nq in zip(gens, bounds.tolist(), h.tolist(), n.tolist())
     ]
-    # equal constant pieces without samples inside share their maps
-    maps, cache = [], {}
-    for q, p in enumerate(pieces):
-        key = q if p.a1 is not None or q in stops else (id(gens[q][1]), p.h, p.n)
-        if key not in cache:
-            cache[key] = _piece_maps(p, stops.get(q, np.zeros(0, int)))
-        maps.append(cache[key])
+    maps = [_piece_maps(p, stops.get(q, np.zeros(0, int))) for q, p in enumerate(pieces)]
 
     # the state entering every piece of each period that holds a sample
     need, row = np.unique(k, return_inverse=True)
@@ -642,7 +633,6 @@ def propagate(
     *,
     period: Sequence[tuple[float, np.ndarray]] | None = None,
     max_step_phase: float = DEFAULT_MAX_STEP_PHASE,
-    trace_drift_limit: float = STEP_TRACE_DRIFT_LIMIT,
 ) -> PropagationResult:
     """Propagate a density matrix over t_grid with fixed-step RK4.
 
@@ -656,20 +646,18 @@ def propagate(
             every grid point.
         period: one period of a piecewise-constant Hamiltonian as
             (length, H) pieces in time order, repeated from t_grid[0];
-            grid points may fall anywhere in it.  Without it, every grid
-            interval is a piece (see the module docstring).
+            grid points may fall anywhere in it.  Without it, the run
+            is one piece that spans t_grid (see the module docstring).
         max_step_phase: phase budget per substep, at most 0.05.
-        trace_drift_limit: pre-renormalization trace drift per interval
-            above which the run aborts.
 
     Returns:
         PropagationResult holding one read-only (n_times, d, d) stack of
         the states at the grid points and pre-correction drift
         diagnostics.  The raw states are corrected and checked once, at
-        the end: an interval whose trace drift exceeds trace_drift_limit
-        raises IntegrationFailureError naming it, then every state is
-        re-hermitized and trace renormalized, and a state with an
-        eigenvalue below -OUTPUT_POSITIVITY_TOL raises
+        the end: an interval whose trace drift exceeds
+        STEP_TRACE_DRIFT_LIMIT raises IntegrationFailureError naming it,
+        then every state is re-hermitized and trace renormalized, and a
+        state with an eigenvalue below -OUTPUT_POSITIVITY_TOL raises
         IntegrationFailureError naming its time.
     """
     t = _check_grid(t_grid)
@@ -687,7 +675,7 @@ def propagate(
         gens.append((scale, liouvillian(h, channels), None))
     lengths = None if period is None else [length for length, _ in parts]
     raw = _lattice(gens, lengths, None, t, rho0.matrix.reshape(-1), max_step_phase)
-    return _record(*raw, rho0, t, False, trace_drift_limit)
+    return _record(*raw, rho0, t, False, STEP_TRACE_DRIFT_LIMIT)
 
 
 def propagate_modulated(
@@ -701,7 +689,6 @@ def propagate_modulated(
     envelope_bound: float = 1.0,
     period: float | None = None,
     max_step_phase: float = DEFAULT_MAX_STEP_PHASE,
-    trace_drift_limit: float = STEP_TRACE_DRIFT_LIMIT,
 ) -> PropagationResult:
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
@@ -709,8 +696,9 @@ def propagate_modulated(
     modulated generator L0 + f(t) L1.  envelope is called with a 1-D
     float array of times and returns the envelope at each, as an array
     of that shape or one scalar for all of them.  envelope_bound must
-    bound |envelope| over the run (used for step control).  period, when
-    given, is the envelope's period, one piece repeated from t_grid[0].
+    bound |envelope| over the run (used for step control).  period is
+    the envelope's period, one piece repeated from t_grid[0], or None for
+    one piece that spans t_grid.
     A channel-free pure state is integrated as a state vector under
     -iH(t), which keeps the density matrix positive by construction and
     shrinks the working dimension from d^2 to d.
@@ -740,12 +728,13 @@ def propagate_modulated(
         v0, a0, a1 = rho0.matrix.reshape(-1), liouvillian(h0, channels), liouvillian(h1, ())
     lengths = None if period is None else [period]
     raw = _lattice([(scale, a0, a1)], lengths, envelope, t, v0, max_step_phase)
-    return _record(*raw, rho0, t, psi is not None, trace_drift_limit)
+    return _record(*raw, rho0, t, psi is not None, STEP_TRACE_DRIFT_LIMIT)
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two operators on factor spaces A and B."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -480,6 +480,59 @@ def test_bad_numbers_stop_at_the_scenario(tmp_path, capsys, command, overrides):
     assert captured.out == ""
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.err
+
+
+# the six subcommands that read a scenario, with small sweep grids
+FUZZ_COMMANDS = {
+    "steady-state": [],
+    "pulse": [],
+    "spectrum": [],
+    "rabi-map": ["--theta-count", "2", "--field-count", "2"],
+    "coupled": [],
+    "efg-mesh": ["--n-theta", "8", "--n-phi", "8"],
+}
+
+
+def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
+    # every float key set to 0, -1, NaN or inf, through each scenario
+    # subcommand in both unit modes: the run succeeds or exits with a
+    # documented code, never with a traceback, and a successful run prints
+    # nan only as coupled's no-oscillation sentinel.  The base is the
+    # packaged scenario with short runs, written as its keys that differ
+    # from the field defaults, since YAML parsing dominates a run.
+    full = write_scenario(
+        tmp_path, n_samples=40, n_periods=2, samples_per_period=16, fourier_n_max=3,
+        duration_rabi_periods=0.2,
+    )
+    with open(full, encoding="utf-8") as fh:
+        base = {k: v for k, v in yaml.safe_load(fh).items() if v != getattr(Scenario(), k)}
+    keys = [f.name for f in fields(Scenario) if f.type in ("float", "float | None")]
+    assert len(keys) == 15
+    path, bad = tmp_path / "fuzz.yaml", []
+    for key in keys:
+        for value in (0.0, -1.0, math.nan, math.inf):
+            path.write_text(yaml.safe_dump({**base, key: value}), encoding="utf-8")
+            for command, extra in FUZZ_COMMANDS.items():
+                for mode in (cli.UNIT_PHYSICAL, cli.UNIT_SCALED):
+                    case = (key, value, command, mode)
+                    argv = [command, "--scenario", str(path), "--unit-mode", mode, *extra]
+                    try:
+                        code = main(argv)
+                    except Exception as exc:  # an uncaught error is the failure sought here
+                        bad.append((*case, f"raised {exc!r}"))
+                        continue
+                    out, err = capsys.readouterr()
+                    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INGESTION):
+                        bad.append((*case, f"exit {code}"))
+                    if "Traceback" in err:
+                        bad.append((*case, "traceback"))
+                    if code == EXIT_OK and "nan" in out:
+                        *series, summary = out.split("\n\n")
+                        row = summary.splitlines()[-1].split(",")
+                        sentinel = command == "coupled" and row[0] == row[2] == "nan" != row[1]
+                        if not sentinel or "nan" in "".join(series):
+                            bad.append((*case, "nan in output"))
+    assert bad == []
 
 
 def test_module_entry_point_runs():

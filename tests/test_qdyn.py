@@ -120,6 +120,18 @@ def lattice_samples(rhss, lat, starts, hs, points):
     return np.array(times), states, n_steps + sum(1 for p in points if p[3])
 
 
+def one_piece_points(t, h):
+    """lattice_samples points of a grid t from 0 on the one piece, of step h, that spans it.
+
+    A time within 1e-9 steps of a lattice point sits on it.
+    """
+    x = np.asarray(t[:-1]) / h
+    j = np.round(x)
+    on = np.abs(x - j) < 1e-9
+    j[~on] = np.floor(x[~on])
+    return [(0, 0, int(a), 0.0 if o else b - a) for a, b, o in zip(j, x, on)] + [(1, 0, 0, 0.0)]
+
+
 class CorrectingMap:
     """A piece map that corrects the state it returns.
 
@@ -348,7 +360,8 @@ def test_rk4_convergence_is_fourth_order():
 
 
 def test_constant_and_callable_paths_agree():
-    # powering the one-step map must reproduce literal stepwise RK4
+    # powering the one-step map must reproduce literal stepwise RK4 on the
+    # one piece that spans the grid
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 3, scale=2.0)
     channels = [random_channel(rng, 3)]
@@ -356,7 +369,11 @@ def test_constant_and_callable_paths_agree():
     t = np.linspace(0.0, 2.0, 7)
     ra = propagate(h, channels, rho0, t)
     scale = max(total_rate(channels), spectral_radius(h))
-    ref, n_ref = stepwise_rk4(lambda _t, r: lindblad_rhs(h, channels, r), rho0.matrix, t, scale)
+    rhss = [lambda _t, r: lindblad_rhs(h, channels, r)]
+    phase = qdyn.DEFAULT_MAX_STEP_PHASE
+    lat, starts, hs = lattice_stepwise(rhss, [2.0], [scale], rho0.matrix, 1, phase)
+    t_ref, ref, n_ref = lattice_samples(rhss, lat, starts, hs, one_piece_points(t, hs[0]))
+    np.testing.assert_allclose(t_ref, t, rtol=0.0, atol=1e-14)
     for sa, sb in zip(ra.matrices, ref):
         np.testing.assert_allclose(sa, sb, atol=1e-9)
     assert ra.diagnostics.n_substeps == n_ref
@@ -372,9 +389,11 @@ def test_modulated_pure_state_path_matches_matrix_path():
     t = np.linspace(0.0, 2.0, 9)
     ra = propagate_modulated(h0, h1, env, [], rho0, t)
     scale = spectral_radius(h0) + spectral_radius(h1)
-    ref, n_ref = stepwise_rk4(
-        lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, [], r), rho0.matrix, t, scale
-    )
+    rhss = [lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, [], r)]
+    phase = qdyn.DEFAULT_MAX_STEP_PHASE
+    lat, starts, hs = lattice_stepwise(rhss, [2.0], [scale], rho0.matrix, 1, phase)
+    t_ref, ref, n_ref = lattice_samples(rhss, lat, starts, hs, one_piece_points(t, hs[0]))
+    np.testing.assert_allclose(t_ref, t, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(
         ra.populations(), np.array([np.real(np.diag(r)) for r in ref]), atol=1e-8
     )
@@ -444,36 +463,39 @@ def test_correcting_once_matches_the_per_interval_chain(monkeypatch):
     np.testing.assert_allclose(traj.rho_eg, ref.rho_eg, rtol=0.0, atol=1e-13)
     assert traj.diagnostics.n_substeps == ref.diagnostics.n_substeps
 
-    # a pure-state modulated run over many intervals, each its own piece
+    # a pure-state modulated run over eight periods of its envelope, so
+    # the chain corrects the state between periods
     rng = np.random.default_rng(31)
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
     env = lambda tt: np.sin(2.5 * tt)
     rho0 = DensityOperator.pure(rng.normal(size=3) + 1j * rng.normal(size=3))
     t = np.linspace(0.0, 20.0, 201)
-    res = propagate_modulated(h0, h1, env, [], rho0, t)
+    run = lambda: propagate_modulated(h0, h1, env, [], rho0, t, period=2.0 * np.pi / 2.5)
+    res = run()
     with monkeypatch.context() as mp:
         correct_after_every_piece(mp, pure=True)
-        ref = propagate_modulated(h0, h1, env, [], rho0, t)
+        ref = run()
     np.testing.assert_allclose(res.matrices, ref.matrices, rtol=0.0, atol=1e-13)
     assert res.diagnostics.n_substeps == ref.diagnostics.n_substeps
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_failing_interval_is_named(bad, monkeypatch):
-    # a non-finite entry in the third interval's step map poisons that
-    # interval's map and every later raw state (inf overflows into NaN on
-    # the way); the end-of-run check must name that interval and leak no
-    # RuntimeWarning.  The interval is longer than the others, so no
-    # earlier one shares its maps.
+    # the grid's intervals as one period of equal pieces: a non-finite
+    # entry in the third piece's step maps poisons that piece's map and
+    # every later raw state (inf overflows into NaN on the way); the
+    # end-of-run check must name that interval and leak no RuntimeWarning
     rng = np.random.default_rng(37)
     rho0 = random_density(rng, 2)
     t = np.array([0.0, 0.2, 0.4, 0.7, 0.8, 1.0])
+    h = random_hermitian(rng, 2)
+    period = [(0.2, h), (0.2, h), (0.3, h), (0.1, h), (0.2, h)]
     poison_step_maps(monkeypatch, bad, lambda start: start == t[2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationFailureError, match=r"over step \[0\.4, 0\.7\]"):
-            propagate(random_hermitian(rng, 2), [CollapseChannel(SIGMA, 0.5)], rho0, t)
+            propagate(None, [CollapseChannel(SIGMA, 0.5)], rho0, t, period=period)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -726,8 +748,8 @@ def test_doubling_the_periods_builds_no_more_step_maps(kind, monkeypatch):
 
 
 def test_equal_intervals_share_their_maps(monkeypatch):
-    # without a period every grid interval is a piece; on a uniform grid
-    # a constant generator still builds one step map for all of them
+    # without a period the run is one piece that spans the grid, so a
+    # constant generator builds one step map for all of its intervals
     built = count_step_maps(monkeypatch)
     rng = np.random.default_rng(61)
     t = 0.25 * np.arange(65)
@@ -735,6 +757,26 @@ def test_equal_intervals_share_their_maps(monkeypatch):
     res = propagate(h, [CollapseChannel(SIGMA, 0.5)], rho0, t)
     assert built[0] == 1
     assert res.diagnostics.n_substeps > 64
+
+
+def test_a_run_without_a_period_is_one_period_that_spans_the_grid():
+    # on a ragged grid from t0 > 0, a run without a period is, bit for bit,
+    # the run whose one period is the grid's span: constant, modulated on
+    # the Liouvillian, and modulated on the state vector
+    rng = np.random.default_rng(97)
+    t = np.array([0.3, 0.45, 0.8, 1.1, 1.9, 2.3])
+    h0, h1 = random_hermitian(rng, 2, 1.5), random_hermitian(rng, 2, 0.7)
+    channels, rho0 = [CollapseChannel(SIGMA, 0.4)], random_density(rng, 2)
+    env = lambda tt: np.cos(1.3 * tt)
+    span = t[-1] - t[0]
+    const = propagate(h0, channels, rho0, t)
+    pairs = [(const, propagate(None, channels, rho0, t, period=[(span, h0)]))]
+    for ch, r0 in ((channels, rho0), ([], DensityOperator.pure(0, dim=2))):
+        run = lambda **kw: propagate_modulated(h0, h1, env, ch, r0, t, **kw)
+        pairs.append((run(), run(period=span)))
+    for free, periodic in pairs:
+        assert np.array_equal(free.matrices, periodic.matrices)
+        assert free.diagnostics.n_substeps == periodic.diagnostics.n_substeps > t.size
 
 
 @pytest.mark.parametrize("dim, liouville", [(2, False), (3, False), (4, False), (2, True), (3, True)])
@@ -1040,6 +1082,7 @@ def test_kron_and_partial_trace_invert_on_products():
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         ra, rb = random_density(rng, da), random_density(rng, db)
         full = kron(ra.matrix, rb.matrix)
+        assert np.array_equal(full, np.kron(ra.matrix, rb.matrix))
         np.testing.assert_allclose(partial_trace(full, (da, db), 0), ra.matrix, atol=1e-13)
         np.testing.assert_allclose(partial_trace(full, (da, db), 1), rb.matrix, atol=1e-13)
 
