@@ -34,7 +34,6 @@ ingest-check as they are.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 import warnings
@@ -69,8 +68,6 @@ from .oner import (
     transition_table,
 )
 from .spin import HierarchyWarning
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -377,7 +374,6 @@ def _csv_block(header: list[str], rows: Iterable[Iterable[float]]) -> str:
 
 def run_steady_state(sc: Scenario) -> str:
     rho_ee, rho_eg = steady_state(scenario_params(sc))
-    logger.info("steady state: rho_ee = %.6f, rho_eg = %s", rho_ee, rho_eg)
     return _csv_block(
         ["rho_ee_inf", "rho_eg_re", "rho_eg_im"],
         [[rho_ee, rho_eg.real, rho_eg.imag]],
@@ -464,7 +460,6 @@ def run_coupled(sc: Scenario) -> str:
         scale = predicted
     else:
         # no oscillation to resolve; cover a fixed number of pulses
-        logger.info("zero-amplitude transition %s, running anyway", setup.transition)
         tau = 1.0 / the_plan.repetition_rate_hz
         duration = 200.0 * tau
         scale = 1.0 / tau
@@ -478,11 +473,7 @@ def run_coupled(sc: Scenario) -> str:
     target = traj.population_of(setup.transition[1])
     # fit_rabi fits only when predicted > 0, and its sentinel frequency is NaN
     fit = fit_rabi(traj.times, target, predicted)
-    if fit.oscillating:
-        deviation = abs(fit.frequency_hz - predicted) / predicted
-    else:
-        logger.info("no oscillation detected; summary carries the sentinel")
-        deviation = float("nan")
+    deviation = abs(fit.frequency_hz - predicted) / predicted if fit.oscillating else math.nan
     summary = _csv_block(
         ["fit_rabi_hz", "predicted_rabi_hz", "relative_deviation"],
         [[fit.frequency_hz, predicted, deviation]],
@@ -566,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[UNIT_PHYSICAL, UNIT_SCALED],
         help="override the scenario's unit_mode",
     )
-    common.add_argument("--verbose", action="store_true", help="info-level notes on stderr")
 
     parser = argparse.ArgumentParser(
         prog="onersim",
@@ -606,11 +596,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # hierarchy notes must reach the user every time, not once per process
     warnings.simplefilter("always", HierarchyWarning)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         text = args.body(args)
         if args.out:

@@ -20,16 +20,12 @@ from dataclasses import dataclass
 # CODATA 2018 exact values
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 PLANCK = 6.62607015e-34  # J s
-HBAR = PLANCK / (2.0 * math.pi)  # J s rad^-1
 
 # one atomic unit of electric field gradient, in V/m^2
 EFG_AU_TO_SI = 9.717e21
 
 # quadrupole moment conversion
 BARN_TO_M2 = 1e-28
-
-# nuclear magneton as ordinary frequency per field, MHz/T
-NUCLEAR_MAGNETON_MHZ_PER_T = 7.622593285
 
 TWO_PI = 2.0 * math.pi
 

@@ -16,7 +16,6 @@ by the command line front end.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,8 +29,6 @@ from .constants import (
     TWO_PI,
     NucleusRecord,
 )
-
-logger = logging.getLogger(__name__)
 
 SYMMETRY_RTOL = 1e-12
 TRACE_RTOL = 1e-10
@@ -67,7 +64,6 @@ class TableFormatError(ValueError):
     """NQI table file violates the column/row contract."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -183,17 +179,15 @@ def axial_nqi(qzz_rad: float, frame: str = FRAME_E) -> NqiTensor:
 
 
 def efg_to_si(phi: EfgTensor) -> EfgTensor:
-    """Convert an atomic-unit EFG tensor to SI (V/m^2)."""
+    """Convert an atomic-unit EFG tensor to SI (V/m^2); an SI tensor is returned as is."""
     if phi.unit == UNIT_SI:
-        logger.info("efg_to_si: tensor already in SI units, returning unchanged")
         return phi
     return EfgTensor(phi.matrix * EFG_AU_TO_SI, unit=UNIT_SI, frame=phi.frame)
 
 
 def efg_to_au(phi: EfgTensor) -> EfgTensor:
-    """Convert an SI EFG tensor back to atomic units."""
+    """Convert an SI EFG tensor back to atomic units; an atomic-unit tensor is returned as is."""
     if phi.unit == UNIT_AU:
-        logger.info("efg_to_au: tensor already in atomic units, returning unchanged")
         return phi
     return EfgTensor(phi.matrix / EFG_AU_TO_SI, unit=UNIT_AU, frame=phi.frame)
 

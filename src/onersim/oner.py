@@ -233,7 +233,7 @@ def collapse_channels(params: TwoLevelParams) -> list[CollapseChannel]:
     return out
 
 
-def _pulse_run(params, h_static, rho0, samples, max_step_phase, max_substeps=math.inf):
+def _pulse_run(params, h_static, rho0, samples, max_substeps=math.inf):
     """Pulse train on a 2 x d space: H_2L x 1 + h_static, drive on for duty * tau, then off.
 
     The channels act as c x 1.  The on and off pieces get RK4 lattices of
@@ -247,7 +247,7 @@ def _pulse_run(params, h_static, rho0, samples, max_step_phase, max_substeps=mat
         CollapseChannel(qdyn.kron(c.operator, eye), c.rate) for c in collapse_channels(params)
     ]
     scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
-    est = (samples[-1] - samples[0]) * scale / max_step_phase
+    est = (samples[-1] - samples[0]) * scale / qdyn.DEFAULT_MAX_STEP_PHASE
     if est > max_substeps:
         raise qdyn.IntegrationFailureError(
             f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
@@ -255,9 +255,7 @@ def _pulse_run(params, h_static, rho0, samples, max_step_phase, max_substeps=mat
             "hierarchy stays >= ~30 per tier without the optical-frequency gap"
         )
     pieces = [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
-    return qdyn.propagate(
-        None, channels, rho0, samples, period=pieces, max_step_phase=max_step_phase
-    )
+    return qdyn.propagate(None, channels, rho0, samples, period=pieces)
 
 
 @dataclass
@@ -280,8 +278,6 @@ def simulate_pulsed_two_level(
     params: TwoLevelParams,
     n_periods: int,
     samples_per_period: int,
-    *,
-    max_step_phase: float = qdyn.DEFAULT_MAX_STEP_PHASE,
 ) -> TwoLevelTrajectory:
     """Propagate the two-level system over an integer number of pulses.
 
@@ -299,7 +295,7 @@ def simulate_pulsed_two_level(
     spp = samples_per_period
     samples = np.append(np.add.outer(np.arange(n_periods), np.arange(spp) / spp), n_periods) * tau
     rho0 = DensityOperator.pure(0, dim=2)
-    res = _pulse_run(params, np.zeros((2, 2)), rho0, samples, max_step_phase)
+    res = _pulse_run(params, np.zeros((2, 2)), rho0, samples)
     rho_ee = np.real(res.matrices[:, 1, 1]).copy()
     rho_eg = res.matrices[:, 1, 0].copy()
     return TwoLevelTrajectory(
@@ -549,7 +545,6 @@ def simulate_spin_effective(
     *,
     initial_m: float | None = None,
     n_samples: int = 400,
-    max_step_phase: float = qdyn.DEFAULT_MAX_STEP_PHASE,
 ) -> SpinTrajectory:
     """Unitary spin evolution under H(t) = H_zeeman + H_Q0 + H_Q1 sin(wt).
 
@@ -575,9 +570,7 @@ def simulate_spin_effective(
         (),
         rho0,
         grid,
-        envelope_bound=1.0,
         period=1.0 / plan_.repetition_rate_hz,
-        max_step_phase=max_step_phase,
     )
     return SpinTrajectory(
         times=grid,
@@ -612,11 +605,8 @@ def simulate_coupled(
     duration: float,
     *,
     plan_: OnerPlan | None = None,
-    initial_m: float | None = None,
     n_samples: int = 400,
-    max_step_phase: float = qdyn.DEFAULT_MAX_STEP_PHASE,
     max_substeps: float = 1e9,
-    allow_zero_amplitude: bool = False,
 ) -> CoupledTrajectory:
     """Full 2 x (2I+1) density-matrix run of the pulsed coupled system.
 
@@ -625,22 +615,25 @@ def simulate_coupled(
     optionally off-diagonal) block values; the two-level collapse
     channels act as c x 1 (_pulse_run).  The pulse period is set by the
     plan's repetition rate, so the train is resonant with the chosen
-    transition.  Spin populations are reported from the partial trace.
+    transition.  The run starts in |g> x |m> with m the transition's
+    source level; the spin populations and rho_ee are sums over the
+    diagonal of the product-basis states.
 
     Physically scaled hierarchies (optical rates vs kHz couplings) can
     demand astronomically many substeps; the run then aborts with advice
     to use proportionally rescaled inputs, which leave the Rabi physics
     invariant.  Pass max_substeps=float("inf") to force a physical run.
     A plan_ passed in must be for this pair and transition; without one
-    the run calls plan, with allow_zero_amplitude.
+    the run calls plan, which raises ZeroAmplitudeError for a forbidden
+    transition.  To run one anyway, pass a plan made with
+    allow_zero_amplitude=True.
     """
     if plan_ is None:
-        args = pair, nucleus, b0_tesla, theta, params, transition
-        plan_ = plan(*args, allow_zero_amplitude=allow_zero_amplitude)
+        plan_ = plan(pair, nucleus, b0_tesla, theta, params, transition)
     elif plan_.transition != (float(transition[0]), float(transition[1])):
         raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
     spin, pair_b, start, samples = _check_plan_consistency(
-        plan_, pair, nucleus, theta, duration, initial_m, n_samples
+        plan_, pair, nucleus, theta, duration, None, n_samples
     )
     h_static = (
         qdyn.kron(np.eye(2), zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin))
@@ -651,16 +644,16 @@ def simulate_coupled(
         h_static += qdyn.kron(SIGMA + SIGMA.conj().T, quadrupole_hamiltonian(pair_b.qeg, spin))
     # product basis |g> x |m>: the ground block holds the first 2I + 1 indices
     rho0 = DensityOperator.pure(start, dim=2 * spin.dim)
-    pulse_params = replace(params, tau=1.0 / plan_.repetition_rate_hz)
-    res = _pulse_run(pulse_params, h_static, rho0, samples, max_step_phase, max_substeps)
-    reduced_spin = qdyn.partial_trace(res.matrices, (2, spin.dim), keep=1)
-    spin_pops = np.real(np.diagonal(reduced_spin, axis1=1, axis2=2)).copy()
-    rho_ee = np.real(qdyn.partial_trace(res.matrices, (2, spin.dim), keep=0)[:, 1, 1]).copy()
+    # built directly, not by dataclasses.replace, so a HierarchyWarning
+    # from __post_init__ names this line
+    pulse_params = TwoLevelParams(**{**vars(params), "tau": 1.0 / plan_.repetition_rate_hz})
+    res = _pulse_run(pulse_params, h_static, rho0, samples, max_substeps)
+    pops = res.populations().reshape(-1, 2, spin.dim)  # (time, electron, spin)
     return CoupledTrajectory(
         times=samples,
-        spin_populations=spin_pops,
+        spin_populations=pops.sum(1),
         m_values=spin.m_values,
-        rho_ee=rho_ee,
+        rho_ee=pops[:, 1].sum(1),
         plan=plan_,
         diagnostics=res.diagnostics,
     )

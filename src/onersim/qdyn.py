@@ -77,11 +77,6 @@ _POLY_STACKS = 8
 class DimensionMismatchError(ValueError):
     """Operands of a composite-space operation have incompatible shapes."""
 
-    def __init__(self, message: str, *, left=None, right=None):
-        super().__init__(message)
-        self.left = left
-        self.right = right
-
 
 class IntegrationFailureError(RuntimeError):
     """Propagation exceeded its trace-drift budget or step limit."""
@@ -232,9 +227,7 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
         c = ch.operator
         if c.shape != h.shape:
             raise DimensionMismatchError(
-                f"collapse operator {c.shape} and hamiltonian {h.shape} dimensions differ",
-                left=c.shape,
-                right=h.shape,
+                f"collapse operator {c.shape} and hamiltonian {h.shape} dimensions differ"
             )
         cdc = c.conj().T @ c
         lv += ch.rate * (
@@ -275,6 +268,8 @@ def _check_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a 1-D array with at least one point")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must hold finite times only")
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     return t
@@ -293,19 +288,20 @@ def _record(
 ) -> PropagationResult:
     """Correct and check the raw vectors at t (vec(rho), or state vectors when pure).
 
-    One batched pass, in order: the first interval whose drift
-    |tr_{k+1}/tr_k - 1| (squared norms when pure) is not within limit
-    raises; hermitize and divide by those traces, which hermitizing
-    keeps (or normalize and take outer products); _min_eigenvalues.  The
-    maps are linear and, exactly, trace and hermiticity preserving, so
-    this differs from correcting between intervals by rounding only.  A
-    broken run may overflow on the way; the drift check reports it.
+    A pure run's vectors become their outer products, whose traces are
+    the squared norms.  Then one batched pass, in order: the first
+    interval whose drift |tr_{k+1}/tr_k - 1| is not within limit raises;
+    hermitize and divide by those traces, which hermitizing keeps;
+    _min_eigenvalues.  The maps are linear and, exactly, trace and
+    hermiticity preserving, so this differs from correcting between
+    intervals by rounding only.  A broken run may overflow on the way;
+    the drift check reports it.
     """
     if pure:
-        size = np.einsum("ki,ki->k", v.conj(), v).real
+        v = np.einsum("ki,kj->kij", v, v.conj())
     else:
         v = v.reshape(-1, rho0.dim, rho0.dim)
-        size = np.trace(v, axis1=1, axis2=2).real
+    size = np.trace(v, axis1=1, axis2=2).real
     drift = np.abs(size[1:] / size[:-1] - 1.0)
     bad = np.flatnonzero(~(drift <= limit))
     if bad.size:
@@ -315,16 +311,10 @@ def _record(
             f"(limit {limit:g}); reduce max_step_phase"
         )
     diag = PropagationDiagnostics(float(drift.max(initial=0.0)), n_substeps=n_substeps)
-    if pure:
-        # outer products of normalized vectors: hermitian by construction,
-        # so no residual to record
-        psi = v / np.sqrt(size)[:, None]
-        stack = np.einsum("ki,kj->kij", psi, psi.conj())
-    else:
-        vh = v.conj().swapaxes(1, 2)
-        diag.max_hermiticity_residual = float(np.abs(v - vh).max())
-        stack = (v + vh) / 2.0
-        stack /= size[:, None, None]
+    vh = v.conj().swapaxes(1, 2)
+    diag.max_hermiticity_residual = float(np.abs(v - vh).max())
+    stack = (v + vh) / 2.0
+    stack /= size[:, None, None]
     stack[0] = rho0.matrix
     w = _min_eigenvalues(stack)
     diag.min_eigenvalue = float(w.min())
@@ -669,8 +659,7 @@ def propagate(
     for _, hp in parts:
         h = _as_complex_matrix(hp, "hamiltonian")
         if h.shape[0] != d:
-            msg = f"hamiltonian {h.shape} and state dim {d} differ"
-            raise DimensionMismatchError(msg, left=h.shape, right=(d, d))
+            raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
         scale = max(total_rate(channels), _hamiltonian_norm(h))
         gens.append((scale, liouvillian(h, channels), None))
     lengths = None if period is None else [length for length, _ in parts]
@@ -712,9 +701,7 @@ def propagate_modulated(
     h1 = _as_complex_matrix(h_drive, "h_drive")
     if h0.shape != (d, d) or h1.shape != (d, d):
         raise DimensionMismatchError(
-            f"hamiltonian parts {h0.shape}/{h1.shape} and state dim {d} differ",
-            left=h0.shape,
-            right=(d, d),
+            f"hamiltonian parts {h0.shape}/{h1.shape} and state dim {d} differ"
         )
     scale = max(
         total_rate(channels),
@@ -749,11 +736,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     da, db = dims
     r = np.asarray(rho, dtype=complex)
     if r.shape[-2:] != (da * db, da * db):
-        raise DimensionMismatchError(
-            f"state shape {r.shape} does not match factor dims {dims}",
-            left=r.shape,
-            right=(da * db, da * db),
-        )
+        raise DimensionMismatchError(f"state shape {r.shape} does not match factor dims {dims}")
     if keep not in (0, 1):
         raise ValueError("keep must be 0 (factor A) or 1 (factor B)")
     t = r.reshape(*r.shape[:-2], da, db, da, db)

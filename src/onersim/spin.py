@@ -33,8 +33,6 @@ class UnsupportedTransitionError(ValueError):
     """Requested |delta m| has no single-quantum or two-quantum branch."""
 
     def __init__(self, m_from: float, m_to: float):
-        self.m_from = m_from
-        self.m_to = m_to
         super().__init__(
             f"transition {m_from:g} -> {m_to:g} changes m by {abs(m_to - m_from):g}; "
             "supported branches are |delta m| = 1 and |delta m| = 2"

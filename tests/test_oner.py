@@ -10,6 +10,7 @@ scale covariance of the equations of motion.
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,14 +570,28 @@ def test_coupled_static_spin_stays_put():
     nuc = nucleus_for(gamma_b0)
     pair = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor(np.zeros((3, 3))))
     tau = 1.0 / gamma_b0
+    pl = plan(pair, nuc, 1.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=True)
     traj = simulate_coupled(
-        pair, nuc, 1.0, 0.0, CW, (1.5, 0.5), duration=20.0 * tau,
-        n_samples=40, allow_zero_amplitude=True,
+        pair, nuc, 1.0, 0.0, CW, (1.5, 0.5), duration=20.0 * tau, plan_=pl, n_samples=40
     )
     np.testing.assert_allclose(traj.population_of(1.5), 1.0, atol=1e-9)
     # the electronic factor relaxes into its pulsed cycle
     assert 0.0 < traj.rho_ee[-1] < 0.5
     assert traj.plan.predicted_rabi_hz == 0.0
+
+
+def test_coupled_hierarchy_warning_names_the_simulator():
+    # the weak-hierarchy warning of the run's pulse params points at
+    # simulate_coupled, not at a line inside the dataclasses module
+    nuc, pair, pl = effective_setup()
+    weak = TwoLevelParams(omega_rabi=TWO_PI * 1e3, decay=TWO_PI * 4e5)
+    with pytest.warns(HierarchyWarning) as record:
+        simulate_coupled(
+            pair, nuc, 1.0, np.pi / 4.0, weak, (1.5, 0.5), 2.0 / pl.repetition_rate_hz,
+            n_samples=8,
+        )
+    names = {Path(w.filename).name for w in record if w.category is HierarchyWarning}
+    assert names == {"oner.py"}, names
 
 
 def test_coupled_takes_its_plan(monkeypatch):

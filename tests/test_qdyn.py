@@ -1010,6 +1010,16 @@ def test_grid_and_phase_validation():
         propagate_modulated(h, h, np.sin, [], rho0, [0.0, 1.0], period=0.0)
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf], [np.nan, 1.0]])
+def test_non_finite_sample_times_are_a_bad_grid(grid):
+    rho0 = DensityOperator.pure(0, dim=2)
+    h = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="t_grid"):
+        propagate(h, [], rho0, grid)
+    with pytest.raises(ValueError, match="t_grid"):
+        propagate_modulated(h, SIGMA_X, np.sin, [], rho0, grid)
+
+
 def test_dimension_mismatches_raise():
     rho0 = DensityOperator.pure(0, dim=2)
     with pytest.raises(DimensionMismatchError):
