@@ -31,6 +31,7 @@ Angular frequencies (rad/s) internally; exported rates in Hz.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -115,7 +116,7 @@ class TwoLevelParams:
                     f"decay*tau = {self.decay * self.tau:.3g} "
                     f"(want both >> 1, at least {HIERARCHY_MIN_PRODUCT:g})",
                     HierarchyWarning,
-                    stacklevel=3,
+                    stacklevel=3 + (sys._getframe(2).f_code is TwoLevelParams.from_hz.__code__),
                 )
 
     @classmethod
@@ -238,22 +239,23 @@ def _pulse_run(params, h_static, rho0, samples, max_substeps=math.inf):
 
     The channels act as c x 1.  The on and off pieces get RK4 lattices of
     their own, so no step crosses a switch, and their maps are built once
-    for the whole train.  A run estimated at more than max_substeps RK4
-    substeps raises IntegrationFailureError.
+    for the whole train.  A finite max_substeps below the run's estimated
+    RK4 substeps raises IntegrationFailureError.
     """
     eye = np.eye(len(h_static) // 2)
     h_on, h_off = (h_static + qdyn.kron(drive_hamiltonian(params, on), eye) for on in (True, False))
     channels = [
         CollapseChannel(qdyn.kron(c.operator, eye), c.rate) for c in collapse_channels(params)
     ]
-    scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
-    est = (samples[-1] - samples[0]) * scale / qdyn.DEFAULT_MAX_STEP_PHASE
-    if est > max_substeps:
-        raise qdyn.IntegrationFailureError(
-            f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
-            "rescale the inputs proportionally (scaled-unit mode) so the rate "
-            "hierarchy stays >= ~30 per tier without the optical-frequency gap"
-        )
+    if max_substeps < math.inf:
+        scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
+        est = (samples[-1] - samples[0]) * scale / qdyn.DEFAULT_MAX_STEP_PHASE
+        if est > max_substeps:
+            raise qdyn.IntegrationFailureError(
+                f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
+                "rescale the inputs proportionally (scaled-unit mode) so the rate "
+                "hierarchy stays >= ~30 per tier without the optical-frequency gap"
+            )
     pieces = [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
     return qdyn.propagate(None, channels, rho0, samples, period=pieces)
 

@@ -26,7 +26,8 @@ products at the samples (one segmented pairwise pass per batch).  Piece
 maps carry the state through each period that holds a sample, powers
 U^(2^b) of the period map skip the others, and prefixes reach stops that
 recur across periods by one GEMM on the period states.  A sample off the
-lattice is one shorter RK4 step, on the vector, after a prefix of its piece.
+lattice takes one shorter RK4 step on the vector after a prefix of its piece,
+under a constant A as the degree-4 Taylor polynomial of dt A, by Horner.
 This is stepwise RK4 with the products reassociated: deterministic, and
 equal to a literal step loop on the same lattice up to rounding.
 n_substeps counts the steps of that loop: the lattice steps up to the
@@ -362,6 +363,14 @@ def _rk4(a_start, a_mid, a_end, dt, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taylor(a, dt, x: np.ndarray) -> np.ndarray:
+    """_rk4(a, a, a, dt, x) for per-row dt: the degree-4 Taylor polynomial of dt A, by Horner."""
+    z = x
+    for m in (4.0, 3.0, 2.0, 1.0):
+        z = x + (dt[:, None] / m) * (z @ a.T)
+    return z
+
+
 def _step_bytes(dim: int) -> int:
     """Bytes per step of a batch of step maps: its map, 3/2 maps of pass temporaries, 48 floats."""
     return 40 * dim * dim + 8 * 48
@@ -387,9 +396,7 @@ class _Piece:
         return np.broadcast_to(np.asarray(self.envelope(t), dtype=float), t.shape)
 
     def at(self, t: np.ndarray) -> np.ndarray:
-        """A(t) at each time in t, shape (len(t), D, D); a0 for a constant piece."""
-        if self.a1 is None:
-            return self.a0
+        """A(t) of a modulated piece at each time in t, shape (len(t), D, D)."""
         return self.a0 + self.f(t)[:, None, None] * self.a1
 
     @functools.cached_property
@@ -520,11 +527,13 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
 def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
     """Rows Q v[k[r]], Q the prefix at j[r] in its batch (s, prefixes at s); v[k[r]] at j[r] = 0.
 
-    A batch with at most twice as many (stop, state) pairs as rows acts on
-    every state by one GEMM; otherwise its rows gather their prefixes for a
-    batched matvec, in chunks that take at most half of BATCH_BYTES.
+    Each row is written once.  A batch with at most twice as many (stop,
+    state) pairs as rows acts on every state by one GEMM; otherwise its rows
+    gather their prefixes and states for a batched matvec, in chunks that
+    take at most half of BATCH_BYTES.
     """
-    y, d = v[k], v.shape[1]
+    y, d, zero = np.empty((k.size, v.shape[1]), dtype=complex), v.shape[1], j == 0
+    y[zero] = v[k[zero]]
     for s, q in batches:
         sel = np.flatnonzero((j >= s[0]) & (j <= s[-1]))
         if s.size * v.shape[0] <= 2 * sel.size:
@@ -532,7 +541,7 @@ def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
             y[sel] = z[np.searchsorted(s, j[sel]), :, k[sel]]
             continue
         for r in np.array_split(sel, 1 + sel.size * (32 * d * d + 64 * d + 48) // BATCH_BYTES):
-            y[r] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[r])], y[r])
+            y[r] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[r])], v[k[r]])
     return y
 
 
@@ -562,7 +571,10 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
 
     Piece i of a period repeated from t[0] is lengths[i] long and driven
     by gens[i] = (scale, a0, a1); without lengths the period is one piece
-    that spans t.  _record reports an overflow on the way.
+    that spans t.  t ascends, so k does too and the bookkeeping sorts, not
+    hashes.  Samples at piece starts are copied from the chain; the rest
+    are their piece's advance and remainder step (_taylor, on all rows, if
+    the piece is constant).  _record reports an overflow on the way.
     """
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=float)
@@ -576,8 +588,9 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     h = lengths / n
     k, i, j, dt = _locate(t, bounds, h)
     inner = (j > 0) | (dt > 0)
-    busy = np.unique(i[inner]).tolist()
-    stops = {q: np.unique(j[inner & (i == q) & (j > 0)]) for q in busy}
+    busy = np.flatnonzero(np.bincount(i[inner], minlength=len(gens))).tolist()
+    stops = {q: np.sort(j[(i == q) & (j > 0)]) for q in busy}
+    stops = {q: s[np.diff(s, prepend=0) > 0] for q, s in stops.items()}  # distinct, as j > 0
     pieces = [
         _Piece(a0, a1, envelope, t[0] + b, hq, nq)
         for (_, a0, a1), b, hq, nq in zip(gens, bounds.tolist(), h.tolist(), n.tolist())
@@ -585,7 +598,8 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     maps = [_piece_maps(p, stops.get(q, np.zeros(0, int))) for q, p in enumerate(pieces)]
 
     # the state entering every piece of each period that holds a sample
-    need, row = np.unique(k, return_inverse=True)
+    new = np.diff(k, prepend=-1) > 0
+    need, row = k[new], np.cumsum(new) - 1
     chain = np.empty((need.size, len(pieces) + 1, v0.size), dtype=complex)
     # periods without samples: U^(2^b) of the period map U for the set bits of the gap
     period = lambda: functools.reduce(lambda acc, m: m[0] @ acc, maps[1:], maps[0][0])
@@ -601,14 +615,19 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
             chain[r, q + 1] = full @ chain[r, q]
         v, at = chain[r, -1], kk + 1
 
-    raw = chain[row, i]
+    raw = np.empty((t.size, v0.size), dtype=complex)
+    edge = np.flatnonzero(~inner)
+    raw[edge] = chain[row[edge], i[edge]]
     for q in busy:
         sel = np.flatnonzero(inner & (i == q))
         js, ds, p = j[sel], dt[sel], pieces[q]
         y = maps[q][1](chain[:, q], row[sel], js)
-        off = ds > 0
-        ta, ds = p.t0 + js[off] * p.h, ds[off]
-        y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off])
+        if p.a1 is None:  # on every row: at dt = 0 the polynomial is the identity
+            y = _taylor(p.a0, ds, y)
+        else:
+            off = ds > 0
+            ta, ds = p.t0 + js[off] * p.h, ds[off]
+            y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off])
         raw[sel] = y
     # the lattice steps up to the last sample, and one remainder step per sample off it
     first = np.concatenate(([0], np.cumsum(n))).tolist()
@@ -655,12 +674,12 @@ def propagate(
     if (hamiltonian is None) == (period is None):
         raise ValueError("give either a constant hamiltonian or a period of (length, H) pieces")
     parts = [(None, hamiltonian)] if period is None else list(period)
-    d, gens = rho0.dim, []
+    d, gens, rate = rho0.dim, [], total_rate(channels)
     for _, hp in parts:
         h = _as_complex_matrix(hp, "hamiltonian")
         if h.shape[0] != d:
             raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
-        scale = max(total_rate(channels), _hamiltonian_norm(h))
+        scale = max(rate, _hamiltonian_norm(h))
         gens.append((scale, liouvillian(h, channels), None))
     lengths = None if period is None else [length for length, _ in parts]
     raw = _lattice(gens, lengths, None, t, rho0.matrix.reshape(-1), max_step_phase)

@@ -77,6 +77,13 @@ def test_weak_pulse_hierarchy_warns():
         TwoLevelParams(omega_rabi=2.0, decay=1.0, tau=50.0)
 
 
+def test_from_hz_hierarchy_warning_names_the_caller():
+    # through from_hz the warning points here, not at from_hz's own line
+    with pytest.warns(HierarchyWarning) as record:
+        TwoLevelParams.from_hz(1.0, 1.0, tau=1e-3)
+    assert [Path(w.filename).name for w in record] == [Path(__file__).name]
+
+
 def test_steady_state_reference_values():
     # resonant, no dephasing, decay = 0.4 drive: population 25/54
     p = TwoLevelParams(omega_rabi=1.0, decay=0.4)
@@ -637,6 +644,30 @@ def test_coupled_budget_estimate_uses_spectral_radius():
     duration = sc.duration_rabi_periods / plan(*args).predicted_rabi_hz
     with pytest.raises(IntegrationFailureError, match="6.80e"):
         simulate_coupled(*args, duration, n_samples=sc.n_samples, max_substeps=6.7e6)
+
+
+def test_pulse_train_setup_takes_the_rate_once(monkeypatch):
+    # the pulsed run has no budget: propagate takes total_rate once for
+    # both pieces, and _pulse_run makes no substep estimate (which would
+    # take total_rate and the drive-on norm again); a budget brings it back
+    calls = {"total_rate": 0, "norm": 0}
+
+    def counting(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(oner.qdyn, "total_rate", counting("total_rate", oner.qdyn.total_rate))
+    monkeypatch.setattr(oner.qdyn, "_hamiltonian_norm", counting("norm", oner.qdyn._hamiltonian_norm))
+    params = TwoLevelParams(omega_rabi=1.432, decay=1.0, dephasing=20.0, tau=50.0)
+    simulate_pulsed_two_level(params, n_periods=2, samples_per_period=16)
+    # one norm per channel (decay, dephasing) inside total_rate, one per piece
+    assert calls == {"total_rate": 1, "norm": 2 + 2}
+    calls.update(total_rate=0, norm=0)
+    samples = np.linspace(0.0, 100.0, 9)
+    oner._pulse_run(params, np.zeros((2, 2)), DensityOperator.pure(0, dim=2), samples, 1e9)
+    assert calls == {"total_rate": 2, "norm": 2 + 1 + 2 + 2}
 
 
 def test_fit_rabi_recovers_synthetic_frequency():

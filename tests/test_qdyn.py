@@ -802,6 +802,22 @@ def test_modulated_step_maps_match_rk4_on_the_identity(dim, liouville):
     assert np.abs(maps - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_taylor_remainder_is_rk4_under_a_constant_generator():
+    # a constant piece's remainder step is the Horner form of the degree-4
+    # Taylor polynomial: on a qutrit Liouvillian (D = 9), rows with their
+    # own dt in [0, h], exact zeros and h itself included, it is RK4, and
+    # a row at dt = 0 comes back as it went in, so it runs on every row
+    rng = np.random.default_rng(101)
+    a = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
+    h = qdyn.MAX_STEP_PHASE_LIMIT / np.linalg.norm(a, 2)
+    dt = np.concatenate(([0.0, h, 0.0], rng.uniform(0.0, h, size=40)))
+    x = rng.normal(size=(dt.size, 9)) + 1j * rng.normal(size=(dt.size, 9))
+    ref = qdyn._rk4(a, a, a, dt, x)
+    got = qdyn._taylor(a, dt, x)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(got[dt == 0.0], x[dt == 0.0])
+
+
 @pytest.mark.parametrize("batch", [4, None])
 def test_prefix_pass_matches_sequential_products(batch, monkeypatch):
     # prefixes at ragged stops (neighbours, a long gap, the batch edges
