@@ -20,10 +20,10 @@ Liouvillian acting on the row-major vec(rho), or -iH acting on a state
 vector for channel-free pure states.  One RK4 step is then a matrix, and
 each piece's maps are built once per run: the powers P^(2^b) of a
 constant piece's step map, on the samples or, when S stops serve R > S D
-samples, on prefix tables P^s; a modulated piece's step maps (a GEMM of
-envelope monomials and 12 coefficients per bounded batch) and their
-products at the samples (one segmented pairwise pass per batch).  Piece
-maps carry the state through each period that holds a sample, powers
+samples, on prefix tables P^s; a modulated piece's step maps in real
+form (a GEMM of envelope monomials and 12 coefficients per bounded
+batch) and their products at the samples (one in-place scan per batch).
+Piece maps carry the state through each period that holds a sample, powers
 U^(2^b) of the period map skip the others, and prefixes reach stops that
 recur across periods by one GEMM on the period states.  A sample off the
 lattice takes one shorter RK4 step on the vector after a prefix of its piece,
@@ -67,11 +67,11 @@ MAX_STEP_PHASE_LIMIT = 0.05
 STEP_TRACE_DRIFT_LIMIT = 1e-6
 
 # bytes one batch of RK4 step maps may hold, its temporaries included
-# (_step_bytes per step): 1024 steps of 4 x 4 maps, 6 of 64 x 64 ones
+# (_step_bytes per step): 682 steps of 4 x 4 maps, 3 of 64 x 64 ones
 BATCH_BYTES = 1 << 20
-# stacks of a column block counted for building _Piece.poly: six live at
-# once (the identity block, a stage, its input and three matrix products),
-# two more cover the buffers of matmul and np.roll
+# stacks of a column block counted for building _Piece.poly: five live at
+# once (the identity block, a stage, its input and two matrix products),
+# three more cover matmul's buffers and the calls' fixed overhead
 _POLY_STACKS = 8
 
 
@@ -113,9 +113,7 @@ class DensityOperator:
         arr = (arr + arr.conj().T) / 2.0
         w = np.linalg.eigvalsh(arr)
         if w[0] < -positivity_tol:
-            raise ValueError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -{positivity_tol:g}"
-            )
+            raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} below -{positivity_tol:g}")
         arr.setflags(write=False)
         self._matrix = arr
 
@@ -231,9 +229,7 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
                 f"collapse operator {c.shape} and hamiltonian {h.shape} dimensions differ"
             )
         cdc = c.conj().T @ c
-        lv += ch.rate * (
-            kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
-        )
+        lv += ch.rate * (kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T)))
     return lv
 
 
@@ -246,9 +242,7 @@ def _hamiltonian_norm(h) -> float:
     a factor of the dimension and starve the step control.
     """
     arr = np.asarray(h, dtype=complex)
-    if arr.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(arr)))
+    scale = float(np.abs(arr).max(initial=0.0))
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(arr - arr.conj().T)) <= 1e-12 * scale:
@@ -259,10 +253,8 @@ def _hamiltonian_norm(h) -> float:
 
 def total_rate(channels: Sequence[CollapseChannel]) -> float:
     """Step-control rate scale: sum of rate * (spectral radius of c+c) over channels."""
-    tot = 0.0
-    for ch in channels:
-        tot += ch.rate * _hamiltonian_norm(ch.operator.conj().T @ ch.operator)
-    return tot
+    rates = (ch.rate * _hamiltonian_norm(ch.operator.conj().T @ ch.operator) for ch in channels)
+    return sum(rates, 0.0)
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -302,7 +294,7 @@ def _record(
         v = np.einsum("ki,kj->kij", v, v.conj())
     else:
         v = v.reshape(-1, rho0.dim, rho0.dim)
-    size = np.trace(v, axis1=1, axis2=2).real
+    size = np.einsum("kii->k", v).real
     drift = np.abs(size[1:] / size[:-1] - 1.0)
     bad = np.flatnonzero(~(drift <= limit))
     if bad.size:
@@ -372,8 +364,8 @@ def _taylor(a, dt, x: np.ndarray) -> np.ndarray:
 
 
 def _step_bytes(dim: int) -> int:
-    """Bytes per step of a batch of step maps: its map, 3/2 maps of pass temporaries, 48 floats."""
-    return 40 * dim * dim + 8 * 48
+    """Bytes per step of a batch: its real-form map, 5/4 of one for scan or read-back, 48 floats."""
+    return 72 * dim * dim + 8 * 48
 
 
 @dataclass(frozen=True)
@@ -401,39 +393,42 @@ class _Piece:
 
     @functools.cached_property
     def poly(self) -> np.ndarray:
-        """Coefficients of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c], as reals.
+        """Real forms (_real) of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c].
 
         f_s, f_m, f_e are the envelope at a step's start, middle and end,
         a, c <= 1 and b <= 2: the coefficients sum the 30 words of length
         1 to 4 in h a0 and h a1.  The RK4 stages run on such polynomials;
-        A(t) = a0 + f a1 raises the power of f at t within its axis, so
-        np.roll wraps zeros.  The stages multiply from the left only, so
-        the identity's columns are built in blocks: the output and
-        _POLY_STACKS stacks of a block's width fit in BATCH_BYTES, and a
-        bound without room for one column raises ValueError.
+        A(t) = a0 + f a1 raises the power of f at t within its axis.  They
+        multiply from the left only, so the identity's columns are built in
+        blocks: the output, a0, a1 and _POLY_STACKS stacks of a block's
+        width fit in BATCH_BYTES, and a bound without room for one column
+        raises ValueError.
         """
-        d = self.a0.shape[0]
-        column = 12 * d * 16  # bytes of one column of the 12 complex matrices
-        width = (BATCH_BYTES - column * d) // (_POLY_STACKS * column)
+        d = 2 * self.a0.shape[0]
+        column = 12 * d * 8  # bytes of one column of the 12 real maps
+        kept = column * d + 16 * d * d  # the 12 maps, and the real forms of a0 and a1
+        width = (BATCH_BYTES - kept) // (_POLY_STACKS * column)
         if width < 1:
             raise ValueError(
                 f"BATCH_BYTES = {BATCH_BYTES} cannot hold the step-map polynomial of a "
-                f"{d} x {d} generator, which needs {column * (d + _POLY_STACKS)} bytes"
+                f"{d // 2} x {d // 2} generator, which needs {kept + _POLY_STACKS * column} bytes"
             )
-        out = np.zeros((2, 3, 2, d, d), dtype=complex)
-        times = lambda axis, p: self.a0 @ p + np.roll(self.a1 @ p, 1, axis)
+        out, a0, a1 = np.zeros((2, 3, 2, d, d)), _real(self.a0), _real(self.a1)
         for c0 in range(0, d, width):
             block = out[..., c0 : c0 + width]  # a view: the stages add into out
             eye = np.zeros_like(block)
-            eye[0, 0, 0] = np.eye(d)[:, c0 : c0 + width]
+            eye[0, 0, 0] = np.eye(d, block.shape[-1], -c0)
             k = 0.0
             for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
-                k = times(axis, eye + (c * self.h) * k)
+                p, up = eye + (c * self.h) * k, (slice(None),) * axis
+                # f a1 raises the power of f within axis; p's top power is 0
+                k = a0 @ p
+                k[up + (slice(1, None),)] += a1 @ p[up + (slice(-1),)]
                 block += (self.h / w) * k
-        return out.reshape(12, -1).view(float)
+        return out.reshape(12, -1)
 
     def step_maps(self, j0: int, j1: int) -> np.ndarray:
-        """RK4 maps of lattice steps j0 .. j1 - 1, shape (j1 - j0, D, D)."""
+        """RK4 maps of steps j0 .. j1 - 1, shape (j1 - j0, D, D); modulated: real forms, 2D x 2D."""
         d = self.a0.shape[0]
         if self.a1 is None:
             # the rows of _rk4 on the identity are the step map's columns
@@ -441,40 +436,55 @@ class _Piece:
             return np.tile(step, (j1 - j0, 1, 1))
         # the envelope at the steps' starts, middles and ends, from one call
         f = self.f(self.t0 + np.arange(2 * j0, 2 * j1 + 1) * (0.5 * self.h))
-        se = np.vander(f[::2], 2, increasing=True)
-        mono = np.einsum("ra,rb,rc->rabc", se[:-1], np.vander(f[1::2], 3, increasing=True), se[1:])
-        maps = (mono.reshape(-1, 12) @ self.poly).view(complex)
+        s, m, e, one = f[:-1:2], f[1::2], f[2::2], np.ones(j1 - j0)
+        fs, fm, fe = np.array([one, s]), np.array([one, m, m * m]), np.array([one, e])
+        maps = (fs[:, None, None] * fm[:, None] * fe).reshape(12, -1).T @ self.poly
         # the identity last, so entries near 1 are rounded once
-        maps[:, :: d + 1] += 1.0
-        return maps.reshape(j1 - j0, d, d)
+        maps[:, :: 2 * d + 1] += 1.0
+        return maps.reshape(j1 - j0, 2 * d, 2 * d)
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """[[Re a, -Im a], [Im a, Re a]] of each D x D matrix in a: products map to products."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def _scan(m: np.ndarray) -> np.ndarray:
+    """m[i] = m[i] @ ... @ m[0] for each i, in place, by Blelloch's up- and down-sweep."""
+    s = 1
+    while 2 * s <= len(m):
+        hi = m[2 * s - 1 :: 2 * s]
+        hi[...] = hi @ m[s - 1 :: 2 * s][: len(hi)]
+        s *= 2
+    while s > 1:
+        s //= 2
+        hi = m[3 * s - 1 :: 2 * s]
+        hi[...] = hi @ m[2 * s - 1 :: 2 * s][: len(hi)]
+    return m
 
 
 def _prefixes(piece: _Piece, stops: np.ndarray):
     """Yield (s, Q) per batch of step maps: Q[r] = M_{s[r]-1} ... M_0 at the stops s it completes.
 
     stops ascend, 0 < stops <= piece.n.  The maps up to the last stop are
-    built once, in batches holding at most BATCH_BYTES.  Per batch, each
-    run of maps between neighbouring stops is multiplied as a tree (each
-    level pairs a run's even positions with their successors, later map
-    on the left), and a running product over the runs gives the prefixes.
+    built once, as real forms, in batches holding at most BATCH_BYTES.
+    Per batch, the product of every earlier batch enters the first map,
+    _scan turns the batch into its prefixes, and the left block columns
+    at the stops are read back as complex matrices.
     """
     d = piece.a0.shape[0]
-    q, last = np.eye(d, dtype=complex), int(stops.max(initial=0))
+    q, last = np.eye(2 * d), int(stops.max(initial=0))
     chunk = max(1, BATCH_BYTES // _step_bytes(d))
     for lo in range(0, last, chunk):
         hi = min(lo + chunk, last)
-        maps, seg = piece.step_maps(lo, hi), np.searchsorted(stops, np.arange(lo, hi), side="right")
-        while True:
-            lead = (np.arange(seg.size) - np.searchsorted(seg, seg)) % 2 == 0
-            pair = np.flatnonzero(lead[:-1] & (seg[1:] == seg[:-1]))
-            if not pair.size:
-                break
-            maps[pair] = maps[pair + 1] @ maps[pair]
-            maps, seg = maps[lead], seg[lead]
-        run = list(itertools.accumulate(maps, lambda acc, p: p @ acc, initial=q))
-        q, done = run[-1], stops[seg] <= hi
-        if done.any():
-            yield stops[seg[done]], np.array(run[1:])[done]
+        m = piece.step_maps(lo, hi)
+        m[0] = m[0] @ q
+        q = _scan(m)[-1].copy()
+        s = stops[slice(*np.searchsorted(stops, (lo, hi), side="right"))]
+        if s.size:
+            r = m[s - lo - 1, :d, :d].astype(complex)
+            r.imag = m[s - lo - 1, d:, :d]
+            yield s, r
 
 
 def _piece_maps(piece: _Piece, stops: np.ndarray):

@@ -656,7 +656,9 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     # H0 + sin(2 pi t / T) H1 over four periods of one modulated piece,
     # on the state-vector path and on the Liouvillian path; the prefixes
     # reach scattered samples row by row, and three stops sampled in every
-    # period by one GEMM on the four period states
+    # period by one GEMM on the four period states.  The Liouvillian's
+    # 9 x 9 maps come in batches of 168 steps, so its stops fall in two,
+    # the piece end n = 246 in the second
     rng = np.random.default_rng(47)
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
@@ -679,7 +681,11 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     shared = [(0, 0, 0, 0.0)] + [
         (k, 0, j, f) for k in range(4) for j, f in ((7, 0.3), (40, 0.0), (n // 2, 0.6))
     ] + [(4, 0, 0, 0.0)]
-    for points, batches in ((scattered, [(5, 6)]), (shared, [(4, 12)])):
+    assert pure or qdyn.BATCH_BYTES // qdyn._step_bytes(9) == 168 < n < 2 * 168
+    split = lambda one, two: [one] if pure else two
+    for points, batches in (
+        (scattered, split((5, 6), [(3, 6), (2, 6)])), (shared, split((4, 12), [(3, 12), (1, 12)]))
+    ):
         t, ref, n_ref = lattice_samples([rhs], lat, starts, hs, points)
         with monkeypatch.context() as mp:
             calls = spy_gather(mp)
@@ -697,9 +703,9 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
 def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
     # a modulated Liouvillian period whose prefixes at the samples do not
     # fit in BATCH_BYTES: none is kept, and the piece's step maps (a few
-    # per batch) are built again for the samples.  The 12 KiB bound holds
-    # the step-map polynomial and one column of its build, but not the
-    # prefixes at the 60 stops of 60 samples.
+    # per batch) are built again for the samples.  The 14 KiB bound holds
+    # the step-map polynomial (real forms, 13,312 bytes with one column of
+    # its build), but not the prefixes at the 60 stops of 60 samples.
     rng = np.random.default_rng(53)
     h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
     env = lambda tt: np.sin(np.pi * tt)
@@ -711,7 +717,7 @@ def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
         built = count_step_maps(mp)
         ref = run()
     with monkeypatch.context() as mp:
-        mp.setattr(qdyn, "BATCH_BYTES", 12 << 10)
+        mp.setattr(qdyn, "BATCH_BYTES", 14 << 10)
         assert (60 + 1) * 16 * 4 * 4 > qdyn.BATCH_BYTES  # _piece_maps's rule for kept prefixes
         rebuilt = count_step_maps(mp)
         res = run()
@@ -793,7 +799,9 @@ def test_modulated_step_maps_match_rk4_on_the_identity(dim, liouville):
     big = a0.shape[0]
     h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
     piece = qdyn._Piece(a0, a1, lambda tt: np.cos(1.7 * tt) - 0.3, 0.4, h, 40)
-    maps = piece.step_maps(5, 37)
+    real = piece.step_maps(5, 37)  # real forms: the complex map is the left block column
+    assert real.shape == (32, 2 * big, 2 * big) and real.dtype == float
+    maps = real[:, :big, :big] + 1j * real[:, big:, :big]
     ta = piece.t0 + np.arange(5, 37) * h
     rows = lambda tt: np.repeat(piece.at(tt), big, axis=0)
     eye = np.tile(np.eye(big, dtype=complex), (ta.size, 1))
@@ -829,7 +837,8 @@ def test_prefix_pass_matches_sequential_products(batch, monkeypatch):
     piece = qdyn._Piece(a0, a1, lambda tt: np.sin(2.0 * tt), 0.0, 0.01, 30)
     stops = np.array([1, 2, 3, 4, 7, 8, 12, 13, 29, 30])
     seq, ref = np.eye(4, dtype=complex), []
-    for k, m in enumerate(piece.step_maps(0, piece.n), start=1):
+    real = piece.step_maps(0, piece.n)
+    for k, m in enumerate(real[:, :4, :4] + 1j * real[:, 4:, :4], start=1):
         seq = m @ seq
         if k in stops:
             ref.append(seq)
@@ -925,11 +934,64 @@ def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatc
     assert peak <= 2 * qdyn.BATCH_BYTES
 
 
+@pytest.mark.parametrize("n_stops", [1, 4, 100])
+def test_prefix_scan_memory_stays_within_the_batch_bound(n_stops, monkeypatch):
+    # the real-form step maps of a qutrit Liouvillian piece (D = 9, 5,000
+    # steps) in batches of 64 KiB, poly prebuilt: the traced peak of
+    # taking the prefixes at 1, 4 or 100 stops, one batch's at a time as
+    # _gather takes them, stays within BATCH_BYTES
+    rng = np.random.default_rng(103)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
+    a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
+    a1 = liouvillian(random_hermitian(rng, 3), [])
+    h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
+    piece = qdyn._Piece(a0, a1, np.sin, 0.0, h, 5000)
+    stops = (5000 // n_stops) * np.arange(1, n_stops + 1)
+    list(qdyn._prefixes(piece, stops))  # builds poly, and numpy's one-time caches
+    tracemalloc.start()
+    try:
+        base, seen = tracemalloc.get_traced_memory()[0], 0
+        for s, _ in qdyn._prefixes(piece, stops):
+            seen += s.size
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert seen == n_stops
+    assert peak <= qdyn.BATCH_BYTES
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33, 1000])
+def test_scan_is_the_running_product(n):
+    # at every index, against a sequential running product (later map on
+    # the left) of near-identity real maps; lengths below, at and between
+    # powers of two
+    rng = np.random.default_rng(107)
+    m = np.eye(6) + 0.05 * rng.normal(size=(n, 6, 6))
+    ref, acc = np.empty_like(m), np.eye(6)
+    for i in range(n):
+        acc = m[i] @ acc
+        ref[i] = acc
+    got = qdyn._scan(m.copy())
+    for i in range(n):
+        assert np.abs(got[i] - ref[i]).max() <= 1e-14 * np.abs(ref[i]).max(), i
+
+
+def test_real_form_maps_products_to_products():
+    rng = np.random.default_rng(109)
+    a, b = (rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)) for _ in range(2))
+    ra = qdyn._real(a)
+    assert ra.shape == (3, 10, 10) and ra.dtype == float
+    scale = np.abs(a @ b).max()
+    np.testing.assert_allclose(ra @ qdyn._real(b), qdyn._real(a @ b), rtol=0.0, atol=1e-14 * scale)
+    # the complex block read back from the left block column is exactly a
+    assert np.array_equal(ra[:, :5, :5] + 1j * ra[:, 5:, :5], a)
+
+
 def test_step_map_polynomial_is_built_within_the_batch_bound(monkeypatch):
-    # a qutrit Liouvillian's 12 coefficient maps (9 x 9, 15,552 bytes kept)
-    # built in blocks of identity columns under a 64 KiB bound: the traced
-    # peak of the build stays within BATCH_BYTES, and the blocks agree
-    # with the one-block build up to rounding
+    # a qutrit Liouvillian's 12 coefficient maps (real forms of 9 x 9
+    # maps, 31,104 bytes kept) built in blocks of identity columns under a
+    # 64 KiB bound: the traced peak of the build stays within BATCH_BYTES,
+    # and the blocks agree with the one-block build up to rounding
     rng = np.random.default_rng(29)
     a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
     a1 = liouvillian(random_hermitian(rng, 3), [])
@@ -949,14 +1011,15 @@ def test_step_map_polynomial_is_built_within_the_batch_bound(monkeypatch):
 
 
 def test_step_map_polynomial_beyond_the_batch_bound_is_refused(monkeypatch):
-    # the bound must hold the kept maps and one column of their build;
-    # one byte less is refused before anything is built
+    # the bound must hold the kept maps, the real forms of a0 and a1 and
+    # one column of their build; one byte less is refused before anything
+    # is built
     rng = np.random.default_rng(31)
     a0, a1 = -1j * random_hermitian(rng, 4), -1j * random_hermitian(rng, 4)
-    column = 12 * 4 * 16
-    need = column * (4 + qdyn._POLY_STACKS)
+    column = 12 * 8 * 8
+    need = column * (8 + qdyn._POLY_STACKS) + 2 * 8 * 8 * 8
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need)
-    assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 32)
+    assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 64)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need - 1)
     with pytest.raises(ValueError, match="cannot hold the step-map polynomial"):
         qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly
