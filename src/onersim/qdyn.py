@@ -66,8 +66,8 @@ MAX_STEP_PHASE_LIMIT = 0.05
 # is considered broken
 STEP_TRACE_DRIFT_LIMIT = 1e-6
 
-# bytes one batch of RK4 step maps may hold, its temporaries included
-# (_step_bytes per step): 682 steps of 4 x 4 maps, 3 of 64 x 64 ones
+# bytes a batch of RK4 step maps may hold with its temporaries, poly and _real(poly)
+# (_step_bytes per step): 676 steps of 4 x 4 maps, 47 of 16 x 16, 1 from 40 x 40 on
 BATCH_BYTES = 1 << 20
 # stacks of a column block counted for building _Piece.poly: five live at
 # once (the identity block, a stage, its input and two matrix products),
@@ -113,7 +113,9 @@ class DensityOperator:
         arr = (arr + arr.conj().T) / 2.0
         w = np.linalg.eigvalsh(arr)
         if w[0] < -positivity_tol:
-            raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} below -{positivity_tol:g}")
+            raise ValueError(
+                f"density matrix has eigenvalue {w[0]:.3e} below -{positivity_tol:g}"
+            )
         arr.setflags(write=False)
         self._matrix = arr
 
@@ -229,7 +231,9 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
                 f"collapse operator {c.shape} and hamiltonian {h.shape} dimensions differ"
             )
         cdc = c.conj().T @ c
-        lv += ch.rate * (kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T)))
+        lv += ch.rate * (
+            kron(c, c.conj()) - 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
+        )
     return lv
 
 
@@ -242,7 +246,9 @@ def _hamiltonian_norm(h) -> float:
     a factor of the dimension and starve the step control.
     """
     arr = np.asarray(h, dtype=complex)
-    scale = float(np.abs(arr).max(initial=0.0))
+    if arr.size == 0:
+        return 0.0
+    scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(arr - arr.conj().T)) <= 1e-12 * scale:
@@ -253,8 +259,10 @@ def _hamiltonian_norm(h) -> float:
 
 def total_rate(channels: Sequence[CollapseChannel]) -> float:
     """Step-control rate scale: sum of rate * (spectral radius of c+c) over channels."""
-    rates = (ch.rate * _hamiltonian_norm(ch.operator.conj().T @ ch.operator) for ch in channels)
-    return sum(rates, 0.0)
+    tot = 0.0
+    for ch in channels:
+        tot += ch.rate * _hamiltonian_norm(ch.operator.conj().T @ ch.operator)
+    return tot
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -393,27 +401,26 @@ class _Piece:
 
     @functools.cached_property
     def poly(self) -> np.ndarray:
-        """Real forms (_real) of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c].
+        """(12, D, D) coefficients of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c].
 
         f_s, f_m, f_e are the envelope at a step's start, middle and end,
         a, c <= 1 and b <= 2: the coefficients sum the 30 words of length
         1 to 4 in h a0 and h a1.  The RK4 stages run on such polynomials;
         A(t) = a0 + f a1 raises the power of f at t within its axis.  They
         multiply from the left only, so the identity's columns are built in
-        blocks: the output, a0, a1 and _POLY_STACKS stacks of a block's
-        width fit in BATCH_BYTES, and a bound without room for one column
-        raises ValueError.
+        blocks: the output and _POLY_STACKS stacks of a block's width fit
+        in BATCH_BYTES, and a bound without room for one column raises
+        ValueError.
         """
-        d = 2 * self.a0.shape[0]
-        column = 12 * d * 8  # bytes of one column of the 12 real maps
-        kept = column * d + 16 * d * d  # the 12 maps, and the real forms of a0 and a1
-        width = (BATCH_BYTES - kept) // (_POLY_STACKS * column)
+        d = self.a0.shape[0]
+        column = 12 * d * 16  # bytes of one column of the 12 complex matrices
+        width = (BATCH_BYTES - column * d) // (_POLY_STACKS * column)
         if width < 1:
             raise ValueError(
                 f"BATCH_BYTES = {BATCH_BYTES} cannot hold the step-map polynomial of a "
-                f"{d // 2} x {d // 2} generator, which needs {kept + _POLY_STACKS * column} bytes"
+                f"{d} x {d} generator, which needs {column * (d + _POLY_STACKS)} bytes"
             )
-        out, a0, a1 = np.zeros((2, 3, 2, d, d)), _real(self.a0), _real(self.a1)
+        out = np.zeros((2, 3, 2, d, d), dtype=complex)
         for c0 in range(0, d, width):
             block = out[..., c0 : c0 + width]  # a view: the stages add into out
             eye = np.zeros_like(block)
@@ -422,31 +429,35 @@ class _Piece:
             for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
                 p, up = eye + (c * self.h) * k, (slice(None),) * axis
                 # f a1 raises the power of f within axis; p's top power is 0
-                k = a0 @ p
-                k[up + (slice(1, None),)] += a1 @ p[up + (slice(-1),)]
+                k = self.a0 @ p
+                k[up + (slice(1, None),)] += self.a1 @ p[up + (slice(-1),)]
                 block += (self.h / w) * k
-        return out.reshape(12, -1)
+        return out.reshape(12, d, d)
 
-    def step_maps(self, j0: int, j1: int) -> np.ndarray:
-        """RK4 maps of steps j0 .. j1 - 1, shape (j1 - j0, D, D); modulated: real forms, 2D x 2D."""
-        d = self.a0.shape[0]
-        if self.a1 is None:
-            # the rows of _rk4 on the identity are the step map's columns
-            step = _rk4(self.a0, self.a0, self.a0, self.h, np.eye(d, dtype=complex)).T
-            return np.tile(step, (j1 - j0, 1, 1))
+    def step_map(self) -> np.ndarray:
+        """A constant piece's RK4 step map, whose columns are the rows of _rk4 on the identity."""
+        return _rk4(self.a0, self.a0, self.a0, self.h, np.eye(len(self.a0), dtype=complex)).T
+
+    def step_maps(self, j0: int, j1: int, coef: np.ndarray) -> np.ndarray:
+        """Real forms (j1 - j0, 2D, 2D) of RK4 maps of steps j0 .. j1 - 1; coef = _real(poly)."""
+        d = 2 * self.a0.shape[0]
         # the envelope at the steps' starts, middles and ends, from one call
         f = self.f(self.t0 + np.arange(2 * j0, 2 * j1 + 1) * (0.5 * self.h))
         s, m, e, one = f[:-1:2], f[1::2], f[2::2], np.ones(j1 - j0)
         fs, fm, fe = np.array([one, s]), np.array([one, m, m * m]), np.array([one, e])
-        maps = (fs[:, None, None] * fm[:, None] * fe).reshape(12, -1).T @ self.poly
+        maps = (fs[:, None, None] * fm[:, None] * fe).reshape(12, -1).T @ coef.reshape(12, -1)
         # the identity last, so entries near 1 are rounded once
-        maps[:, :: 2 * d + 1] += 1.0
-        return maps.reshape(j1 - j0, 2 * d, 2 * d)
+        maps[:, :: d + 1] += 1.0
+        return maps.reshape(j1 - j0, d, d)
 
 
 def _real(a: np.ndarray) -> np.ndarray:
     """[[Re a, -Im a], [Im a, Re a]] of each D x D matrix in a: products map to products."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    d = a.shape[-1]
+    r = np.empty((*a.shape[:-2], 2 * d, 2 * d))
+    r[..., :d, :d] = r[..., d:, d:] = a.real
+    r[..., d:, :d], r[..., :d, d:] = a.imag, -a.imag
+    return r
 
 
 def _scan(m: np.ndarray) -> np.ndarray:
@@ -467,17 +478,19 @@ def _prefixes(piece: _Piece, stops: np.ndarray):
     """Yield (s, Q) per batch of step maps: Q[r] = M_{s[r]-1} ... M_0 at the stops s it completes.
 
     stops ascend, 0 < stops <= piece.n.  The maps up to the last stop are
-    built once, as real forms, in batches holding at most BATCH_BYTES.
-    Per batch, the product of every earlier batch enters the first map,
-    _scan turns the batch into its prefixes, and the left block columns
-    at the stops are read back as complex matrices.
+    built once, as real forms, in batches that fit in BATCH_BYTES beside
+    poly and _real(poly).  Per batch, the product of the earlier batches
+    enters the first map, _scan makes the prefixes in place, and their left
+    block columns at the stops are read back as complex matrices.
     """
     d = piece.a0.shape[0]
     q, last = np.eye(2 * d), int(stops.max(initial=0))
-    chunk = max(1, BATCH_BYTES // _step_bytes(d))
+    # poly is kept, and its real forms, twice its bytes, sit beside each batch
+    coef = _real(piece.poly)
+    chunk = max(1, (BATCH_BYTES - 3 * piece.poly.nbytes) // _step_bytes(d))
     for lo in range(0, last, chunk):
         hi = min(lo + chunk, last)
-        m = piece.step_maps(lo, hi)
+        m = piece.step_maps(lo, hi, coef)
         m[0] = m[0] @ q
         q = _scan(m)[-1].copy()
         s = stops[slice(*np.searchsorted(stops, (lo, hi), side="right"))]
@@ -485,6 +498,7 @@ def _prefixes(piece: _Piece, stops: np.ndarray):
             r = m[s - lo - 1, :d, :d].astype(complex)
             r.imag = m[s - lo - 1, d:, :d]
             yield s, r
+        del m  # before the next batch is built
 
 
 def _piece_maps(piece: _Piece, stops: np.ndarray):
@@ -500,7 +514,7 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
     """
     d = piece.a0.shape[0]
     if piece.a1 is None:
-        step = piece.step_maps(0, 1)[0]
+        step = piece.step_map()
 
         def powers(top):
             # squared again on each use, so one power is held at a time

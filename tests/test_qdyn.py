@@ -165,28 +165,32 @@ def correct_after_every_piece(mp, pure):
 
 def count_step_maps(mp):
     """Count the RK4 step maps the propagators build; returns a one-item list."""
-    real, built = qdyn._Piece.step_maps, [0]
+    one, many, built = qdyn._Piece.step_map, qdyn._Piece.step_maps, [0]
 
-    def counting(piece, j0, j1):
+    def counting_one(piece):
+        built[0] += 1
+        return one(piece)
+
+    def counting_many(piece, j0, j1, coef):
         built[0] += j1 - j0
-        return real(piece, j0, j1)
+        return many(piece, j0, j1, coef)
 
-    mp.setattr(qdyn._Piece, "step_maps", counting)
+    mp.setattr(qdyn._Piece, "step_map", counting_one)
+    mp.setattr(qdyn._Piece, "step_maps", counting_many)
     return built
 
 
-def poison_step_maps(mp, bad, hit):
-    """Put a non-finite entry in every step map of a piece whose start time hit accepts."""
-    real = qdyn._Piece.step_maps
+def poison_step_map(mp, bad, hit):
+    """Put a non-finite entry in the step map of a constant piece whose start time hit accepts."""
+    real = qdyn._Piece.step_map
 
-    def poisoned(piece, j0, j1):
-        maps = real(piece, j0, j1)
+    def poisoned(piece):
+        step = real(piece)
         if hit(piece.t0):
-            maps = maps.copy()
-            maps[:, 0, 0] = bad
-        return maps
+            step[0, 0] = bad
+        return step
 
-    mp.setattr(qdyn._Piece, "step_maps", poisoned)
+    mp.setattr(qdyn._Piece, "step_map", poisoned)
 
 
 def spectral_radius(h):
@@ -422,8 +426,8 @@ def test_modulated_mixed_state_matches_callable_path():
 @pytest.mark.parametrize("pure", [True, False])
 def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
     # one interval of 45 substeps in batches of 16: the last batch (13
-    # maps) leaves an unpaired map on three levels of the pairwise
-    # composition, which must stay in time order
+    # maps) leaves an unpaired map on three levels of the scan, which
+    # must stay in time order
     rng = np.random.default_rng(23)
     h0 = random_hermitian(rng, 2, scale=1.0)
     h1 = random_hermitian(rng, 2, scale=0.5)
@@ -438,7 +442,8 @@ def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
     else:
         rho0, channels, dim = random_density(rng, 2), [CollapseChannel(SIGMA, 0.4)], 4
         y0, rhs = rho0.matrix, lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, channels, r)
-    monkeypatch.setattr(qdyn, "BATCH_BYTES", 16 * qdyn._step_bytes(dim))
+    # poly (12 complex maps) and its real forms sit beside each batch
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 3 * 12 * 16 * dim * dim + 16 * qdyn._step_bytes(dim))
     scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
     t = [0.0, (n_sub - 0.5) * phase / scale]
     res = propagate_modulated(h0, h1, env, channels, rho0, t, max_step_phase=phase)
@@ -483,7 +488,7 @@ def test_correcting_once_matches_the_per_interval_chain(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_failing_interval_is_named(bad, monkeypatch):
     # the grid's intervals as one period of equal pieces: a non-finite
-    # entry in the third piece's step maps poisons that piece's map and
+    # entry in the third piece's step map poisons that piece's map and
     # every later raw state (inf overflows into NaN on the way); the
     # end-of-run check must name that interval and leak no RuntimeWarning
     rng = np.random.default_rng(37)
@@ -491,7 +496,7 @@ def test_failing_interval_is_named(bad, monkeypatch):
     t = np.array([0.0, 0.2, 0.4, 0.7, 0.8, 1.0])
     h = random_hermitian(rng, 2)
     period = [(0.2, h), (0.2, h), (0.3, h), (0.1, h), (0.2, h)]
-    poison_step_maps(monkeypatch, bad, lambda start: start == t[2])
+    poison_step_map(monkeypatch, bad, lambda start: start == t[2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationFailureError, match=r"over step \[0\.4, 0\.7\]"):
@@ -507,7 +512,7 @@ def test_failing_period_piece_is_named(bad, monkeypatch):
     rng = np.random.default_rng(41)
     h_on, h_off = random_hermitian(rng, 2, 2.0), random_hermitian(rng, 2, 0.5)
     t = np.array([0.0, 0.1, 0.3, 2.2, 2.5, 3.0])
-    poison_step_maps(monkeypatch, bad, lambda start: start == 0.4)
+    poison_step_map(monkeypatch, bad, lambda start: start == 0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationFailureError, match=r"over step \[0\.3, 2\.2\]"):
@@ -646,7 +651,7 @@ def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables
         tracemalloc.stop()
     assert calls == ([(7, 70)] if tables else [])
     assert peak <= qdyn.BATCH_BYTES
-    step = piece.step_maps(0, 1)[0]
+    step = piece.step_map()
     ref = np.array([np.linalg.matrix_power(step, jj) @ v[kk] for jj, kk in zip(j, k)])
     np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
@@ -657,8 +662,8 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     # on the state-vector path and on the Liouvillian path; the prefixes
     # reach scattered samples row by row, and three stops sampled in every
     # period by one GEMM on the four period states.  The Liouvillian's
-    # 9 x 9 maps come in batches of 168 steps, so its stops fall in two,
-    # the piece end n = 246 in the second
+    # 9 x 9 maps come in batches of 161 steps beside poly and its real
+    # forms, so its stops fall in two, the piece end n = 246 in the second
     rng = np.random.default_rng(47)
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
@@ -681,7 +686,7 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     shared = [(0, 0, 0, 0.0)] + [
         (k, 0, j, f) for k in range(4) for j, f in ((7, 0.3), (40, 0.0), (n // 2, 0.6))
     ] + [(4, 0, 0, 0.0)]
-    assert pure or qdyn.BATCH_BYTES // qdyn._step_bytes(9) == 168 < n < 2 * 168
+    assert pure or (qdyn.BATCH_BYTES - 3 * 12 * 16 * 81) // qdyn._step_bytes(9) == 161 < n < 2 * 161
     split = lambda one, two: [one] if pure else two
     for points, batches in (
         (scattered, split((5, 6), [(3, 6), (2, 6)])), (shared, split((4, 12), [(3, 12), (1, 12)]))
@@ -703,9 +708,9 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
 def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
     # a modulated Liouvillian period whose prefixes at the samples do not
     # fit in BATCH_BYTES: none is kept, and the piece's step maps (a few
-    # per batch) are built again for the samples.  The 14 KiB bound holds
-    # the step-map polynomial (real forms, 13,312 bytes with one column of
-    # its build), but not the prefixes at the 60 stops of 60 samples.
+    # per batch) are built again for the samples.  The 12 KiB bound holds
+    # the step-map polynomial and one column of its build, but not the
+    # prefixes at the 60 stops of 60 samples.
     rng = np.random.default_rng(53)
     h0, h1 = random_hermitian(rng, 2, 1.0), random_hermitian(rng, 2, 0.6)
     env = lambda tt: np.sin(np.pi * tt)
@@ -717,7 +722,7 @@ def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
         built = count_step_maps(mp)
         ref = run()
     with monkeypatch.context() as mp:
-        mp.setattr(qdyn, "BATCH_BYTES", 14 << 10)
+        mp.setattr(qdyn, "BATCH_BYTES", 12 << 10)
         assert (60 + 1) * 16 * 4 * 4 > qdyn.BATCH_BYTES  # _piece_maps's rule for kept prefixes
         rebuilt = count_step_maps(mp)
         res = run()
@@ -799,7 +804,8 @@ def test_modulated_step_maps_match_rk4_on_the_identity(dim, liouville):
     big = a0.shape[0]
     h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
     piece = qdyn._Piece(a0, a1, lambda tt: np.cos(1.7 * tt) - 0.3, 0.4, h, 40)
-    real = piece.step_maps(5, 37)  # real forms: the complex map is the left block column
+    # real forms: the complex map is the left block column
+    real = piece.step_maps(5, 37, qdyn._real(piece.poly))
     assert real.shape == (32, 2 * big, 2 * big) and real.dtype == float
     maps = real[:, :big, :big] + 1j * real[:, big:, :big]
     ta = piece.t0 + np.arange(5, 37) * h
@@ -837,13 +843,15 @@ def test_prefix_pass_matches_sequential_products(batch, monkeypatch):
     piece = qdyn._Piece(a0, a1, lambda tt: np.sin(2.0 * tt), 0.0, 0.01, 30)
     stops = np.array([1, 2, 3, 4, 7, 8, 12, 13, 29, 30])
     seq, ref = np.eye(4, dtype=complex), []
-    real = piece.step_maps(0, piece.n)
+    real = piece.step_maps(0, piece.n, qdyn._real(piece.poly))
     for k, m in enumerate(real[:, :4, :4] + 1j * real[:, 4:, :4], start=1):
         seq = m @ seq
         if k in stops:
             ref.append(seq)
     if batch:
-        monkeypatch.setattr(qdyn, "BATCH_BYTES", batch * qdyn._step_bytes(4))
+        # poly and its real forms sit beside each batch
+        bound = 3 * piece.poly.nbytes + batch * qdyn._step_bytes(4)
+        monkeypatch.setattr(qdyn, "BATCH_BYTES", bound)
     built = count_step_maps(monkeypatch)
     got = list(qdyn._prefixes(piece, stops))
     assert built[0] == piece.n
@@ -909,7 +917,8 @@ def test_envelope_calls_do_not_grow_with_the_substeps():
 def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatch):
     # a modulated period of 10,000 to 16,000 4 x 4 step maps (2.5 to 4 MB),
     # or of 9 x 9 ones for a qutrit Liouvillian, in batches of 64 KiB: the
-    # traced peak of the run stays within twice BATCH_BYTES
+    # traced peak of the run stays within BATCH_BYTES at D = 4, and within
+    # twice BATCH_BYTES for the qutrit
     rng = np.random.default_rng(83)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
     if pure:
@@ -931,7 +940,7 @@ def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatc
     finally:
         tracemalloc.stop()
     assert res.diagnostics.n_substeps > 9_000
-    assert peak <= 2 * qdyn.BATCH_BYTES
+    assert peak <= (2 if dim == 3 else 1) * qdyn.BATCH_BYTES
 
 
 @pytest.mark.parametrize("n_stops", [1, 4, 100])
@@ -988,10 +997,10 @@ def test_real_form_maps_products_to_products():
 
 
 def test_step_map_polynomial_is_built_within_the_batch_bound(monkeypatch):
-    # a qutrit Liouvillian's 12 coefficient maps (real forms of 9 x 9
-    # maps, 31,104 bytes kept) built in blocks of identity columns under a
-    # 64 KiB bound: the traced peak of the build stays within BATCH_BYTES,
-    # and the blocks agree with the one-block build up to rounding
+    # a qutrit Liouvillian's 12 coefficient maps (9 x 9, 15,552 bytes kept)
+    # built in blocks of identity columns under a 64 KiB bound: the traced
+    # peak of the build stays within BATCH_BYTES, and the blocks agree
+    # with the one-block build up to rounding
     rng = np.random.default_rng(29)
     a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
     a1 = liouvillian(random_hermitian(rng, 3), [])
@@ -1011,18 +1020,37 @@ def test_step_map_polynomial_is_built_within_the_batch_bound(monkeypatch):
 
 
 def test_step_map_polynomial_beyond_the_batch_bound_is_refused(monkeypatch):
-    # the bound must hold the kept maps, the real forms of a0 and a1 and
-    # one column of their build; one byte less is refused before anything
-    # is built
+    # the bound must hold the kept maps and one column of their build;
+    # one byte less is refused before anything is built
     rng = np.random.default_rng(31)
     a0, a1 = -1j * random_hermitian(rng, 4), -1j * random_hermitian(rng, 4)
-    column = 12 * 8 * 8
-    need = column * (8 + qdyn._POLY_STACKS) + 2 * 8 * 8 * 8
+    column = 12 * 4 * 16
+    need = column * (4 + qdyn._POLY_STACKS)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need)
-    assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 64)
+    assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 4, 4)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need - 1)
     with pytest.raises(ValueError, match="cannot hold the step-map polynomial"):
         qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly
+
+
+@pytest.mark.parametrize("dim", [64, 70, 71])
+def test_default_bound_holds_the_polynomial_up_to_dimension_70(dim):
+    # under the default BATCH_BYTES the 12 kept complex maps and one column
+    # of their build fit up to D = 70, the Liouvillian of an 8-level system
+    # (D = 64) among them, and D = 71 is refused.  Where it builds, the
+    # prefix of two steps is the product of their maps
+    rng = np.random.default_rng(113)
+    a0, a1 = -1j * random_hermitian(rng, dim, 0.1), -1j * random_hermitian(rng, dim, 0.1)
+    piece = qdyn._Piece(a0, a1, np.sin, 0.0, 0.01, 2)
+    if dim > 70:
+        with pytest.raises(ValueError, match="cannot hold the step-map polynomial"):
+            piece.poly
+        return
+    m = piece.step_maps(0, 2, qdyn._real(piece.poly))
+    ref = m[1] @ m[0]
+    ((s, q),) = qdyn._prefixes(piece, np.array([2]))
+    assert s.tolist() == [2]
+    np.testing.assert_allclose(q[0], ref[:dim, :dim] + 1j * ref[dim:, :dim], rtol=0.0, atol=1e-14)
 
 
 def test_propagation_is_bit_stable():
