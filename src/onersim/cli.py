@@ -34,6 +34,7 @@ ingest-check as they are.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -78,6 +79,8 @@ UNIT_PHYSICAL = "physical"
 UNIT_SCALED = "scaled"
 
 TENSOR_KEY_ORDER = "xx, yy, zz, xy, xz, yz"
+
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml if built; same resolver
 
 
 class ScenarioError(ValueError):
@@ -187,7 +190,7 @@ class Scenario:
 def load_scenario(path) -> Scenario:
     p = Path(path)
     with open(p, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=_YAML_LOADER)
     if data is None:
         data = {}
     return Scenario.from_mapping(data, base_dir=p.parent)
@@ -357,15 +360,13 @@ def resolve_setup(sc: Scenario) -> ResolvedSetup:
 # deterministic CSV assembly
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+_NUMBER = "%.17g"  # every number: 17 digits round-trip a float, so runs are byte-identical
 
 
 def _csv_block(header: list[str], rows: Iterable[Iterable[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The header and one line per row, formatted by one string per row."""
+    line = ",".join([_NUMBER] * len(header))
+    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +385,7 @@ def run_pulse(sc: Scenario) -> str:
     tau = pulse_period(sc)
     params = scenario_params(sc, tau=tau)
     traj = simulate_pulsed_two_level(params, sc.n_periods, sc.samples_per_period)
-    rows = [
-        [t, traj.rho_ee[k], traj.rho_eg[k].real, traj.rho_eg[k].imag]
-        for k, t in enumerate(traj.times)
-    ]
+    rows = np.column_stack((traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag)).tolist()
     series = _csv_block(["t", "rho_ee", "rho_eg_re", "rho_eg_im"], rows)
     t_last, p_last = traj.last_period_slice(sc.samples_per_period)
     co = fourier_coefficients(t_last, p_last, sc.fourier_n_max)
@@ -465,9 +463,7 @@ def run_coupled(sc: Scenario) -> str:
         scale = 1.0 / tau
     traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
     header = ["t_normalized"] + [f"p_{m:g}" for m in traj.m_values]
-    rows = [
-        [t * scale] + list(traj.spin_populations[k]) for k, t in enumerate(traj.times)
-    ]
+    rows = np.column_stack((traj.times * scale, traj.spin_populations)).tolist()
     series = _csv_block(header, rows)
 
     target = traj.population_of(setup.transition[1])
@@ -498,7 +494,7 @@ def ingest_report(table: NqiTable) -> str:
     lines = [f"table ok: {len(table.states)} states, {table.n_rows()} rows"]
     for state in table.states:
         lo, hi = table.field_range(state)
-        lines.append(f"  state {state}: field range [{_fmt(lo)}, {_fmt(hi)}] a.u.")
+        lines.append(f"  state {state}: field range [{_NUMBER % lo}, {_NUMBER % hi}] a.u.")
     return "\n".join(lines) + "\n"
 
 
@@ -548,6 +544,7 @@ COMMANDS = (
 )
 
 
+@functools.cache  # once per process: the bodies look their run functions up when called
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="scenario YAML (default: packaged example)")

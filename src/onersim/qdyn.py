@@ -25,9 +25,9 @@ form (a GEMM of envelope monomials and 12 coefficients per bounded
 batch) and their products at the samples (one in-place scan per batch).
 Piece maps carry the state through each period that holds a sample, powers
 U^(2^b) of the period map skip the others, and prefixes reach stops that
-recur across periods by one GEMM on the period states.  A sample off the
-lattice takes one shorter RK4 step on the vector after a prefix of its piece,
-under a constant A as the degree-4 Taylor polynomial of dt A, by Horner.
+recur across periods by one GEMM on the period states.  The samples in a
+piece then take one RK4 step each, of dt >= 0 past a prefix, all at once:
+by stages on A0 and A1, or under a constant A by Horner in dt A.
 This is stepwise RK4 with the products reassociated: deterministic, and
 equal to a literal step loop on the same lattice up to rounding.
 n_substeps counts the steps of that loop: the lattice steps up to the
@@ -69,6 +69,9 @@ STEP_TRACE_DRIFT_LIMIT = 1e-6
 # bytes a batch of RK4 step maps may hold with its temporaries, poly and _real(poly)
 # (_step_bytes per step): 676 steps of 4 x 4 maps, 47 of 16 x 16, 1 from 40 x 40 on
 BATCH_BYTES = 1 << 20
+# classical RK4, (p, c, w) per stage: the envelope at point p of the step (start, middle,
+# end), input x + c dt k of the stage k before, and dt / w times the stage added to x
+_RK4_TABLEAU = ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0))
 # stacks of a column block counted for building _Piece.poly: five live at
 # once (the identity block, a stage, its input and two matrix products),
 # three more cover matmul's buffers and the calls' fixed overhead
@@ -347,24 +350,27 @@ def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
     return psi / np.linalg.norm(psi)
 
 
-def _rk4(a_start, a_mid, a_end, dt, x: np.ndarray) -> np.ndarray:
-    """One RK4 step of dx/dt = A(t) x on each row x[r], from A(t) at its start, middle and end.
+def _rk4(a0, a1, f, dt, x: np.ndarray) -> np.ndarray:
+    """One RK4 step of dx/dt = (a0 + f(t) a1) x on each row x[r]; a1 and f None is constant.
 
-    dt is one value or one per row; each A is one matrix (one GEMM on all
-    rows) or one per row.  The stages are summed as they come.
+    dt is one value or one per row, f[p, r] the envelope of row r at point p
+    of its step.  A stage is one GEMM per generator part on all rows, never
+    a per-row D x D generator, and is summed as it comes: a row at dt = 0
+    comes back as it went in.
     """
     dt = np.reshape(dt, (-1, 1))
-    act = lambda a, y: y @ a.T if a.ndim == 2 else np.einsum("rij,rj->ri", a, y)
-    k = act(a_start, x)
-    out = x + (dt / 6.0) * k
-    for a, c, w in ((a_mid, 0.5, 3.0), (a_mid, 0.5, 3.0), (a_end, 1.0, 6.0)):
-        k = act(a, x + (c * dt) * k)
+    out, k = x.copy(), 0.0
+    for p, c, w in _RK4_TABLEAU:
+        y = x + (c * dt) * k if c else x
+        k = y @ a0.T
+        if a1 is not None:
+            k += f[p][:, None] * (y @ a1.T)
         out += (dt / w) * k
     return out
 
 
 def _taylor(a, dt, x: np.ndarray) -> np.ndarray:
-    """_rk4(a, a, a, dt, x) for per-row dt: the degree-4 Taylor polynomial of dt A, by Horner."""
+    """_rk4(a, None, None, dt, x), per-row dt: the degree-4 Taylor polynomial of dt A, by Horner."""
     z = x
     for m in (4.0, 3.0, 2.0, 1.0):
         z = x + (dt[:, None] / m) * (z @ a.T)
@@ -381,7 +387,8 @@ class _Piece:
     """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant.
 
     A constant piece's step map is _rk4 on the identity; a modulated
-    step's map is a polynomial in the envelope (poly), built once.
+    step's map is a polynomial in the envelope (poly), built once by the
+    same tableau.
     """
 
     a0: np.ndarray
@@ -394,10 +401,6 @@ class _Piece:
     def f(self, t: np.ndarray) -> np.ndarray:
         """The envelope at each time in t: one call on the array, a scalar result broadcast."""
         return np.broadcast_to(np.asarray(self.envelope(t), dtype=float), t.shape)
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        """A(t) of a modulated piece at each time in t, shape (len(t), D, D)."""
-        return self.a0 + self.f(t)[:, None, None] * self.a1
 
     @functools.cached_property
     def poly(self) -> np.ndarray:
@@ -426,7 +429,7 @@ class _Piece:
             eye = np.zeros_like(block)
             eye[0, 0, 0] = np.eye(d, block.shape[-1], -c0)
             k = 0.0
-            for axis, c, w in ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0)):
+            for axis, c, w in _RK4_TABLEAU:
                 p, up = eye + (c * self.h) * k, (slice(None),) * axis
                 # f a1 raises the power of f within axis; p's top power is 0
                 k = self.a0 @ p
@@ -436,7 +439,7 @@ class _Piece:
 
     def step_map(self) -> np.ndarray:
         """A constant piece's RK4 step map, whose columns are the rows of _rk4 on the identity."""
-        return _rk4(self.a0, self.a0, self.a0, self.h, np.eye(len(self.a0), dtype=complex)).T
+        return _rk4(self.a0, None, None, self.h, np.eye(len(self.a0), dtype=complex)).T
 
     def step_maps(self, j0: int, j1: int, coef: np.ndarray) -> np.ndarray:
         """Real forms (j1 - j0, 2D, 2D) of RK4 maps of steps j0 .. j1 - 1; coef = _real(poly)."""
@@ -597,8 +600,8 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     by gens[i] = (scale, a0, a1); without lengths the period is one piece
     that spans t.  t ascends, so k does too and the bookkeeping sorts, not
     hashes.  Samples at piece starts are copied from the chain; the rest
-    are their piece's advance and remainder step (_taylor, on all rows, if
-    the piece is constant).  _record reports an overflow on the way.
+    are their piece's advance and remainder step on all its rows (_rk4, or
+    _taylor if constant).  _record reports an overflow on the way.
     """
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=float)
@@ -646,13 +649,12 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         sel = np.flatnonzero(inner & (i == q))
         js, ds, p = j[sel], dt[sel], pieces[q]
         y = maps[q][1](chain[:, q], row[sel], js)
-        if p.a1 is None:  # on every row: at dt = 0 the polynomial is the identity
-            y = _taylor(p.a0, ds, y)
+        if p.a1 is None:  # on every row: a row at dt = 0 comes back as it went in
+            raw[sel] = _taylor(p.a0, ds, y)
         else:
-            off = ds > 0
-            ta, ds = p.t0 + js[off] * p.h, ds[off]
-            y[off] = _rk4(p.at(ta), p.at(ta + 0.5 * ds), p.at(ta + ds), ds, y[off])
-        raw[sel] = y
+            ta = p.t0 + js * p.h
+            f = p.f(np.concatenate((ta, ta + 0.5 * ds, ta + ds))).reshape(3, -1)
+            raw[sel] = _rk4(p.a0, p.a1, f, ds, y)
     # the lattice steps up to the last sample, and one remainder step per sample off it
     first = np.concatenate(([0], np.cumsum(n))).tolist()
     return raw, int(k[-1]) * first[-1] + first[i[-1]] + int(j[-1]) + int(np.count_nonzero(dt))

@@ -10,6 +10,7 @@ amplitudes, and linearity of the sample table in the applied field.
 
 from __future__ import annotations
 
+import argparse
 import math
 import subprocess
 import sys
@@ -90,6 +91,52 @@ def test_scenario_numbers_take_their_field_types():
         Scenario.from_mapping({"tau_s": [1.0]})
     with pytest.raises(ScenarioError, match="fourier_n_max must be >= 1"):
         Scenario.from_mapping({"fourier_n_max": "0"})
+
+
+def test_both_yaml_loaders_give_the_same_scenario(tmp_path, monkeypatch, capsys):
+    # libyaml's loader where PyYAML has it, the Python one otherwise: the
+    # packaged scenario, unsigned exponents (strings to YAML 1.1, coerced
+    # by the scenario) and a parse error read the same under both
+    assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    packaged = resources.files("onersim").joinpath("data/default_scenario.yaml")
+    exponents = tmp_path / "exponents.yaml"
+    exponents.write_text(
+        "omega_hz: 1.0e9\ndecay_hz: 4e8\ntau_s: 2.5E-9\nqg_khz: [1.0e2, 0, -3e1, 0, 0, 5.0e-1]\n",
+        encoding="utf-8",
+    )
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("omega_hz: [1.0\n", encoding="utf-8")
+    runs = []
+    for loader in (cli._YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        with resources.as_file(packaged) as p:
+            runs.append((load_scenario(p), load_scenario(exponents)))
+        assert main(["steady-state", "--scenario", str(broken)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+    assert runs[0] == runs[1]
+    sc = runs[0][1]
+    assert (sc.omega_hz, sc.decay_hz, sc.tau_s) == (1.0e9, 4.0e8, 2.5e-9)
+    assert sc.qg_khz == [100.0, 0.0, -30.0, 0.0, 0.0, 0.5]
+
+
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    # the parser is built once per process; each body still looks its run
+    # function up when called, so a spy installed later sees the calls
+    built, calls = [], []
+    real = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers",
+        lambda self, **kw: built.append(1) or real(self, **kw),
+    )
+    cli.build_parser.cache_clear()
+    assert main(["steady-state"]) == EXIT_OK
+    spy = cli.run_steady_state
+    monkeypatch.setattr(cli, "run_steady_state", lambda sc: calls.append(sc) or spy(sc))
+    assert main(["steady-state"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(built) == 1
+    assert len(calls) == 1
+    assert out.count("rho_ee_inf,") == 2
 
 
 def test_scenario_validation(tmp_path):

@@ -808,11 +808,11 @@ def test_modulated_step_maps_match_rk4_on_the_identity(dim, liouville):
     real = piece.step_maps(5, 37, qdyn._real(piece.poly))
     assert real.shape == (32, 2 * big, 2 * big) and real.dtype == float
     maps = real[:, :big, :big] + 1j * real[:, big:, :big]
-    ta = piece.t0 + np.arange(5, 37) * h
-    rows = lambda tt: np.repeat(piece.at(tt), big, axis=0)
-    eye = np.tile(np.eye(big, dtype=complex), (ta.size, 1))
-    ref = qdyn._rk4(rows(ta), rows(ta + 0.5 * h), rows(ta + h), h, eye)
-    ref = ref.reshape(-1, big, big).swapaxes(1, 2)
+    # each column of a step's identity block reads that step's envelope
+    ta = np.repeat(piece.t0 + np.arange(5, 37) * h, big)
+    f = piece.f(np.concatenate((ta, ta + 0.5 * h, ta + h))).reshape(3, -1)
+    eye = np.tile(np.eye(big, dtype=complex), (32, 1))
+    ref = qdyn._rk4(a0, a1, f, h, eye).reshape(-1, big, big).swapaxes(1, 2)
     assert np.abs(maps - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -826,8 +826,34 @@ def test_taylor_remainder_is_rk4_under_a_constant_generator():
     h = qdyn.MAX_STEP_PHASE_LIMIT / np.linalg.norm(a, 2)
     dt = np.concatenate(([0.0, h, 0.0], rng.uniform(0.0, h, size=40)))
     x = rng.normal(size=(dt.size, 9)) + 1j * rng.normal(size=(dt.size, 9))
-    ref = qdyn._rk4(a, a, a, dt, x)
+    ref = qdyn._rk4(a, None, None, dt, x)
     got = qdyn._taylor(a, dt, x)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(got[dt == 0.0], x[dt == 0.0])
+
+
+def test_rk4_by_generator_parts_matches_per_row_generators():
+    # the stages act by a0 and a1 on all rows, the envelope of each row
+    # scaling a1's part; against RK4 on each row's own generators
+    # a0 + f a1 at its step's start, middle and end, as a (R, D, D) stack:
+    # a qutrit Liouvillian, rows with their own dt in [0, h], and a row at
+    # dt = 0 comes back bit for bit
+    rng = np.random.default_rng(131)
+    a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
+    a1 = liouvillian(random_hermitian(rng, 3, 0.7), [])
+    h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
+    dt = np.concatenate(([0.0, h, 0.0], rng.uniform(0.0, h, size=40)))
+    f = rng.uniform(-1.0, 1.0, size=(3, dt.size))
+    x = rng.normal(size=(dt.size, 9)) + 1j * rng.normal(size=(dt.size, 9))
+    gen = a0 + f[:, :, None, None] * a1  # (3, R, D, D): start, middle, end
+    act = lambda p, y: np.einsum("rij,rj->ri", gen[p], y)
+    c = dt[:, None]
+    k1 = act(0, x)
+    k2 = act(1, x + 0.5 * c * k1)
+    k3 = act(1, x + 0.5 * c * k2)
+    k4 = act(2, x + c * k3)
+    ref = x + (c / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = qdyn._rk4(a0, a1, f, dt, x)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(got[dt == 0.0], x[dt == 0.0])
 
@@ -941,6 +967,33 @@ def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatc
         tracemalloc.stop()
     assert res.diagnostics.n_substeps > 9_000
     assert peak <= (2 if dim == 3 else 1) * qdyn.BATCH_BYTES
+
+
+def test_modulated_remainder_memory_grows_with_rows_not_generators(monkeypatch):
+    # 2,000 samples off the lattice of a qutrit Liouvillian (D = 9) run
+    # under 64 KiB: each takes its remainder step, and the traced peak of
+    # the run stays within BATCH_BYTES and a few copies of the state stack,
+    # with no (R, D, D) generator stack per sample
+    rng = np.random.default_rng(127)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
+    channels, rho0 = [random_channel(rng, 3)], random_density(rng, 3)
+    h0, h1 = random_hermitian(rng, 3, 3.0), random_hermitian(rng, 3, 2.0)
+    env = lambda tt: np.sin(2.0 * np.pi * tt / 6.0)
+    # midpoints of a grid of pitch 0.006: none on a period boundary
+    t = np.concatenate(([0.0], (np.arange(2000) + 0.5) * 0.006))
+    run = lambda: propagate_modulated(
+        h0, h1, env, channels, rho0, t, period=6.0, max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT
+    )
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.matrices.shape == (2001, 3, 3)
+    assert peak <= qdyn.BATCH_BYTES + 16 * res.matrices.nbytes
 
 
 @pytest.mark.parametrize("n_stops", [1, 4, 100])
