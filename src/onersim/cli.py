@@ -409,9 +409,9 @@ def run_spectrum(sc: Scenario) -> str:
 def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     """Rabi frequency and energy correction over (theta, field) nodes.
 
-    Requires a table-backed scenario; each node interpolates the ground
-    and excited tensors at that field and reads every |delta m| in
-    {1, 2} transition from transition_table at that theta.  Transitions
+    Requires a table-backed scenario; the ground and excited tensors are
+    interpolated once per field, and each node reads every |delta m| in
+    {1, 2} transition from transition_table at its theta.  Transitions
     with no drivable amplitude carry rabi_hz = 0 rather than erroring,
     so full maps always emit.
     """
@@ -426,10 +426,11 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     )
     nucleus = get_nucleus(sc.nucleus)
     rho_inf, _ = steady_state(scenario_params(sc))
+    # each field's tensors, interpolated and unit-scaled once for every theta
+    setups = [(f, *_apply_unit_mode(sc, nucleus, _table_pair(sc, table, f))) for f in grid.fields]
     rows = []
     for theta in grid.thetas:
-        for field_au in grid.fields:
-            nuc, pair = _apply_unit_mode(sc, nucleus, _table_pair(sc, table, field_au))
+        for field_au, nuc, pair in setups:
             _, _, node = transition_table(pair, nuc, sc.b0_tesla, theta, rho_inf)
             rows += [
                 [theta, field_au, m_from, m_to, rabi, total - zeeman]

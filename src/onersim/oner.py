@@ -464,7 +464,8 @@ def plan(
     suppressed by geometry such as a diagonal tensor at theta = 0)
     raises ZeroAmplitudeError unless allow_zero_amplitude, which instead
     records a zero predicted Rabi frequency (useful for deliberately
-    off-target runs).
+    off-target runs).  A transition of zero energy has no repetition rate
+    and raises ValueError, whatever allow_zero_amplitude says.
     """
     rho_inf, _ = steady_state(params)
     q0, q1, [(m_from, m_to, _, rep_hz, rabi_hz)] = transition_table(
@@ -476,6 +477,12 @@ def plan(
             f"vanishes relative to the modulated tensor (norm {q1.norm:.3e}); either "
             "the geometric prefactor is identically zero for this level pair or the "
             "relevant tensor components vanish at this orientation"
+        )
+    if rep_hz == 0.0:
+        # every consumer of a plan divides by its rate
+        raise ValueError(
+            f"transition {m_from:g} -> {m_to:g} has zero energy at this field and "
+            "orientation, so no pulse repetition rate resonates with it"
         )
     return OnerPlan(
         q0=q0,

@@ -4,25 +4,30 @@ Lindblad master equation for small dense Hilbert spaces (dim <= 8):
 
     drho/dt = -i [H, rho] + sum_a k_a (c_a rho c_a+ - 1/2 {c_a+ c_a, rho})
 
-with H in angular-frequency units (hbar = 1).  Propagation is fixed-step
+with H in angular-frequency units (hbar = 1).  Both propagators take
+H(t) = H_part + f(t) H_drive with |f| <= 1: propagate has no drive and
+one H_part per piece, propagate_modulated one H_part and a drive.  One
+front end (_run) checks and builds every run.  Propagation is fixed-step
 classical RK4 on a lattice: a piece of time of length L gets
 N = ceil(L * scale / max_step_phase) equal steps, scale being the larger
-of the total rate and the spectral radius of the piece's Hamiltonian, so
-the phase advanced per step stays below a small budget and no RK4 stage
-crosses a piece boundary.  A periodic drive is given as one period that
-starts at the first grid time and repeats: (length, H) pieces for
-propagate, the modulation period for propagate_modulated.  Without a
-period the run is one piece that spans the grid.  Fixed steps keep output
-grids, and therefore any emitted tables, bit-stable across runs.
+of the total rate and rho(H_part) + rho(H_drive), rho the spectral
+radius, so the phase advanced per step stays below a small budget and no
+RK4 stage crosses a piece boundary.  A periodic drive is given as one
+period that starts at the first grid time and repeats: (length, H)
+pieces for propagate, the modulation period for propagate_modulated.
+Without a period the run is one piece that spans the grid.  Fixed steps
+keep output grids, and therefore any emitted tables, bit-stable across
+runs.
 
-Every propagator integrates a linear generator A(t) = A0 + f(t) A1: the
-Liouvillian acting on the row-major vec(rho), or -iH acting on a state
-vector for channel-free pure states.  One RK4 step is then a matrix, and
-each piece's maps are built once per run: the powers P^(2^b) of a
-constant piece's step map, on the samples or, when S stops serve R > S D
-samples, on prefix tables P^s; a modulated piece's step maps in real
-form (a GEMM of envelope monomials and 12 coefficients per bounded
-batch) and their products at the samples (one in-place scan per batch).
+Every run integrates a linear generator A(t) = A0 + f(t) A1: a
+channel-free pure state as a state vector under -iH, any other state as
+the row-major vec(rho) under the Liouvillian, whose drive part carries
+no dissipator.  One RK4 step is then a matrix, and each piece's maps are
+built once per run: the powers P^(2^b) of a constant piece's step map,
+on the samples or, when S stops serve R > S D samples, on prefix tables
+P^s; a modulated piece's step maps in real form (a GEMM of envelope
+monomials and 12 coefficients per bounded batch) and their products at
+the samples (one in-place scan per batch).
 Piece maps carry the state through each period that holds a sample, powers
 U^(2^b) of the period map skip the others, and prefixes reach stops that
 recur across periods by one GEMM on the period states.  The samples in a
@@ -268,38 +273,20 @@ def total_rate(channels: Sequence[CollapseChannel]) -> float:
     return tot
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("t_grid must be a 1-D array with at least one point")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_grid must hold finite times only")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    return t
-
-
-def _check_phase(max_step_phase: float) -> None:
-    if not 0 < max_step_phase <= MAX_STEP_PHASE_LIMIT:
-        raise ValueError(
-            f"max_step_phase must lie in (0, {MAX_STEP_PHASE_LIMIT}], got {max_step_phase}"
-        )
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _record(
-    v: np.ndarray, n_substeps: int, rho0: DensityOperator, t: np.ndarray, pure: bool, limit: float
+    v: np.ndarray, n_substeps: int, rho0: DensityOperator, t: np.ndarray, pure: bool
 ) -> PropagationResult:
     """Correct and check the raw vectors at t (vec(rho), or state vectors when pure).
 
     A pure run's vectors become their outer products, whose traces are
     the squared norms.  Then one batched pass, in order: the first
-    interval whose drift |tr_{k+1}/tr_k - 1| is not within limit raises;
-    hermitize and divide by those traces, which hermitizing keeps;
-    _min_eigenvalues.  The maps are linear and, exactly, trace and
-    hermiticity preserving, so this differs from correcting between
-    intervals by rounding only.  A broken run may overflow on the way;
-    the drift check reports it.
+    interval whose drift |tr_{k+1}/tr_k - 1| is not within
+    STEP_TRACE_DRIFT_LIMIT raises; hermitize and divide by those traces,
+    which hermitizing keeps; _min_eigenvalues.  The maps are linear and,
+    exactly, trace and hermiticity preserving, so this differs from
+    correcting between intervals by rounding only.  A broken run may
+    overflow on the way; the drift check reports it.
     """
     if pure:
         v = np.einsum("ki,kj->kij", v, v.conj())
@@ -307,12 +294,12 @@ def _record(
         v = v.reshape(-1, rho0.dim, rho0.dim)
     size = np.einsum("kii->k", v).real
     drift = np.abs(size[1:] / size[:-1] - 1.0)
-    bad = np.flatnonzero(~(drift <= limit))
+    bad = np.flatnonzero(~(drift <= STEP_TRACE_DRIFT_LIMIT))
     if bad.size:
         k = int(bad[0])
         raise IntegrationFailureError(
             f"trace drifted by {drift[k]:.3e} over step [{t[k]:g}, {t[k + 1]:g}] "
-            f"(limit {limit:g}); reduce max_step_phase"
+            f"(limit {STEP_TRACE_DRIFT_LIMIT:g}); reduce max_step_phase"
         )
     diag = PropagationDiagnostics(float(drift.max(initial=0.0)), n_substeps=n_substeps)
     vh = v.conj().swapaxes(1, 2)
@@ -339,15 +326,6 @@ def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(stack)[:, 0]
     a, d = stack[:, 0, 0].real, stack[:, 1, 1].real
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(stack[:, 0, 1]))
-
-
-def _pure_state_of(rho: DensityOperator) -> np.ndarray | None:
-    """Normalized state vector if rho is numerically pure, else None."""
-    w, u = np.linalg.eigh(rho.matrix)
-    if w[-1] < 1.0 - 1e-12:
-        return None
-    psi = u[:, -1].astype(complex)
-    return psi / np.linalg.norm(psi)
 
 
 def _rk4(a0, a1, f, dt, x: np.ndarray) -> np.ndarray:
@@ -660,6 +638,45 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     return raw, int(k[-1]) * first[-1] + first[i[-1]] + int(j[-1]) + int(np.count_nonzero(dt))
 
 
+def _run(parts, h_drive, envelope, channels, rho0, t_grid, lengths, phase) -> PropagationResult:
+    """The front end of both propagators: checks, generators, _lattice, _record.
+
+    parts holds one Hamiltonian per piece of the period (lengths), or the
+    one Hamiltonian of a run without a period (lengths None); h_drive,
+    scaled by envelope, is added to each, or is None.  A piece's step
+    scale is max(total rate, rho(H_part) + rho(h_drive)), as |envelope| <= 1.
+    A channel-free pure state runs as a state vector under -iH, any other
+    state as vec(rho) under the Liouvillian, whose drive part carries no
+    dissipator.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 1:
+        raise ValueError("t_grid must be a 1-D array with at least one point")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must hold finite times only")
+    if t.size > 1 and np.any(np.diff(t) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    if not 0 < phase <= MAX_STEP_PHASE_LIMIT:
+        raise ValueError(f"max_step_phase must lie in (0, {MAX_STEP_PHASE_LIMIT}], got {phase}")
+    d = rho0.dim
+    hs = [_as_complex_matrix(h, "hamiltonian") for h in parts]
+    h1 = None if h_drive is None else _as_complex_matrix(h_drive, "h_drive")
+    for h in hs if h1 is None else [*hs, h1]:
+        if h.shape[0] != d:
+            raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
+    psi = None
+    if not channels:  # a numerically pure rho0 runs as its normalized state vector
+        w, u = np.linalg.eigh(rho0.matrix)
+        psi = u[:, -1] / np.linalg.norm(u[:, -1]) if w[-1] >= 1.0 - 1e-12 else None
+    gen = liouvillian if psi is None else lambda h, _: -1j * h
+    a1 = None if h1 is None else gen(h1, ())
+    rate, drive = total_rate(channels), 0.0 if h1 is None else _hamiltonian_norm(h1)
+    gens = [(max(rate, _hamiltonian_norm(h) + drive), gen(h, channels), a1) for h in hs]
+    v0 = rho0.matrix.reshape(-1) if psi is None else psi
+    raw = _lattice(gens, lengths, envelope, t, v0, phase)
+    return _record(*raw, rho0, t, psi is not None)
+
+
 def propagate(
     hamiltonian,
     channels: Sequence[CollapseChannel],
@@ -676,7 +693,8 @@ def propagate(
             given.  A linearly modulated Hamiltonian goes through
             propagate_modulated.
         channels: Lindblad collapse channels.
-        rho0: initial state.
+        rho0: initial state.  Without channels, a pure rho0 is
+            integrated as a state vector under -iH.
         t_grid: strictly increasing sample times; the state is stored at
             every grid point.
         period: one period of a piecewise-constant Hamiltonian as
@@ -695,21 +713,11 @@ def propagate(
         state with an eigenvalue below -OUTPUT_POSITIVITY_TOL raises
         IntegrationFailureError naming its time.
     """
-    t = _check_grid(t_grid)
-    _check_phase(max_step_phase)
     if (hamiltonian is None) == (period is None):
         raise ValueError("give either a constant hamiltonian or a period of (length, H) pieces")
-    parts = [(None, hamiltonian)] if period is None else list(period)
-    d, gens, rate = rho0.dim, [], total_rate(channels)
-    for _, hp in parts:
-        h = _as_complex_matrix(hp, "hamiltonian")
-        if h.shape[0] != d:
-            raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
-        scale = max(rate, _hamiltonian_norm(h))
-        gens.append((scale, liouvillian(h, channels), None))
-    lengths = None if period is None else [length for length, _ in parts]
-    raw = _lattice(gens, lengths, None, t, rho0.matrix.reshape(-1), max_step_phase)
-    return _record(*raw, rho0, t, False, STEP_TRACE_DRIFT_LIMIT)
+    pieces = [(None, hamiltonian)] if period is None else list(period)
+    lengths = None if period is None else [length for length, _ in pieces]
+    return _run([h for _, h in pieces], None, None, channels, rho0, t_grid, lengths, max_step_phase)
 
 
 def propagate_modulated(
@@ -720,47 +728,27 @@ def propagate_modulated(
     rho0: DensityOperator,
     t_grid,
     *,
-    envelope_bound: float = 1.0,
     period: float | None = None,
     max_step_phase: float = DEFAULT_MAX_STEP_PHASE,
 ) -> PropagationResult:
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
-    Same lattice rule and bookkeeping as propagate, for the linearly
+    Same lattice rule, checks and result as propagate, for the linearly
     modulated generator L0 + f(t) L1.  envelope is called with a 1-D
     float array of times and returns the envelope at each, as an array
-    of that shape or one scalar for all of them.  envelope_bound must
-    bound |envelope| over the run (used for step control).  period is
-    the envelope's period, one piece repeated from t_grid[0], or None for
-    one piece that spans t_grid.
-    A channel-free pure state is integrated as a state vector under
-    -iH(t), which keeps the density matrix positive by construction and
-    shrinks the working dimension from d^2 to d.
+    of that shape or one scalar for all of them.  |envelope| <= 1 over
+    the run is the contract: the step control takes
+    rho(h_static) + rho(h_drive) as the Hamiltonian's scale, so a larger
+    drive belongs in h_drive.  An envelope that breaks the contract
+    starves the step control, and the trace-drift or positivity guard
+    aborts the run with IntegrationFailureError.  period is the
+    envelope's period, one piece repeated from t_grid[0], or None for one
+    piece that spans t_grid.  A channel-free pure state is integrated as
+    a state vector under -iH(t), which keeps the density matrix positive
+    by construction and shrinks the working dimension from d^2 to d.
     """
-    t = _check_grid(t_grid)
-    _check_phase(max_step_phase)
-    if envelope_bound < 0:
-        raise ValueError("envelope_bound must be >= 0")
-    d = rho0.dim
-    h0 = _as_complex_matrix(h_static, "h_static")
-    h1 = _as_complex_matrix(h_drive, "h_drive")
-    if h0.shape != (d, d) or h1.shape != (d, d):
-        raise DimensionMismatchError(
-            f"hamiltonian parts {h0.shape}/{h1.shape} and state dim {d} differ"
-        )
-    scale = max(
-        total_rate(channels),
-        _hamiltonian_norm(h0) + envelope_bound * _hamiltonian_norm(h1),
-    )
-    psi = None if channels else _pure_state_of(rho0)
-    if psi is not None:
-        v0, a0, a1 = psi, -1j * h0, -1j * h1
-    else:
-        # the drive part carries no dissipator
-        v0, a0, a1 = rho0.matrix.reshape(-1), liouvillian(h0, channels), liouvillian(h1, ())
     lengths = None if period is None else [period]
-    raw = _lattice([(scale, a0, a1)], lengths, envelope, t, v0, max_step_phase)
-    return _record(*raw, rho0, t, psi is not None, STEP_TRACE_DRIFT_LIMIT)
+    return _run([h_static], h_drive, envelope, channels, rho0, t_grid, lengths, max_step_phase)
 
 
 def kron(a, b) -> np.ndarray:

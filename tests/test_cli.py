@@ -38,6 +38,7 @@ from onersim.cli import (
     run_pulse,
     run_spectrum,
 )
+from onersim.efg import NqiTable
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,6 +360,22 @@ def test_rabi_map_reads_its_table_once(monkeypatch, capsys):
     assert capsys.readouterr().out == default_axis
 
 
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+def test_rabi_map_interpolates_each_field_once(monkeypatch, capsys, unit_mode):
+    # the ground and excited tensors at a field serve every theta
+    real, calls = NqiTable.interpolate, []
+
+    def counting(self, state, field_au):
+        calls.append((state, field_au))
+        return real(self, state, field_au)
+
+    monkeypatch.setattr(NqiTable, "interpolate", counting)
+    argv = ["rabi-map", "--theta-count", "4", "--field-count", "3", "--unit-mode", unit_mode]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 2 * 3
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 3 * 5
+
+
 def test_rabi_map_refuses_extrapolation(capsys):
     code = main(["rabi-map", "--field-min", "0.005", "--field-max", "0.05"])
     assert code == EXIT_INGESTION
@@ -423,6 +440,25 @@ def test_coupled_zero_amplitude_sentinel(tmp_path, capsys):
     assert math.isnan(summary["relative_deviation"][0])
     assert series["t_normalized"][-1] == pytest.approx(200.0, rel=1e-9)
     np.testing.assert_allclose(series["p_1.5"], 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"qe_khz": [0.0] * 6}, {"theta_rad": 0.0, "qe_khz": [0.0, 0.0, 0.0, 0.0, 50.0, 0.0]}],
+    ids=["no-contrast", "drivable"],
+)
+def test_coupled_zero_repetition_rate_exits_2(tmp_path, capsys, overrides):
+    # at zero field the target transition has no energy, so no pulse train
+    # resonates with it: a configuration error, with or without a Rabi
+    # frequency, while spectrum still prints its zero rows
+    path = write_scenario(tmp_path, b0_tesla=0.0, qg_khz=[0.0] * 6, **overrides)
+    assert main(["coupled", "--scenario", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err and "zero energy" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["spectrum", "--scenario", path]) == EXIT_OK
+    assert np.all(parse_csv(capsys.readouterr().out)["total_hz"] == 0.0)
 
 
 def test_coupled_physical_units_run(capsys):

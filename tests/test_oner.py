@@ -435,6 +435,23 @@ def test_plan_zero_amplitude_paths():
         plan(biax, nuc, 1.0, 0.0, CW, (1.5, 0.5))
 
 
+def test_plan_refuses_a_zero_repetition_rate():
+    # at zero field a transition without a first-order quadrupole shift has
+    # no energy; every consumer of a plan divides by its rate, so plan
+    # refuses it whether or not the transition can be driven
+    nuc = nucleus_for(33333.0)
+    flat = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor(np.zeros((3, 3))))
+    xz = np.zeros((3, 3))
+    xz[0, 2] = xz[2, 0] = TWO_PI * 50e3
+    tilted = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor(xz))
+    assert transition_table(tilted, nuc, 0.0, 0.0, 0.5, [(1.5, 0.5)])[2][0][4] > 0.0
+    with pytest.raises(ValueError, match="zero energy"):
+        plan(flat, nuc, 0.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=True)
+    for allow in (False, True):
+        with pytest.raises(ValueError, match="zero energy"):
+            plan(tilted, nuc, 0.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=allow)
+
+
 def test_transition_table_rows_are_the_plans():
     # every allowed transition's row carries its plan's repetition rate
     # and Rabi frequency, forbidden ones included
