@@ -336,12 +336,7 @@ def _apply_unit_mode(
     if current == 0.0:
         return scaled_nucleus, pair
     factor = target_rad / current
-    scaled_pair = StatePairNqi(
-        qg=pair.qg.scaled(factor),
-        qe=pair.qe.scaled(factor),
-        qeg=None if pair.qeg is None else pair.qeg.scaled(factor),
-    )
-    return scaled_nucleus, scaled_pair
+    return scaled_nucleus, pair.map(lambda q: q.scaled(factor))
 
 
 def resolve_setup(sc: Scenario) -> ResolvedSetup:
@@ -459,7 +454,7 @@ def run_coupled(sc: Scenario) -> str:
         scale = predicted
     else:
         # no oscillation to resolve; cover a fixed number of pulses
-        tau = 1.0 / the_plan.repetition_rate_hz
+        tau = the_plan.period_s
         duration = 200.0 * tau
         scale = 1.0 / tau
     traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
@@ -592,24 +587,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # hierarchy notes must reach the user every time, not once per process
-    warnings.simplefilter("always", HierarchyWarning)
-    try:
-        text = args.body(args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (TableFormatError, TableRangeError) as exc:
-        print(f"onersim: ingestion error: {exc}", file=sys.stderr)
-        return EXIT_INGESTION
-    except RuntimeError as exc:
-        print(f"onersim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ScenarioError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
-        print(f"onersim: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # hierarchy notes must reach the user on every call; the filter ends with it
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", HierarchyWarning)
+        try:
+            text = args.body(args)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        except (TableFormatError, TableRangeError) as exc:
+            print(f"onersim: ingestion error: {exc}", file=sys.stderr)
+            return EXIT_INGESTION
+        except RuntimeError as exc:
+            print(f"onersim: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ScenarioError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
+            print(f"onersim: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

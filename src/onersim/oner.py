@@ -173,12 +173,9 @@ class StatePairNqi:
         """Difference tensor Qe - Qg."""
         return NqiTensor(self.qe.matrix - self.qg.matrix, frame=self.frame)
 
-    def rotated_about_x(self, theta: float) -> "StatePairNqi":
-        return StatePairNqi(
-            qg=rotate_about_x(self.qg, theta),
-            qe=rotate_about_x(self.qe, theta),
-            qeg=None if self.qeg is None else rotate_about_x(self.qeg, theta),
-        )
+    def map(self, fn) -> "StatePairNqi":
+        """The pair of fn(qg), fn(qe) and, when present, fn(qeg)."""
+        return StatePairNqi(fn(self.qg), fn(self.qe), None if self.qeg is None else fn(self.qeg))
 
 
 @dataclass(frozen=True)
@@ -189,6 +186,9 @@ class OnerPlan:
     pulse train is resonant by construction; predicted_rabi_hz is
     |g(Q1)| / 2 pi, the full population-cycle frequency under the
     resonant rotating-wave treatment of a sin-modulated coupling.
+    Every simulator divides by the rate, so a plan refuses one that is
+    not finite and > 0 however it is made (plan, detuned, replace);
+    period_s is the one pulse period.
     """
 
     q0: NqiTensor
@@ -196,6 +196,19 @@ class OnerPlan:
     transition: tuple[float, float]
     repetition_rate_hz: float
     predicted_rabi_hz: float
+
+    def __post_init__(self) -> None:
+        rate, (m_from, m_to) = self.repetition_rate_hz, self.transition
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(
+                f"transition {m_from:g} -> {m_to:g} has repetition rate {rate:g} Hz, not a finite "
+                "rate > 0; a transition of zero energy at this field and orientation has none"
+            )
+
+    @property
+    def period_s(self) -> float:
+        """Pulse period 1 / repetition_rate_hz, in seconds."""
+        return 1.0 / self.repetition_rate_hz
 
 
 def steady_state(params: TwoLevelParams) -> tuple[float, complex]:
@@ -407,7 +420,7 @@ def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
     gradient and field frames; B-frame tensors pass through unchanged.
     """
     if pair.frame == FRAME_E:
-        return pair.rotated_about_x(theta)
+        return pair.map(lambda q: rotate_about_x(q, theta))
     if pair.frame == FRAME_B:
         return pair
     raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
@@ -464,8 +477,8 @@ def plan(
     suppressed by geometry such as a diagonal tensor at theta = 0)
     raises ZeroAmplitudeError unless allow_zero_amplitude, which instead
     records a zero predicted Rabi frequency (useful for deliberately
-    off-target runs).  A transition of zero energy has no repetition rate
-    and raises ValueError, whatever allow_zero_amplitude says.
+    off-target runs).  A transition of zero energy has no repetition rate,
+    so OnerPlan raises ValueError, whatever allow_zero_amplitude says.
     """
     rho_inf, _ = steady_state(params)
     q0, q1, [(m_from, m_to, _, rep_hz, rabi_hz)] = transition_table(
@@ -477,12 +490,6 @@ def plan(
             f"vanishes relative to the modulated tensor (norm {q1.norm:.3e}); either "
             "the geometric prefactor is identically zero for this level pair or the "
             "relevant tensor components vanish at this orientation"
-        )
-    if rep_hz == 0.0:
-        # every consumer of a plan divides by its rate
-        raise ValueError(
-            f"transition {m_from:g} -> {m_to:g} has zero energy at this field and "
-            "orientation, so no pulse repetition rate resonates with it"
         )
     return OnerPlan(
         q0=q0,
@@ -573,13 +580,7 @@ def simulate_spin_effective(
     omega_mod = TWO_PI * plan_.repetition_rate_hz
     rho0 = DensityOperator.pure(start, dim=spin.dim)
     res = qdyn.propagate_modulated(
-        h0,
-        h1,
-        lambda t: np.sin(omega_mod * t),
-        (),
-        rho0,
-        grid,
-        period=1.0 / plan_.repetition_rate_hz,
+        h0, h1, lambda t: np.sin(omega_mod * t), (), rho0, grid, period=plan_.period_s
     )
     return SpinTrajectory(
         times=grid,
@@ -655,7 +656,7 @@ def simulate_coupled(
     rho0 = DensityOperator.pure(start, dim=2 * spin.dim)
     # built directly, not by dataclasses.replace, so a HierarchyWarning
     # from __post_init__ names this line
-    pulse_params = TwoLevelParams(**{**vars(params), "tau": 1.0 / plan_.repetition_rate_hz})
+    pulse_params = TwoLevelParams(**{**vars(params), "tau": plan_.period_s})
     res = _pulse_run(pulse_params, h_static, rho0, samples, max_substeps)
     pops = res.populations().reshape(-1, 2, spin.dim)  # (time, electron, spin)
     return CoupledTrajectory(

@@ -108,7 +108,7 @@ class DensityOperator:
             slightly looser bound to admit integrator-scale noise.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_vector")
 
     def __init__(self, matrix, *, positivity_tol: float = POSITIVITY_TOL):
         arr = _as_complex_matrix(matrix, "density matrix")
@@ -119,17 +119,23 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {TRACE_TOL:g}")
         arr = (arr + arr.conj().T) / 2.0
-        w = np.linalg.eigvalsh(arr)
+        w, u = np.linalg.eigh(arr)
         if w[0] < -positivity_tol:
             raise ValueError(
                 f"density matrix has eigenvalue {w[0]:.3e} below -{positivity_tol:g}"
             )
         arr.setflags(write=False)
         self._matrix = arr
+        self._vector = u[:, -1] / np.linalg.norm(u[:, -1]) if w[-1] >= 1.0 - 1e-12 else None
 
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        """The normalized state vector if pure (top eigenvalue within 1e-12 of 1), else None."""
+        return self._vector
 
     @property
     def dim(self) -> int:
@@ -664,10 +670,7 @@ def _run(parts, h_drive, envelope, channels, rho0, t_grid, lengths, phase) -> Pr
     for h in hs if h1 is None else [*hs, h1]:
         if h.shape[0] != d:
             raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
-    psi = None
-    if not channels:  # a numerically pure rho0 runs as its normalized state vector
-        w, u = np.linalg.eigh(rho0.matrix)
-        psi = u[:, -1] / np.linalg.norm(u[:, -1]) if w[-1] >= 1.0 - 1e-12 else None
+    psi = None if channels else rho0.vector  # a pure rho0 runs as its state vector
     gen = liouvillian if psi is None else lambda h, _: -1j * h
     a1 = None if h1 is None else gen(h1, ())
     rate, drive = total_rate(channels), 0.0 if h1 is None else _hamiltonian_norm(h1)

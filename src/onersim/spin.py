@@ -42,8 +42,8 @@ class UnsupportedTransitionError(ValueError):
 class SpinSystem:
     """Spin-I operator algebra on the descending-m basis.
 
-    Built once per species; the ladder, Cartesian, and z operators are
-    precomputed read-only matrices.
+    make_spin builds a new one on every call, and nothing caches it; the
+    ladder, Cartesian, and z operators are precomputed read-only matrices.
     """
 
     __slots__ = ("two_I", "_iz", "_ip", "_im", "_ix", "_iy")

@@ -14,6 +14,7 @@ import argparse
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -459,6 +460,14 @@ def test_coupled_zero_repetition_rate_exits_2(tmp_path, capsys, overrides):
     assert "Traceback" not in captured.err
     assert main(["spectrum", "--scenario", path]) == EXIT_OK
     assert np.all(parse_csv(capsys.readouterr().out)["total_hz"] == 0.0)
+
+
+def test_main_leaves_the_warnings_filters_as_it_found_them(capsys):
+    # main shows every hierarchy note of its own call; later callers in
+    # the process keep their filters
+    before = list(warnings.filters)
+    assert main(["steady-state"]) == EXIT_OK
+    assert warnings.filters == before
 
 
 def test_coupled_physical_units_run(capsys):

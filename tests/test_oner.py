@@ -10,6 +10,7 @@ scale covariance of the equations of motion.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -324,10 +325,19 @@ def test_state_pair_frames_and_delta():
     qe = axial_nqi(3.0)
     pair = StatePairNqi(qg=qg, qe=qe)
     np.testing.assert_allclose(pair.delta.matrix, axial_nqi(2.0).matrix, rtol=1e-12)
-    rot = pair.rotated_about_x(0.5)
+    rot = oner.pair_in_b_frame(pair, 0.5)
     assert rot.frame == "B"
     with pytest.raises(ValueError, match="share one frame"):
         StatePairNqi(qg=qg, qe=NqiTensor(qe.matrix, frame="B"))
+
+
+def test_state_pair_map_applies_to_each_present_tensor():
+    pair = StatePairNqi(qg=axial_nqi(1.0), qe=axial_nqi(3.0))
+    doubled = pair.map(lambda q: q.scaled(2.0))
+    assert doubled.qeg is None
+    np.testing.assert_array_equal(doubled.qe.matrix, 2.0 * pair.qe.matrix)
+    full = StatePairNqi(pair.qg, pair.qe, axial_nqi(0.5)).map(lambda q: q.scaled(-1.0))
+    np.testing.assert_array_equal(full.qeg.matrix, axial_nqi(-0.5).matrix)
 
 
 def test_effective_nqi_series_blends_state_tensors():
@@ -475,7 +485,7 @@ def test_plan_accepts_prerotated_pairs():
     nuc = nucleus_for(33333.0)
     theta = 0.7
     pair_e = axial_pair(TWO_PI * 1000.0)
-    pair_b = pair_e.rotated_about_x(theta)
+    pair_b = oner.pair_in_b_frame(pair_e, theta)
     pl_e = plan(pair_e, nuc, 1.0, theta, CW, (1.5, 0.5))
     pl_b = plan(pair_b, nuc, 1.0, 0.0, CW, (1.5, 0.5))  # theta ignored for B frame
     assert pl_b.repetition_rate_hz == pytest.approx(pl_e.repetition_rate_hz, rel=1e-12)
@@ -495,6 +505,20 @@ def test_detuned_shifts_only_the_rate():
     assert off.repetition_rate_hz == pytest.approx(pl.repetition_rate_hz + 250.0)
     assert off.predicted_rabi_hz == pl.predicted_rabi_hz
     np.testing.assert_array_equal(off.q1.matrix, pl.q1.matrix)
+
+
+def test_plan_refuses_a_rate_that_is_not_finite_and_positive():
+    # every simulator divides by the rate, so each way of making a plan
+    # checks it: detuned to zero or below, a direct OnerPlan, replace
+    pl = plan(axial_pair(TWO_PI * 1000.0), nucleus_for(33333.0), 1.0, 0.6, CW, (1.5, 0.5))
+    for offset in (-pl.repetition_rate_hz, -2.0 * pl.repetition_rate_hz):
+        with pytest.raises(ValueError, match="transition 1.5 -> 0.5 has repetition rate"):
+            detuned(pl, offset)
+    with pytest.raises(ValueError, match="repetition rate nan Hz"):
+        OnerPlan(pl.q0, pl.q1, pl.transition, float("nan"), pl.predicted_rabi_hz)
+    with pytest.raises(ValueError, match="repetition rate inf Hz"):
+        replace(pl, repetition_rate_hz=float("inf"))
+    assert pl.period_s == 1.0 / pl.repetition_rate_hz
 
 
 def effective_setup(theta=np.pi / 4.0):

@@ -11,7 +11,9 @@ operators.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -240,6 +242,24 @@ def test_density_operator_constructors():
         DensityOperator.pure(1)
     with pytest.raises(ValueError, match="zero state"):
         DensityOperator.pure([0.0, 0.0])
+
+
+def test_pure_start_state_is_decomposed_once(monkeypatch):
+    # DensityOperator's validating eigh keeps the dominant vector of a
+    # pure state; a channel-free run reads it and decomposes nothing more
+    rng = np.random.default_rng(59)
+    real, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    rho0 = DensityOperator.pure(psi)
+    assert calls == [(3, 3)]
+    assert abs(np.vdot(rho0.vector, psi)) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
+    assert DensityOperator.maximally_mixed(3).vector is None
+    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3, 0.5)
+    monkeypatch.setattr(qdyn, "liouvillian", None)  # the vector path needs none
+    res = propagate_modulated(h0, h1, np.sin, [], rho0, np.linspace(0.0, 3.0, 7), period=2 * np.pi)
+    assert calls == [(3, 3), (3, 3)]  # the second from maximally_mixed
+    assert res.diagnostics.min_eigenvalue > -1e-12
 
 
 def test_collapse_channel_rejects_negative_rate():
@@ -771,6 +791,155 @@ def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
     assert rebuilt[0] > built[0]
     np.testing.assert_allclose(res.matrices, ref.matrices, rtol=0.0, atol=1e-13)
     assert res.diagnostics.n_substeps == ref.diagnostics.n_substeps
+
+
+def spy_engine(mp, seen):
+    """Add to seen the name of each engine branch a run takes."""
+    piece_maps, gather, locate, gathered = qdyn._piece_maps, qdyn._gather, qdyn._locate, []
+
+    def spying_piece_maps(piece, stops):
+        full, advance = piece_maps(piece, stops)
+
+        def spying_advance(v, k, j):
+            gathered.clear()
+            y = advance(v, k, j)
+            if piece.a1 is None:  # a constant piece gathers its tables, not its rows
+                seen.add("tables" if gathered else "rows")
+            else:
+                seen.add("kept" if gathered[0] else "rewalked")
+            return y
+
+        return full, spying_advance
+
+    def spying_gather(v, k, j, batches):
+        gathered.append(isinstance(batches, list))
+        batches = list(batches)
+        for s, _ in batches:
+            sel = np.count_nonzero((j >= s[0]) & (j <= s[-1]))
+            if sel:  # _gather's rule
+                seen.add("gemm" if s.size * v.shape[0] <= 2 * sel else "per-row")
+        return gather(v, k, j, batches)
+
+    def spying_locate(t, bounds, h):
+        k, i, j, dt = locate(t, bounds, h)
+        k0, s = np.divmod(t - t[0], bounds[-1])
+        # a sample put on a lattice point it is off by rounding (a period
+        # start moved back to the end of the period before is not counted)
+        on = (k == k0) & (dt == 0.0)
+        if np.any(s[on] - bounds[i[on]] - j[on] * h[i[on]] != 0.0):
+            seen.add("snaps")
+        return k, i, j, dt
+
+    def spying_reduce(fn, items, *start):
+        if start:  # the period map, built only to cross periods without samples
+            seen.add("squares")
+        return functools.reduce(fn, items, *start)
+
+    mp.setattr(qdyn, "_piece_maps", spying_piece_maps)
+    mp.setattr(qdyn, "_gather", spying_gather)
+    mp.setattr(qdyn, "_locate", spying_locate)
+    mp.setattr(qdyn, "functools", types.SimpleNamespace(reduce=spying_reduce))
+
+
+def fuzz_points(rng, pattern, ns, n_periods):
+    """(k, q, j, frac, ulps) points of a layout: frac of a step past point j of piece q in period k.
+
+    shared: three positions per piece in half the periods; spread: one of
+    the three in each of those periods, in turn; dense: 80 % of the
+    positions of one period.  A point is on its lattice point, off it, or
+    ulps from it.  Positions include first steps (j = 0) and piece and
+    period starts, and the run ends within a few ulps of period n_periods.
+    """
+    periods = [0, *np.sort(rng.choice(np.arange(1, n_periods), n_periods // 2, replace=False))]
+    if pattern == "dense":
+        periods = [int(rng.integers(n_periods))]
+    pos = [rng.choice(n, int(0.8 * n) if pattern == "dense" else 3, replace=False) for n in ns]
+    keys = {
+        (int(k), q, int(j))
+        for c, k in enumerate(periods) for q, js in enumerate(pos)
+        for j in (js[c % 3 : c % 3 + 1] if pattern == "spread" else js)
+    } - {(0, 0, 0)}
+    points = [(0, 0, 0, 0.0, 0)]
+    for key in sorted(keys):
+        kind = rng.integers(3)  # on, off, or a few ulps from the lattice point
+        frac = float(rng.uniform(0.05, 0.95)) if kind == 1 else 0.0
+        points.append((*key, frac, int(rng.choice([-1, 1]) * rng.integers(1, 5)) if kind == 2 else 0))
+    return points + [(n_periods, 0, 0, 0.0, int(rng.integers(-4, 5)))]
+
+
+def fuzz_layout(rng, sine, d, pure, pattern):
+    """A run of pieces on a random d-level system: propagator call, reference states and n_substeps."""
+    phase = qdyn.MAX_STEP_PHASE_LIMIT
+    channels = [] if pure else [random_channel(rng, d)]
+    if pure:
+        psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rho0, y0 = DensityOperator.pure(psi0), psi0 / np.linalg.norm(psi0)
+    else:
+        rho0 = random_density(rng, d)
+        y0 = rho0.matrix
+    gen = (lambda h, y: -1j * h @ y) if pure else (lambda h, r: lindblad_rhs(h, channels, r))
+    if sine:
+        h0, h1 = random_hermitian(rng, d), random_hermitian(rng, d, 0.6)
+        scales = [max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))]
+    else:
+        hs = [random_hermitian(rng, d, rng.uniform(0.3, 2.0)) for _ in range(rng.integers(1, 4))]
+        scales = [max(total_rate(channels), spectral_radius(h)) for h in hs]
+    # lengths half a step short of a whole number of steps, so both lattices
+    # agree on n; a sine period of few steps turns the envelope too far per
+    # step for the trace-drift guard
+    low = (80 if pattern == "dense" else 30) if sine else 4
+    ns = [int(rng.integers(low, low + 20)) for _ in scales]
+    lengths = [(n - 0.5) * phase / s for n, s in zip(ns, scales)]
+    if sine:
+        env = lambda tt: np.sin(2.0 * np.pi * tt / lengths[0])
+        rhss = [lambda tt, y: gen(h0 + env(tt) * h1, y)]
+    else:
+        rhss = [lambda tt, y, h=h: gen(h, y) for h in hs]
+    n_periods = 14 if pattern == "spread" else int(rng.integers(5, 9))
+    lat, starts, steps = lattice_stepwise(rhss, lengths, scales, y0, n_periods)
+    points = fuzz_points(rng, pattern, ns, n_periods)
+    t, ref, n_ref = lattice_samples(rhss, lat, starts, steps, [p[:4] for p in points])
+    t = t + np.array([p[4] for p in points]) * np.spacing(t)
+    if pure:
+        ref = [np.outer(y, y.conj()) / np.vdot(y, y).real for y in ref]
+    if sine:
+        run = lambda: propagate_modulated(
+            h0, h1, env, channels, rho0, t, period=lengths[0], max_step_phase=phase
+        )
+    else:
+        run = lambda: propagate(
+            None, channels, rho0, t, period=list(zip(lengths, hs)), max_step_phase=phase
+        )
+    return run, np.array(ref), n_ref, d if pure else d * d
+
+
+def test_engine_differential_fuzz(monkeypatch):
+    # seeded random layouts against literal stepwise RK4: 2 or 3 levels,
+    # state vector or Liouvillian, 1-3 constant pieces or one sine piece,
+    # samples on, off and a few ulps from lattice points and period ends,
+    # under the default BATCH_BYTES or the smallest that holds poly.  The
+    # runs reach every branch of the engine between them.
+    rng = np.random.default_rng(2024)
+    seen = set()
+    layouts = [
+        (sine, pattern, small)
+        for sine in (False, True) for pattern in ("shared", "spread", "dense")
+        for small in (False, True)
+    ]
+    systems = [(2, True), (3, False), (3, True), (2, False)]
+    for n, (sine, pattern, small) in enumerate(layouts):
+        d, pure = systems[n % 4]
+        run, ref, n_ref, dim = fuzz_layout(rng, sine, d, pure, pattern)
+        with monkeypatch.context() as mp:
+            if small:
+                column = 12 * dim * 16  # bytes of one column of poly
+                mp.setattr(qdyn, "BATCH_BYTES", column * (dim + qdyn._POLY_STACKS))
+            spy_engine(mp, seen)
+            res = run()
+        label = f"layout {n}: sine={sine} d={d} pure={pure} {pattern} small={small}"
+        np.testing.assert_allclose(res.matrices, ref, rtol=0.0, atol=1e-12, err_msg=label)
+        assert res.diagnostics.n_substeps == n_ref, label
+    assert seen == {"tables", "rows", "kept", "rewalked", "gemm", "per-row", "squares", "snaps"}
 
 
 @pytest.mark.parametrize("kind", ["pulse", "sine"])
