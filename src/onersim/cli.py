@@ -23,12 +23,12 @@ keeps the two-level parameters and compresses the spectator hierarchy:
 the Zeeman splitting gamma*B0 is set to omega / zeeman_ratio and the
 coupling tensors are rescaled so their largest component is gamma*B0 /
 quad_ratio (in angular-frequency terms), preserving tensor shapes.
-Ratios >= 30 keep each tier well separated while making coupled runs
-tractable; all reported frequencies simply rescale.  The mode is the
-scenario's unit_mode, which --unit-mode overrides.  It acts on the
-nucleus and the coupling tensors only, so it changes spectrum,
-rabi-map, coupled and efg-mesh and leaves steady-state, pulse and
-ingest-check as they are.
+Ratios >= 30 keep each tier well separated and bring a coupled run
+too stiff for the propagator's checks (exit 3) within them; all
+reported frequencies simply rescale.  The mode is the scenario's
+unit_mode, which --unit-mode overrides.  It acts on the nucleus and
+the coupling tensors only, so it changes spectrum, rabi-map, coupled
+and efg-mesh and leaves steady-state, pulse and ingest-check as they are.
 """
 
 from __future__ import annotations

@@ -282,8 +282,10 @@ def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
     For each direction r_hat(theta, phi) the value g = s * r_hat.Phi.r_hat
     is computed; the surface radius is |g| and the sign distinguishes
     prolate from oblate lobes.  For traceless Phi the spherical average
-    of g vanishes.
+    of g vanishes.  s must be finite; a negative s swaps the lobes' signs.
     """
+    if not np.isfinite(s):
+        raise ValueError(f"mesh scale must be finite, got {s}")
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"mesh resolution must be >= 8 per axis, got {n_theta} x {n_phi}")
     mat = tensor_matrix(phi_tensor)

@@ -247,28 +247,17 @@ def collapse_channels(params: TwoLevelParams) -> list[CollapseChannel]:
     return out
 
 
-def _pulse_run(params, h_static, rho0, samples, max_substeps=math.inf):
+def _pulse_run(params, h_static, rho0, samples):
     """Pulse train on a 2 x d space: H_2L x 1 + h_static, drive on for duty * tau, then off.
 
     The channels act as c x 1.  The on and off pieces get RK4 lattices of
-    their own, so no step crosses a switch, and their maps are built once
-    for the whole train.  A finite max_substeps below the run's estimated
-    RK4 substeps raises IntegrationFailureError.
+    their own, so no step crosses a switch, and their maps are built once for the whole train.
     """
     eye = np.eye(len(h_static) // 2)
     h_on, h_off = (h_static + qdyn.kron(drive_hamiltonian(params, on), eye) for on in (True, False))
     channels = [
         CollapseChannel(qdyn.kron(c.operator, eye), c.rate) for c in collapse_channels(params)
     ]
-    if max_substeps < math.inf:
-        scale = max(qdyn.total_rate(channels), qdyn._hamiltonian_norm(h_on))
-        est = (samples[-1] - samples[0]) * scale / qdyn.DEFAULT_MAX_STEP_PHASE
-        if est > max_substeps:
-            raise qdyn.IntegrationFailureError(
-                f"run needs about {est:.2e} RK4 substeps (limit {max_substeps:.2e}); "
-                "rescale the inputs proportionally (scaled-unit mode) so the rate "
-                "hierarchy stays >= ~30 per tier without the optical-frequency gap"
-            )
     pieces = [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
     return qdyn.propagate(None, channels, rho0, samples, period=pieces)
 
@@ -616,7 +605,6 @@ def simulate_coupled(
     *,
     plan_: OnerPlan | None = None,
     n_samples: int = 400,
-    max_substeps: float = 1e9,
 ) -> CoupledTrajectory:
     """Full 2 x (2I+1) density-matrix run of the pulsed coupled system.
 
@@ -629,10 +617,10 @@ def simulate_coupled(
     source level; the spin populations and rho_ee are sums over the
     diagonal of the product-basis states.
 
-    Physically scaled hierarchies (optical rates vs kHz couplings) can
-    demand astronomically many substeps; the run then aborts with advice
-    to use proportionally rescaled inputs, which leave the Rabi physics
-    invariant.  Pass max_substeps=float("inf") to force a physical run.
+    Physical hierarchies (GHz optical rates against kHz couplings) run as
+    fast as scaled ones; one too stiff for qdyn's trace-drift or positivity
+    check raises IntegrationFailureError, which proportionally rescaled
+    inputs (scaled-unit mode) avoid without changing the Rabi physics.
     A plan_ passed in must be for this pair and transition; without one
     the run calls plan, which raises ZeroAmplitudeError for a forbidden
     transition.  To run one anyway, pass a plan made with
@@ -657,7 +645,7 @@ def simulate_coupled(
     # built directly, not by dataclasses.replace, so a HierarchyWarning
     # from __post_init__ names this line
     pulse_params = TwoLevelParams(**{**vars(params), "tau": plan_.period_s})
-    res = _pulse_run(pulse_params, h_static, rho0, samples, max_substeps)
+    res = _pulse_run(pulse_params, h_static, rho0, samples)
     pops = res.populations().reshape(-1, 2, spin.dim)  # (time, electron, spin)
     return CoupledTrajectory(
         times=samples,

@@ -88,7 +88,7 @@ class DimensionMismatchError(ValueError):
 
 
 class IntegrationFailureError(RuntimeError):
-    """Propagation exceeded its trace-drift budget or step limit."""
+    """Propagation broke its trace-drift limit or left a non-positive state."""
 
 
 def _as_complex_matrix(a, name: str) -> np.ndarray:
@@ -739,16 +739,19 @@ def propagate_modulated(
     Same lattice rule, checks and result as propagate, for the linearly
     modulated generator L0 + f(t) L1.  envelope is called with a 1-D
     float array of times and returns the envelope at each, as an array
-    of that shape or one scalar for all of them.  |envelope| <= 1 over
-    the run is the contract: the step control takes
+    of that shape or one scalar for all of them.  The contract has two
+    parts.  |envelope| <= 1 over the run: the step control takes only
     rho(h_static) + rho(h_drive) as the Hamiltonian's scale, so a larger
-    drive belongs in h_drive.  An envelope that breaks the contract
-    starves the step control, and the trace-drift or positivity guard
-    aborts the run with IntegrationFailureError.  period is the
-    envelope's period, one piece repeated from t_grid[0], or None for one
-    piece that spans t_grid.  A channel-free pure state is integrated as
-    a state vector under -iH(t), which keeps the density matrix positive
-    by construction and shrinks the working dimension from d^2 to d.
+    drive belongs in h_drive.  And the envelope's period spans many
+    lattice steps, as the step control does not see how fast it turns:
+    at max_step_phase=0.05 a sine period of 9 or fewer steps fails, and
+    one of 10 or more runs.  A run that breaks the contract starves the
+    step control, and the trace-drift or positivity guard aborts it with
+    IntegrationFailureError.  period is the envelope's period, one piece
+    repeated from t_grid[0], or None for one piece that spans t_grid.  A
+    channel-free pure state is integrated as a state vector under
+    -iH(t), which keeps the density matrix positive by construction and
+    shrinks the working dimension from d^2 to d.
     """
     lengths = None if period is None else [period]
     return _run([h_static], h_drive, envelope, channels, rho0, t_grid, lengths, max_step_phase)

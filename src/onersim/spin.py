@@ -12,6 +12,7 @@ expected in that frame; rotate principal-axis tensors first.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Sequence
 
@@ -42,16 +43,16 @@ class UnsupportedTransitionError(ValueError):
 class SpinSystem:
     """Spin-I operator algebra on the descending-m basis.
 
-    make_spin builds a new one on every call, and nothing caches it; the
-    ladder, Cartesian, and z operators are precomputed read-only matrices.
+    make_spin caches one per two_I, so an instance is shared: two_I and the
+    precomputed ladder, Cartesian, and z operator matrices are read-only.
     """
 
-    __slots__ = ("two_I", "_iz", "_ip", "_im", "_ix", "_iy")
+    __slots__ = ("_two_I", "_iz", "_ip", "_im", "_ix", "_iy")
 
     def __init__(self, two_I: int):
         if int(two_I) != two_I or two_I < 0:
             raise ValueError(f"two_I must be a non-negative integer, got {two_I}")
-        self.two_I = int(two_I)
+        self._two_I = int(two_I)
         dim = self.two_I + 1
         m = self.m_values
         iz = np.diag(m.astype(complex))
@@ -67,6 +68,10 @@ class SpinSystem:
         for a in (iz, ip, im, ix, iy):
             a.setflags(write=False)
         self._iz, self._ip, self._im, self._ix, self._iy = iz, ip, im, ix, iy
+
+    @property
+    def two_I(self) -> int:
+        return self._two_I
 
     @property
     def I(self) -> float:  # noqa: E743 - conventional symbol
@@ -114,8 +119,9 @@ class SpinSystem:
         return f"SpinSystem(I={self.I:g})"
 
 
+@functools.cache
 def make_spin(two_I: int) -> SpinSystem:
-    """Construct the operator algebra for a spin with two_I = 2I."""
+    """The operator algebra for a spin with two_I = 2I, built once per two_I."""
     return SpinSystem(two_I)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import yaml
 
-from onersim import cli, oner, qdyn
+from onersim import cli, oner, qdyn, spin
 from onersim.cli import (
     EXIT_CONFIG,
     EXIT_INGESTION,
@@ -390,8 +390,8 @@ def test_rabi_map_needs_table_states(tmp_path, capsys):
 
 
 def test_coupled_scaled_run_matches_prediction(tmp_path, capsys):
-    # compress the hierarchy so the full density-matrix run is
-    # tractable, then check the fit against the plan's prediction
+    # compress the hierarchy, then check the fit against the plan's
+    # prediction
     path = write_scenario(
         tmp_path, unit_mode="scaled", duration_rabi_periods=1.0, n_samples=120
     )
@@ -471,22 +471,34 @@ def test_main_leaves_the_warnings_filters_as_it_found_them(capsys):
 
 
 def test_coupled_physical_units_run(capsys):
-    # the packaged setup is deliberately sized so even physical units
-    # stay within the substep budget
+    # the packaged setup runs in physical units, with GHz optical rates
+    # against a kHz quadrupole tier
     assert main(["coupled"]) == EXIT_OK
     series, summary = csv_blocks(capsys.readouterr().out)
     assert summary["relative_deviation"][0] <= 0.10
     assert series["t_normalized"][-1] == pytest.approx(2.0, rel=1e-9)
 
 
-def test_coupled_over_budget_exits_numerical(tmp_path, capsys):
-    # pushing the optical rates up three decades blows the substep
-    # estimate past the budget before any stepping happens
+def test_coupled_stiffer_physical_run(tmp_path, capsys):
+    # optical rates three decades above the packaged ones still run and
+    # still fit the prediction: the propagator powers each piece's step
+    # map, so no substep count limits a run
     path = write_scenario(tmp_path, omega_hz=1.0e12, decay_hz=4.0e11)
+    assert main(["coupled", "--scenario", path]) == EXIT_OK
+    series, summary = csv_blocks(capsys.readouterr().out)
+    assert summary["relative_deviation"][0] <= 0.10
+    assert series["t_normalized"][-1] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_coupled_too_stiff_exits_numerical(tmp_path, capsys):
+    # optical rates eleven decades above the packaged ones break the
+    # propagator's trace-drift check: exit 3, no partial CSV, no traceback
+    path = write_scenario(tmp_path, omega_hz=1.0e20, decay_hz=4.0e19)
     assert main(["coupled", "--scenario", path]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "numerical failure" in err
-    assert "scaled-unit" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_propagation_failure_exits_numerical(monkeypatch, capsys):
@@ -514,6 +526,23 @@ def test_efg_mesh_axial_tensor(capsys):
     equator = np.abs(data["theta_rad"] - math.pi / 2.0) < 1e-12
     np.testing.assert_allclose(data["radius"][equator], qzz_rad, rtol=1e-12)
     np.testing.assert_allclose(data["sign"][equator], -1.0)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_efg_mesh_scale_that_is_not_finite_exits_2(scale, capsys):
+    assert main(["efg-mesh", "--mesh-scale", scale]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err
+
+
+def test_rabi_map_builds_one_spin_system(monkeypatch, capsys):
+    # make_spin hands every plan of the sweep the same SpinSystem
+    real, calls = spin.SpinSystem.__init__, []
+    monkeypatch.setattr(spin.SpinSystem, "__init__", lambda self, n: calls.append(n) or real(self, n))
+    spin.make_spin.cache_clear()
+    assert main(["rabi-map"]) == EXIT_OK
+    assert calls == [3]
 
 
 def test_ingest_check_reports_table(capsys):

@@ -214,6 +214,12 @@ def test_surface_mesh_isotropic_input_gives_constant_radius():
     np.testing.assert_allclose(mesh.sign, -1.0)
 
 
+def test_surface_mesh_rejects_a_scale_that_is_not_finite():
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            surface_mesh(AXIAL, s, 8, 8)
+
+
 def test_surface_mesh_rejects_low_resolution():
     with pytest.raises(ValueError, match="resolution"):
         surface_mesh(AXIAL, 1.0, 7, 16)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from onersim import oner
-from onersim.cli import default_scenario, resolve_setup
 from onersim.constants import TWO_PI, NucleusRecord
 from onersim.efg import NqiTensor, axial_nqi
 from onersim.oner import (
@@ -43,7 +42,7 @@ from onersim.oner import (
     transition_table,
     TwoLevelTrajectory,
 )
-from onersim.qdyn import DensityOperator, IntegrationFailureError, propagate
+from onersim.qdyn import DensityOperator, propagate
 from onersim.spin import HierarchyWarning, make_spin, transition_energy
 
 
@@ -665,32 +664,10 @@ def test_coupled_takes_its_plan(monkeypatch):
         simulate_coupled(pair, nuc, 1.0, np.pi / 4.0, CW, (0.5, -0.5), 0.001, plan_=pl)
 
 
-def test_coupled_substep_budget_guard():
-    nuc = nucleus_for(33333.0)
-    pair = axial_pair(TWO_PI * 1000.0)
-    with pytest.raises(IntegrationFailureError, match="rescale"):
-        simulate_coupled(
-            pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), duration=10.0,
-            max_substeps=1e6,
-        )
-
-
-def test_coupled_budget_estimate_uses_spectral_radius():
-    # the packaged scenario needs about 6.8e6 substeps by the spectral
-    # radius of the drive-on Hamiltonian; its largest entry would
-    # estimate 6.6e6 and let a 6.7e6 budget through
-    sc = default_scenario()
-    setup = resolve_setup(sc)
-    args = (setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params, setup.transition)
-    duration = sc.duration_rabi_periods / plan(*args).predicted_rabi_hz
-    with pytest.raises(IntegrationFailureError, match="6.80e"):
-        simulate_coupled(*args, duration, n_samples=sc.n_samples, max_substeps=6.7e6)
-
-
 def test_pulse_train_setup_takes_the_rate_once(monkeypatch):
-    # the pulsed run has no budget: propagate takes total_rate once for
-    # both pieces, and _pulse_run makes no substep estimate (which would
-    # take total_rate and the drive-on norm again); a budget brings it back
+    # propagate takes total_rate once for both pieces, and nothing in
+    # oner re-derives the step scale: the pulsed and the coupled run
+    # take the rate once and each norm only where propagate needs it
     calls = {"total_rate": 0, "norm": 0}
 
     def counting(name, real):
@@ -706,9 +683,13 @@ def test_pulse_train_setup_takes_the_rate_once(monkeypatch):
     # one norm per channel (decay, dephasing) inside total_rate, one per piece
     assert calls == {"total_rate": 1, "norm": 2 + 2}
     calls.update(total_rate=0, norm=0)
-    samples = np.linspace(0.0, 100.0, 9)
-    oner._pulse_run(params, np.zeros((2, 2)), DensityOperator.pure(0, dim=2), samples, 1e9)
-    assert calls == {"total_rate": 2, "norm": 2 + 1 + 2 + 2}
+    nuc, pair, pl = effective_setup()
+    simulate_coupled(
+        pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), 2.0 / pl.repetition_rate_hz,
+        plan_=pl, n_samples=8,
+    )
+    # CW decays and does not dephase: one norm for its channel, one per piece
+    assert calls == {"total_rate": 1, "norm": 1 + 2}
 
 
 def test_fit_rabi_recovers_synthetic_frequency():

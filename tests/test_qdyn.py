@@ -262,6 +262,30 @@ def test_pure_start_state_is_decomposed_once(monkeypatch):
     assert res.diagnostics.min_eigenvalue > -1e-12
 
 
+def test_modulated_envelope_period_must_span_many_steps():
+    # the step scale reads rho(h_static) + rho(h_drive) = 2 only, not how
+    # fast the envelope turns: at max_step_phase = 0.05 a sine period of
+    # 9 or fewer lattice steps fails the trace-drift check, 10 or more run
+    rho0 = DensityOperator.pure(0, dim=2)
+
+    def run(steps):
+        period = steps * 0.05 / 2.0 * (1.0 - 1e-12)  # exactly `steps` steps
+        envelope = lambda t: np.sin(2.0 * np.pi * t / period)
+        t = np.linspace(0.0, 20.0 * period, 21)
+        return propagate_modulated(
+            np.diag([1.0, -1.0]), SIGMA_X, envelope, [], rho0, t, period=period,
+            max_step_phase=0.05,
+        )
+
+    for steps in (4, 6, 8, 9):
+        with pytest.raises(IntegrationFailureError, match="trace drifted"):
+            run(steps)
+    for steps in (10, 12, 20):
+        res = run(steps)
+        assert res.diagnostics.n_substeps == 20 * steps
+        assert res.diagnostics.max_step_trace_drift <= qdyn.STEP_TRACE_DRIFT_LIMIT
+
+
 def test_collapse_channel_rejects_negative_rate():
     with pytest.raises(ValueError, match="rate"):
         CollapseChannel(SIGMA, -1.0)

@@ -41,6 +41,14 @@ def test_spin_system_validation():
         SpinSystem(1.5)
 
 
+def test_make_spin_shares_one_read_only_system_per_spin():
+    s = make_spin(3)
+    assert make_spin(3) is s and make_spin(2) is not s
+    with pytest.raises(AttributeError):
+        s.two_I = 5
+    assert s.two_I == 3
+
+
 def test_m_values_descend_and_index_round_trips():
     s = make_spin(3)
     np.testing.assert_allclose(s.m_values, [1.5, 0.5, -0.5, -1.5])
