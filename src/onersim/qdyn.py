@@ -24,15 +24,15 @@ channel-free pure state as a state vector under -iH, any other state as
 the row-major vec(rho) under the Liouvillian, whose drive part carries
 no dissipator.  One RK4 step is then a matrix, and each piece's maps are
 built once per run: the powers P^(2^b) of a constant piece's step map,
-on the samples or, when S stops serve R > S D samples, on prefix tables
-P^s; a modulated piece's step maps in real form (a GEMM of envelope
-monomials and 12 coefficients per bounded batch) and their products at
-the samples (one in-place scan per batch).
-Piece maps carry the state through each period that holds a sample, powers
-U^(2^b) of the period map skip the others, and prefixes reach stops that
-recur across periods by one GEMM on the period states.  The samples in a
-piece then take one RK4 step each, of dt >= 0 past a prefix, all at once:
-by stages on A0 and A1, or under a constant A by Horner in dt A.
+on the samples or, when F phases (j, dt) serve R > F D samples, on the
+sample maps T(dt A) P^j, T the RK4 step by Horner in dt A; a modulated
+piece's step maps in real form (a GEMM of envelope monomials and 12
+coefficients per bounded batch) and their products at the samples (one
+in-place scan per batch).  Piece maps carry the state through each period
+that holds a sample, powers U^(2^b) of the period map skip the others,
+and sample maps and prefixes reach phases and stops that recur across
+periods by one GEMM on the period states.  Other samples take one RK4
+step each, by stages on A0 and A1 past a prefix, or by T past a power.
 This is stepwise RK4 with the products reassociated: deterministic, and
 equal to a literal step loop on the same lattice up to rounding.
 n_substeps counts the steps of that loop: the lattice steps up to the
@@ -143,7 +143,7 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, state, dim: int | None = None) -> "DensityOperator":
-        """Density operator of a pure state, from a vector or basis index."""
+        """Density operator of a pure state, from a vector or basis index, with no eigh."""
         if isinstance(state, (int, np.integer)):
             if dim is None:
                 raise ValueError("dim is required when constructing from a basis index")
@@ -155,7 +155,12 @@ class DensityOperator:
             if norm == 0:
                 raise ValueError("zero state vector")
             vec = vec / norm
-        return cls(np.outer(vec, vec.conj()))
+        m, rho = np.outer(vec, vec.conj()), cls.__new__(cls)
+        rho._matrix, rho._vector = (m + m.conj().T) / 2.0, vec  # hermitized, as __init__ stores it
+        if not abs(np.trace(rho._matrix).real - 1.0) <= TRACE_TOL:
+            raise ValueError(f"pure state trace differs from 1 beyond {TRACE_TOL:g}")
+        rho._matrix.setflags(write=False)
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -292,7 +297,9 @@ def _record(
     which hermitizing keeps; _min_eigenvalues.  The maps are linear and,
     exactly, trace and hermiticity preserving, so this differs from
     correcting between intervals by rounding only.  A broken run may
-    overflow on the way; the drift check reports it.
+    overflow on the way; the drift check reports it.  (v + v+) / 2 / tr
+    is one product by 0.5 / tr on the float view: numpy's complex / real
+    is Smith's rule, each part times the reciprocal, and halving is exact.
     """
     if pure:
         v = np.einsum("ki,kj->kij", v, v.conj())
@@ -305,13 +312,14 @@ def _record(
         k = int(bad[0])
         raise IntegrationFailureError(
             f"trace drifted by {drift[k]:.3e} over step [{t[k]:g}, {t[k + 1]:g}] "
-            f"(limit {STEP_TRACE_DRIFT_LIMIT:g}); reduce max_step_phase"
+            f"(limit {STEP_TRACE_DRIFT_LIMIT:g})"
         )
     diag = PropagationDiagnostics(float(drift.max(initial=0.0)), n_substeps=n_substeps)
-    vh = v.conj().swapaxes(1, 2)
-    diag.max_hermiticity_residual = float(np.abs(v - vh).max())
-    stack = (v + vh) / 2.0
-    stack /= size[:, None, None]
+    vh = np.conjugate(v.swapaxes(1, 2), order="C")
+    stack = np.subtract(v, vh)  # the residual, then the sum, in one buffer
+    diag.max_hermiticity_residual = float(np.abs(stack).max())
+    re = np.add(v, vh, out=stack).view(float)
+    re *= (0.5 / size)[:, None, None]
     stack[0] = rho0.matrix
     w = _min_eigenvalues(stack)
     diag.min_eigenvalue = float(w.min())
@@ -320,7 +328,7 @@ def _record(
         k = int(bad[0])
         raise IntegrationFailureError(
             f"output state at t={t[k]:g} has eigenvalue {w[k]:.3e} below "
-            f"-{OUTPUT_POSITIVITY_TOL:g}; reduce max_step_phase"
+            f"-{OUTPUT_POSITIVITY_TOL:g}"
         )
     stack.setflags(write=False)
     return PropagationResult(times=t, matrices=stack, diagnostics=diag)
@@ -357,7 +365,9 @@ def _taylor(a, dt, x: np.ndarray) -> np.ndarray:
     """_rk4(a, None, None, dt, x), per-row dt: the degree-4 Taylor polynomial of dt A, by Horner."""
     z = x
     for m in (4.0, 3.0, 2.0, 1.0):
-        z = x + (dt[:, None] / m) * (z @ a.T)
+        z = z @ a.T
+        z *= dt[:, None] / m
+        z += x
     return z
 
 
@@ -488,16 +498,17 @@ def _prefixes(piece: _Piece, stops: np.ndarray):
         del m  # before the next batch is built
 
 
-def _piece_maps(piece: _Piece, stops: np.ndarray):
-    """The piece map M_{n-1} ... M_0, and advance(v, k, j): rows M_{j[r]-1} ... M_0 v[k[r]].
+def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
+    """The piece map M_{n-1} ... M_0, and advance(v, k, j, dt): v[k[r]] j[r] steps on, then dt[r].
 
-    stops holds the distinct j > 0 advance will get.  A constant piece
-    applies the powers P^(2^b) of its step map for the set bits of j to
-    the R rows (R D^2 per bit) or, when S D < R and three stacks of S maps
-    fit in half of BATCH_BYTES, to the tables P^s at the S stops (S D^3
-    per bit).  A modulated piece keeps its prefixes at the stops, unless
-    they would take more than BATCH_BYTES: then advance builds the step
-    maps again.  Tables and prefixes reach the rows through _gather.
+    stops holds the distinct j > 0 advance will get.  A constant piece's
+    phase is a j and the least dt of its rows.  If all rows lie within tol of
+    their phase, F D < R and six stacks of F maps fit in BATCH_BYTES, it maps
+    each phase once: tables P^j from the powers P^(2^b) of its step map (F D^3
+    per bit), stepped by dt (F D rows), reach the rows by _gather.  Else the
+    powers and the step act on the R rows (R D^2 per bit).  A modulated piece
+    keeps its prefixes at the stops, unless they would take more than
+    BATCH_BYTES (advance then builds the step maps again); _rk4 steps the rows.
     """
     d = piece.a0.shape[0]
     if piece.a1 is None:
@@ -513,30 +524,48 @@ def _piece_maps(piece: _Piece, stops: np.ndarray):
         # low bits first, as np.linalg.matrix_power multiplies them
         full = functools.reduce(np.matmul, (p for b, p in powers(piece.n) if piece.n >> b & 1))
 
-        def advance(v, k, j):
-            tables = 0 < stops.size * d < j.size and 96 * stops.size * d * d <= BATCH_BYTES
-            x, e, bits = (None, stops, powers(stops[-1])) if tables else (v[k], j, powers(j.max()))
-            if tables:
-                # P^c for c < 2^lo <= S by doubling; the rows of (P^s)^T step like state rows
-                lo = stops.size.bit_length() - 1
-                x = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1))
-                for b, p in itertools.islice(bits, lo):
-                    x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
-                x = x[stops & (1 << lo) - 1]
+        def carry(x, e, bits):
+            # x[r] taken e[r] steps by the powers left in bits; rows of (P^c)^T step like state rows
             for b, p in bits:
                 r = np.flatnonzero(e >> b & 1)
                 x[r] = (x[r].reshape(-1, d) @ p.T).reshape(-1, *x.shape[1:])
-            return _gather(v, k, j, [(stops, x.swapaxes(1, 2))]) if tables else x
+            return x
+
+        def advance(v, k, j, dt):
+            e = stops if j.min() else np.concatenate(([0], stops))
+            tables = e.size * d < j.size and 96 * e.size * d * d <= BATCH_BYTES
+            if tables:  # the phase of e[s[r]] and row r's dt past it
+                s, dp = np.searchsorted(e, j), np.full(e.size, np.inf)
+                np.minimum.at(dp, s, dt)
+                off = dt - dp[s]
+            if not (tables and off.max() <= tol):
+                return _taylor(piece.a0, dt, carry(v[k], j, powers(j.max())))
+            # P^c for c < 2^lo <= F by doubling, then the higher powers and the phases' dt
+            lo = e.size.bit_length() - 1
+            x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), powers(e[-1])
+            for b, p in itertools.islice(bits, lo):
+                x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
+            x = carry(x[e & (1 << lo) - 1], e, bits).reshape(-1, d)
+            x = _taylor(piece.a0, np.repeat(dp, d), x).reshape(-1, d, d).swapaxes(1, 2)
+            y = _gather(v, k, j + 1, [(e + 1, x)])  # from 1, as _gather takes 0 for no step
+            r = np.flatnonzero(off)  # a row's own dt, at most tol past its phase's, to first order
+            y[r] += off[r, None] * (y[r] @ piece.a0.T)
+            return y
 
         return full, advance
     kept = (stops.size + 1) * 16 * piece.a0.size <= BATCH_BYTES
     walk = list(_prefixes(piece, np.union1d(stops, piece.n) if kept else np.array([piece.n])))
-    advance = lambda v, k, j: _gather(v, k, j, walk if kept else _prefixes(piece, stops))
+
+    def advance(v, k, j, dt):
+        t = piece.t0 + j * piece.h + np.outer((0.0, 0.5, 1.0), dt)  # each step's start, middle, end
+        y = _gather(v, k, j, walk if kept else _prefixes(piece, stops))
+        return _rk4(piece.a0, piece.a1, piece.f(t.ravel()).reshape(3, -1), dt, y)
+
     return walk[-1][1][-1], advance
 
 
 def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
-    """Rows Q v[k[r]], Q the prefix at j[r] in its batch (s, prefixes at s); v[k[r]] at j[r] = 0.
+    """Rows Q v[k[r]], Q the map at j[r] in its batch (s, maps at s); v[k[r]] at j[r] = 0.
 
     Each row is written once.  A batch with at most twice as many (stop,
     state) pairs as rows acts on every state by one GEMM; otherwise its rows
@@ -548,8 +577,9 @@ def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
     for s, q in batches:
         sel = np.flatnonzero((j >= s[0]) & (j <= s[-1]))
         if s.size * v.shape[0] <= 2 * sel.size:
-            z = (q.reshape(-1, d) @ v.T).reshape(s.size, d, -1)
-            y[sel] = z[np.searchsorted(s, j[sel]), :, k[sel]]
+            z = (v @ q.transpose(2, 0, 1).reshape(d, -1)).reshape(-1, d)  # row kk S + i: q[i] v[kk]
+            sel = slice(None) if sel.size == j.size else sel  # all rows: views, not copies
+            y[sel] = np.take(z, k[sel] * s.size + np.searchsorted(s, j[sel]), axis=0)
             continue
         for r in np.array_split(sel, 1 + sel.size * (32 * d * d + 64 * d + 48) // BATCH_BYTES):
             y[r] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[r])], v[k[r]])
@@ -557,9 +587,9 @@ def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
 
 
 def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
-    """Lattice coordinates (k, i, j, dt): t sits dt past point j of piece i in period k.
+    """Lattice coordinates (k, i, j, dt) and tol: t sits dt past point j of piece i in period k.
 
-    An offset within a few rounding units of a lattice point sits on it.
+    An offset within tol, a few rounding units of max |t|, of a lattice point sits on it.
     A later period start is the end of the period before, i = len(bounds) - 1.
     """
     k, s = np.divmod(t - t[0], bounds[-1])
@@ -573,7 +603,7 @@ def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
     back = (i == 0) & (j == 0) & (dt == 0.0) & (k > 0)
     k[back] -= 1
     i[back] = bounds.size - 1
-    return k.astype(int), i, j.astype(int), dt
+    return k.astype(int), i, j.astype(int), dt, tol
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -583,9 +613,8 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     Piece i of a period repeated from t[0] is lengths[i] long and driven
     by gens[i] = (scale, a0, a1); without lengths the period is one piece
     that spans t.  t ascends, so k does too and the bookkeeping sorts, not
-    hashes.  Samples at piece starts are copied from the chain; the rest
-    are their piece's advance and remainder step on all its rows (_rk4, or
-    _taylor if constant).  _record reports an overflow on the way.
+    hashes.  Samples at piece starts are copied from the chain, the rest
+    come from their piece's advance.  _record reports an overflow on the way.
     """
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=float)
@@ -597,7 +626,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     lengths = np.diff(bounds)
     n = np.maximum(np.ceil(lengths * [g[0] for g in gens] / phase), 1).astype(int)
     h = lengths / n
-    k, i, j, dt = _locate(t, bounds, h)
+    k, i, j, dt, tol = _locate(t, bounds, h)
     inner = (j > 0) | (dt > 0)
     busy = np.flatnonzero(np.bincount(i[inner], minlength=len(gens))).tolist()
     stops = {q: np.sort(j[(i == q) & (j > 0)]) for q in busy}
@@ -606,7 +635,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         _Piece(a0, a1, envelope, t[0] + b, hq, nq)
         for (_, a0, a1), b, hq, nq in zip(gens, bounds.tolist(), h.tolist(), n.tolist())
     ]
-    maps = [_piece_maps(p, stops.get(q, np.zeros(0, int))) for q, p in enumerate(pieces)]
+    maps = [_piece_maps(p, stops.get(q, np.zeros(0, int)), tol) for q, p in enumerate(pieces)]
 
     # the state entering every piece of each period that holds a sample
     new = np.diff(k, prepend=-1) > 0
@@ -631,14 +660,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     raw[edge] = chain[row[edge], i[edge]]
     for q in busy:
         sel = np.flatnonzero(inner & (i == q))
-        js, ds, p = j[sel], dt[sel], pieces[q]
-        y = maps[q][1](chain[:, q], row[sel], js)
-        if p.a1 is None:  # on every row: a row at dt = 0 comes back as it went in
-            raw[sel] = _taylor(p.a0, ds, y)
-        else:
-            ta = p.t0 + js * p.h
-            f = p.f(np.concatenate((ta, ta + 0.5 * ds, ta + ds))).reshape(3, -1)
-            raw[sel] = _rk4(p.a0, p.a1, f, ds, y)
+        raw[sel] = maps[q][1](chain[:, q], row[sel], j[sel], dt[sel])
     # the lattice steps up to the last sample, and one remainder step per sample off it
     first = np.concatenate(([0], np.cumsum(n))).tolist()
     return raw, int(k[-1]) * first[-1] + first[i[-1]] + int(j[-1]) + int(np.count_nonzero(dt))

@@ -158,8 +158,8 @@ class CorrectingMap:
 def correct_after_every_piece(mp, pure):
     real = qdyn._piece_maps
 
-    def correcting(piece, stops):
-        full, advance = real(piece, stops)
+    def correcting(piece, stops, tol):
+        full, advance = real(piece, stops, tol)
         return CorrectingMap(full, pure), advance
 
     mp.setattr(qdyn, "_piece_maps", correcting)
@@ -244,21 +244,31 @@ def test_density_operator_constructors():
         DensityOperator.pure([0.0, 0.0])
 
 
-def test_pure_start_state_is_decomposed_once(monkeypatch):
-    # DensityOperator's validating eigh keeps the dominant vector of a
-    # pure state; a channel-free run reads it and decomposes nothing more
+def test_pure_start_state_is_never_decomposed(monkeypatch):
+    # DensityOperator.pure keeps the normalized vector and the hermitized
+    # outer product the validating constructor would store, for an index
+    # and for a vector, and takes no eigendecomposition; nor does a
+    # channel-free run from it, which reads that vector
     rng = np.random.default_rng(59)
-    real, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    rho0 = DensityOperator.pure(psi)
-    assert calls == [(3, 3)]
-    assert abs(np.vdot(rho0.vector, psi)) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
+    vectors = [np.eye(3, dtype=complex)[1], psi / np.linalg.norm(psi)]
+    stored = [DensityOperator(np.outer(u, u.conj())).matrix for u in vectors]
     assert DensityOperator.maximally_mixed(3).vector is None
+
+    def refuse(_):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    built = (DensityOperator.pure(1, dim=3), DensityOperator.pure(psi))
+    for rho0, u, ref in zip(built, vectors, stored):
+        assert rho0.matrix.tobytes() == ref.tobytes() and not rho0.matrix.flags.writeable
+        assert np.array_equal(rho0.vector, u)
+        np.testing.assert_allclose(rho0.matrix @ u, u, rtol=0.0, atol=1e-15)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace"):
+        DensityOperator.pure([np.nan, 1.0])  # a NaN trace fails the check too
     h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3, 0.5)
     monkeypatch.setattr(qdyn, "liouvillian", None)  # the vector path needs none
     res = propagate_modulated(h0, h1, np.sin, [], rho0, np.linspace(0.0, 3.0, 7), period=2 * np.pi)
-    assert calls == [(3, 3), (3, 3)]  # the second from maximally_mixed
     assert res.diagnostics.min_eigenvalue > -1e-12
 
 
@@ -710,12 +720,14 @@ def test_period_gaps_match_stepwise(kind):
     "states, batch, tables", [(10, 1 << 16, True), (70, 1 << 16, True), (70, 1 << 15, False)]
 )
 def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables, monkeypatch):
-    # a qutrit Liouvillian piece (9 x 9 maps), 7 stops and 70 rows: each
-    # stop reached in all ten periods (one GEMM on the ten states), or
-    # each row in a period of its own (the rows gather their tables, 89
-    # KiB at once, so in chunks); in 32 KiB the tables and their pass
-    # temporaries do not fit, and the powers act on the rows.  The traced
-    # peak of advance stays within BATCH_BYTES.
+    # a qutrit Liouvillian piece (9 x 9 maps), 7 phases and 70 rows: each
+    # stop with its own remainder step, jittered by a few ulps per row
+    # within the tolerance, reached in all ten periods (one GEMM on the ten
+    # states), or each row in a period of its own (the rows gather their
+    # tables, 89 KiB at once, so in chunks); in 32 KiB the tables and their
+    # remainder temporaries do not fit, and the powers and the remainder
+    # act on the rows.  The traced peak of advance, its output included,
+    # stays within BATCH_BYTES.
     monkeypatch.setattr(qdyn, "BATCH_BYTES", batch)
     rng = np.random.default_rng(97)
     a0 = liouvillian(random_hermitian(rng, 3), [random_channel(rng, 3)])
@@ -723,23 +735,117 @@ def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables
     piece = qdyn._Piece(a0, None, None, 0.0, h, 4000)
     stops = 301 * np.arange(1, 8)
     j = np.tile(stops, 10)
+    dt = np.tile(rng.uniform(0.1 * h, 0.9 * h, size=7), 10)
+    dt += rng.integers(-3, 4, size=70) * np.spacing(dt)
+    tol = 32 * np.finfo(float).eps * piece.n * h  # _locate's, for a run that ends with the piece
     k = np.arange(70) if states == 70 else np.repeat(np.arange(10), 7)
     v = rng.normal(size=(states, 9)) + 1j * rng.normal(size=(states, 9))
     assert 70 * 16 * 81 > qdyn.BATCH_BYTES
     calls = spy_gather(monkeypatch)
-    _, advance = qdyn._piece_maps(piece, stops)
+    _, advance = qdyn._piece_maps(piece, stops, tol)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        y = advance(v, k, j)
+        y = advance(v, k, j, dt)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert calls == ([(7, 70)] if tables else [])
     assert peak <= qdyn.BATCH_BYTES
-    step = piece.step_map()
-    ref = np.array([np.linalg.matrix_power(step, jj) @ v[kk] for jj, kk in zip(j, k)])
+    step, rhs = piece.step_map(), lambda _t, x: a0 @ x
+    ref = np.array([
+        stepwise_rk4(rhs, np.linalg.matrix_power(step, jj) @ v[kk], [0.0, d], 0.0)[0][-1]
+        for jj, kk, d in zip(j, k, dt)
+    ])
     np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("period", [4.0, 2.0 * np.pi / 3.0], ids=["exact", "jittered"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_recurring_phases_map_once(d, period, monkeypatch):
+    # a two-piece Lindblad period sampled at the same six fractions of ten
+    # periods: each constant piece maps its three phases once, steps the
+    # tables by their dt and writes its rows from them.  At T = 4 every
+    # period repeats a phase's dt exactly; times (k + f) T of T = 2 pi / 3
+    # put it a few ulps apart, which still counts as one phase, and each
+    # row keeps its own dt to first order.  Against literal stepwise RK4
+    rng = np.random.default_rng(139 + d)
+    hs = [random_hermitian(rng, d, 1.5), random_hermitian(rng, d, 0.5)]
+    channels = [random_channel(rng, d)]
+    rho0 = random_density(rng, d)
+    phase = qdyn.MAX_STEP_PHASE_LIMIT
+    lengths = [0.4 * period, 0.6 * period]
+    scales = [max(total_rate(channels), spectral_radius(h)) for h in hs]
+    rhss = [lambda _t, r, h=h: lindblad_rhs(h, channels, r) for h in hs]
+    lat, starts, steps = lattice_stepwise(rhss, lengths, scales, rho0.matrix, 10, phase)
+    fractions = np.array([10, 32, 80, 120, 180, 240]) / 256.0
+    t = np.concatenate(([0.0], np.add.outer(np.arange(10), fractions).ravel() * period))
+    ref = [rho0.matrix]
+    for tt in t[1:]:
+        k, q = int(tt // period), int(tt % period >= lengths[0])
+        j = int((tt - k * period - starts[q]) // steps[q])
+        t_lat = k * period + starts[q] + j * steps[q]
+        ref.append(stepwise_rk4(rhss[q], lat[k][q][j], [t_lat, tt], 0.0)[0][-1])
+    pairs, real = [], qdyn._piece_maps
+
+    def spying(piece, stops, tol):
+        full, advance = real(piece, stops, tol)
+
+        def spied(v, k, j, dt):
+            pairs.append(len(set(zip(j.tolist(), dt.tolist()))))
+            return advance(v, k, j, dt)
+
+        return full, spied
+
+    monkeypatch.setattr(qdyn, "_piece_maps", spying)
+    calls = spy_gather(monkeypatch)
+    res = propagate(None, channels, rho0, t, period=list(zip(lengths, hs)), max_step_phase=phase)
+    assert calls == [(3, 30), (3, 30)]  # the tables path, in both pieces
+    assert pairs == [3, 3] if period == 4.0 else max(pairs) > 3  # jittered dts share a phase
+    np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
+    ns = [len(piece) - 1 for piece in lat[0]]
+    assert res.diagnostics.n_substeps == 9 * sum(ns) + ns[0] + j + 60
+    # without room for the tables each row takes its own dt: the same to rounding
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", 4000)
+    rows = propagate(None, channels, rho0, t, period=list(zip(lengths, hs)), max_step_phase=phase)
+    assert calls == [(3, 30), (3, 30)]
+    np.testing.assert_allclose(res.matrices, rows.matrices, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_record_scaling_matches_the_literal_division(dim):
+    # _record halves and divides by the trace on the float view: on random
+    # raw stacks of traces near 1.7 and off hermitian by rounding, the stored
+    # states equal ((v + v+) / 2.0) / tr bit for bit
+    rng = np.random.default_rng(149 + dim)
+    a = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+    v = a @ a.conj().swapaxes(1, 2) + dim * np.eye(dim)
+    tr = np.einsum("kii->k", v).real[:, None, None]
+    v *= 1.7 * (1.0 + 1e-9 * rng.normal(size=(40, 1, 1))) / tr
+    v += 1e-13 * (rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
+    rho0 = DensityOperator.maximally_mixed(dim)
+    res = qdyn._record(v.reshape(40, -1), 0, rho0, np.arange(40.0), False)
+    vh = v.conj().swapaxes(1, 2)
+    literal = ((v + vh) / 2.0) / np.einsum("kii->k", v).real[:, None, None]
+    assert res.matrices[1:].tobytes() == literal[1:].tobytes()
+    assert res.diagnostics.max_hermiticity_residual == np.abs(v - vh).max() > 0.0
+
+
+def test_failure_messages_advise_no_option():
+    # a trace drift and a negative eigenvalue each name their check, value
+    # and interval or time, and no option: a caller of the CLI has no
+    # max_step_phase, and a smaller one can make a stiff run drift more
+    rho0 = DensityOperator.maximally_mixed(2)
+    t = np.array([0.0, 0.5, 1.25, 2.0])
+    drifting = np.array([rho0.matrix] * 4)
+    drifting[2] *= 1.5
+    negative = np.array([rho0.matrix] * 4)
+    negative[2] = np.diag([1.0 + 1e-6, -1e-6])
+    for raw, wanted in ((drifting, r"trace drifted by 5\.000e-01 over step \[0\.5, 1\.25\]"),
+                        (negative, r"t=1\.25 has eigenvalue -1\.000e-06")):
+        with pytest.raises(IntegrationFailureError, match=wanted) as failure:
+            qdyn._record(raw.reshape(4, -1), 0, rho0, t, False)
+        assert "max_step_phase" not in str(failure.value)
 
 
 @pytest.mark.parametrize("pure", [True, False])
@@ -821,14 +927,16 @@ def spy_engine(mp, seen):
     """Add to seen the name of each engine branch a run takes."""
     piece_maps, gather, locate, gathered = qdyn._piece_maps, qdyn._gather, qdyn._locate, []
 
-    def spying_piece_maps(piece, stops):
-        full, advance = piece_maps(piece, stops)
+    def spying_piece_maps(piece, stops, tol):
+        full, advance = piece_maps(piece, stops, tol)
 
-        def spying_advance(v, k, j):
+        def spying_advance(v, k, j, dt):
             gathered.clear()
-            y = advance(v, k, j)
+            y = advance(v, k, j, dt)
             if piece.a1 is None:  # a constant piece gathers its tables, not its rows
                 seen.add("tables" if gathered else "rows")
+                if gathered and gathered[1] < len(set(zip(j.tolist(), dt.tolist()))):
+                    seen.add("merges")  # rows a few ulps apart in dt share one phase
             else:
                 seen.add("kept" if gathered[0] else "rewalked")
             return y
@@ -838,6 +946,7 @@ def spy_engine(mp, seen):
     def spying_gather(v, k, j, batches):
         gathered.append(isinstance(batches, list))
         batches = list(batches)
+        gathered.extend(s.size for s, _ in batches)
         for s, _ in batches:
             sel = np.count_nonzero((j >= s[0]) & (j <= s[-1]))
             if sel:  # _gather's rule
@@ -845,14 +954,14 @@ def spy_engine(mp, seen):
         return gather(v, k, j, batches)
 
     def spying_locate(t, bounds, h):
-        k, i, j, dt = locate(t, bounds, h)
+        k, i, j, dt, tol = locate(t, bounds, h)
         k0, s = np.divmod(t - t[0], bounds[-1])
         # a sample put on a lattice point it is off by rounding (a period
         # start moved back to the end of the period before is not counted)
         on = (k == k0) & (dt == 0.0)
         if np.any(s[on] - bounds[i[on]] - j[on] * h[i[on]] != 0.0):
             seen.add("snaps")
-        return k, i, j, dt
+        return k, i, j, dt, tol
 
     def spying_reduce(fn, items, *start):
         if start:  # the period map, built only to cross periods without samples
@@ -870,9 +979,11 @@ def fuzz_points(rng, pattern, ns, n_periods):
 
     shared: three positions per piece in half the periods; spread: one of
     the three in each of those periods, in turn; dense: 80 % of the
-    positions of one period.  A point is on its lattice point, off it, or
-    ulps from it.  Positions include first steps (j = 0) and piece and
-    period starts, and the run ends within a few ulps of period n_periods.
+    positions of one period.  A position is on its lattice point, off it
+    by a frac it keeps in every period, or ulps from it, and a point off
+    it moves by up to two ulps of its own.  Positions include first steps
+    (j = 0) and piece and period starts, and the run ends within a few
+    ulps of period n_periods.
     """
     periods = [0, *np.sort(rng.choice(np.arange(1, n_periods), n_periods // 2, replace=False))]
     if pattern == "dense":
@@ -883,11 +994,13 @@ def fuzz_points(rng, pattern, ns, n_periods):
         for c, k in enumerate(periods) for q, js in enumerate(pos)
         for j in (js[c % 3 : c % 3 + 1] if pattern == "spread" else js)
     } - {(0, 0, 0)}
-    points = [(0, 0, 0, 0.0, 0)]
+    points, kinds = [(0, 0, 0, 0.0, 0)], {}
     for key in sorted(keys):
-        kind = rng.integers(3)  # on, off, or a few ulps from the lattice point
-        frac = float(rng.uniform(0.05, 0.95)) if kind == 1 else 0.0
-        points.append((*key, frac, int(rng.choice([-1, 1]) * rng.integers(1, 5)) if kind == 2 else 0))
+        if key[1:] not in kinds:  # on, off, or a few ulps from the lattice point
+            kinds[key[1:]] = (int(rng.integers(3)), float(rng.uniform(0.05, 0.95)))
+        kind, frac = kinds[key[1:]]
+        ulps = rng.choice([-1, 1]) * rng.integers(1, 5) if kind == 2 else rng.integers(-2, 3) * kind
+        points.append((*key, frac if kind == 1 else 0.0, int(ulps)))
     return points + [(n_periods, 0, 0, 0.0, int(rng.integers(-4, 5)))]
 
 
@@ -963,7 +1076,9 @@ def test_engine_differential_fuzz(monkeypatch):
         label = f"layout {n}: sine={sine} d={d} pure={pure} {pattern} small={small}"
         np.testing.assert_allclose(res.matrices, ref, rtol=0.0, atol=1e-12, err_msg=label)
         assert res.diagnostics.n_substeps == n_ref, label
-    assert seen == {"tables", "rows", "kept", "rewalked", "gemm", "per-row", "squares", "snaps"}
+    assert seen == {
+        "tables", "merges", "rows", "kept", "rewalked", "gemm", "per-row", "squares", "snaps"
+    }
 
 
 @pytest.mark.parametrize("kind", ["pulse", "sine"])
