@@ -10,9 +10,9 @@ the orientation through the static part of the effective tensor.
 
 import numpy as np
 
-from onersim import NqiTensor, StatePairNqi, axial_nqi, get_nucleus, plan
+from onersim import NqiTensor, StatePairNqi, axial_nqi, get_nucleus, plan, steady_state
 from onersim.constants import TWO_PI
-from onersim.oner import TwoLevelParams
+from onersim.oner import TwoLevelParams, transition_table
 
 nucleus = get_nucleus("9Be")
 params = TwoLevelParams.from_hz(1.0e9, 4.0e8)
@@ -24,14 +24,14 @@ pair = StatePairNqi(
 print(f"nucleus {nucleus.name}: Zeeman {nucleus.gamma_hz_per_t / 1e6:.4f} MHz at 1 T")
 print()
 print(f"{'theta/deg':>9} {'dm=1 rabi/Hz':>14} {'dm=2 rabi/Hz':>14} {'rep dm=1/Hz':>16}")
-for deg in range(0, 95, 15):
-    theta = np.deg2rad(deg)
-    single = plan(pair, nucleus, 1.0, theta, params, (1.5, 0.5), allow_zero_amplitude=True)
-    double = plan(pair, nucleus, 1.0, theta, params, (1.5, -0.5), allow_zero_amplitude=True)
-    print(
-        f"{deg:9d} {single.predicted_rabi_hz:14.2f} {double.predicted_rabi_hz:14.2f} "
-        f"{single.repetition_rate_hz:16.2f}"
-    )
+# one table for every orientation: a (m_from, m_to, zeeman, rate, rabi) row per transition
+degrees = np.arange(0, 95, 15)
+rho_inf, _ = steady_state(params)
+_, _, table = transition_table(
+    pair, nucleus, 1.0, np.deg2rad(degrees), rho_inf, [(1.5, 0.5), (1.5, -0.5)]
+)
+for deg, (single, double) in zip(degrees, table):
+    print(f"{deg:9d} {single[4]:14.2f} {double[4]:14.2f} {single[3]:16.2f}")
 
 print()
 print("dm=1 peaks at 45 degrees and vanishes at both ends of the sweep;")

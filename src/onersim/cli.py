@@ -395,9 +395,10 @@ def run_spectrum(sc: Scenario) -> str:
     setup = resolve_setup(sc)
     rho_inf, _ = steady_state(setup.params)
     _, _, table = transition_table(setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, rho_inf)
+    m_from, m_to, zeeman, total, _ = table[0].T
     return _csv_block(
         ["transition_from", "transition_to", "zeeman_hz", "correction_hz", "total_hz"],
-        [[m_from, m_to, zeeman, total - zeeman, total] for m_from, m_to, zeeman, total, _ in table],
+        np.column_stack((m_from, m_to, zeeman, total - zeeman, total)).tolist(),
     )
 
 
@@ -405,10 +406,11 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     """Rabi frequency and energy correction over (theta, field) nodes.
 
     Requires a table-backed scenario; the ground and excited tensors are
-    interpolated once per field, and each node reads every |delta m| in
-    {1, 2} transition from transition_table at its theta.  Transitions
-    with no drivable amplitude carry rabi_hz = 0 rather than erroring,
-    so full maps always emit.
+    interpolated once per field, and one transition_table per field
+    gives every |delta m| in {1, 2} transition at all thetas.  Rows run
+    theta-major, then field, then transition.  Transitions with no
+    drivable amplitude carry rabi_hz = 0 rather than erroring, so full
+    maps always emit.
     """
     if sc.table_ground_state is None or sc.table_excited_state is None:
         raise ScenarioError("rabi-map needs table_ground_state and table_excited_state")
@@ -422,18 +424,14 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     nucleus = get_nucleus(sc.nucleus)
     rho_inf, _ = steady_state(scenario_params(sc))
     # each field's tensors, interpolated and unit-scaled once for every theta
-    setups = [(f, *_apply_unit_mode(sc, nucleus, _table_pair(sc, table, f))) for f in grid.fields]
-    rows = []
-    for theta in grid.thetas:
-        for field_au, nuc, pair in setups:
-            _, _, node = transition_table(pair, nuc, sc.b0_tesla, theta, rho_inf)
-            rows += [
-                [theta, field_au, m_from, m_to, rabi, total - zeeman]
-                for m_from, m_to, zeeman, total, rabi in node
-            ]
+    setups = [_apply_unit_mode(sc, nucleus, _table_pair(sc, table, f)) for f in grid.fields]
+    rows = [transition_table(p, nuc, sc.b0_tesla, grid.thetas, rho_inf)[2] for nuc, p in setups]
+    # columns shaped (theta, field, transition)
+    m_from, m_to, zeeman, total, rabi = np.moveaxis(np.stack(rows, axis=1), -1, 0)
+    cols = (grid.thetas[:, None, None], grid.fields[:, None], m_from, m_to, rabi, total - zeeman)
     return _csv_block(
         ["theta_rad", "field_au", "transition_from", "transition_to", "rabi_hz", "correction_hz"],
-        rows,
+        np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 6).tolist(),
     )
 
 

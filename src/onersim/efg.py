@@ -81,18 +81,26 @@ def tensor_matrix(q, what: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _validated_tensor(matrix, what: str) -> np.ndarray:
-    arr = tensor_matrix(matrix, what)
+def _validated_tensor(matrices, what: str) -> np.ndarray:
+    """Read-only (M + M^T) / 2 of a 3x3 M, or of each M in a (..., 3, 3) stack.
+
+    M must be finite, symmetric and traceless, relative to its own largest component.
+    """
+    arr = np.asarray(matrices, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} has non-finite entries")
-    norm = float(np.max(np.abs(arr)))
-    asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > SYMMETRY_RTOL * max(norm, 1e-300):
-        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {asym:.3e}")
-    tr = float(np.trace(arr))
-    if abs(tr) > TRACE_RTOL * max(norm, 1e-300):
-        raise ValueError(f"{what} is not traceless: trace = {tr:.3e}, norm = {norm:.3e}")
-    out = (arr + arr.T) / 2.0
+    flat, arr_t = arr.reshape(-1, 9), np.swapaxes(arr, -1, -2)
+    norm = np.max(np.abs(flat), axis=1)
+    asym, tr = np.max(np.abs(flat - arr_t.reshape(-1, 9)), axis=1), flat[:, ::4].sum(axis=1)
+    floor = np.maximum(norm, 1e-300)
+    bad = np.flatnonzero(asym > SYMMETRY_RTOL * floor)
+    if bad.size:
+        raise ValueError(f"{what} is not symmetric: max |M - M^T| = {asym[bad[0]]:.3e}")
+    bad = np.flatnonzero(np.abs(tr) > TRACE_RTOL * floor)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{what} is not traceless: trace = {tr[k]:.3e}, norm = {norm[k]:.3e}")
+    out = (arr + arr_t) / 2.0
     out.setflags(write=False)
     return out
 
@@ -105,7 +113,7 @@ class EfgTensor:
     def __init__(self, matrix, unit: str = UNIT_AU, frame: str = FRAME_E):
         if unit not in (UNIT_AU, UNIT_SI):
             raise ValueError(f"unit must be {UNIT_AU!r} or {UNIT_SI!r}, got {unit!r}")
-        self._matrix = _validated_tensor(matrix, "EFG tensor")
+        self._matrix = _validated_tensor(tensor_matrix(matrix, "EFG tensor"), "EFG tensor")
         self.unit = unit
         self.frame = frame
 
@@ -128,7 +136,7 @@ class NqiTensor:
     __slots__ = ("_matrix", "frame")
 
     def __init__(self, matrix, frame: str = FRAME_E):
-        self._matrix = _validated_tensor(matrix, "NQI tensor")
+        self._matrix = _validated_tensor(tensor_matrix(matrix, "NQI tensor"), "NQI tensor")
         self.frame = frame
 
     @property
@@ -211,21 +219,22 @@ def nqi_from_efg(phi: EfgTensor, nucleus: NucleusRecord) -> NqiTensor:
     return NqiTensor(rad_per_s, frame=phi.frame)
 
 
-def rotation_about_x(theta: float) -> np.ndarray:
-    """Rotation matrix about the shared x axis by theta."""
+def rotation_about_x(theta: float | np.ndarray) -> np.ndarray:
+    """Rotation matrix about the shared x axis by theta; an array of angles gives one per angle."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    return np.stack([one, zero, zero, zero, c, -s, zero, s, c], -1).reshape(np.shape(c) + (3, 3))
 
 
-def rotate_about_x(q, theta: float):
+def rotate_about_x(q, theta: float | np.ndarray):
     """Rotate a tensor about the x axis: R Q R^T.
 
-    Accepts EfgTensor, NqiTensor, or a plain 3x3 array; returns the same
-    kind.  An E-frame label becomes B (the field frames share the x
-    axis); other labels are kept.
+    Accepts EfgTensor, NqiTensor, or a plain 3x3 array; returns the same kind.
+    An E-frame label becomes B (the field frames share the x axis), others
+    are kept.  A plain array and N angles give an unvalidated (N, 3, 3) stack.
     """
     r = rotation_about_x(theta)
-    mat = r @ tensor_matrix(q) @ r.T
+    mat = r @ tensor_matrix(q) @ np.swapaxes(r, -1, -2)
     if not isinstance(q, (EfgTensor, NqiTensor)):
         return mat
     frame = FRAME_B if q.frame == FRAME_E else q.frame
@@ -394,11 +403,8 @@ class NqiTable:
                 f"field {field_au:g} a.u. outside tabulated range "
                 f"[{fields[0]:g}, {fields[-1]:g}] for state {state!r}; extrapolation refused"
             )
-        mat_khz = np.empty((3, 3))
-        for a in range(3):
-            for b in range(3):
-                mat_khz[a, b] = np.interp(field_au, fields, tensors[:, a, b])
-        return NqiTensor.from_khz(mat_khz, frame=FRAME_E)
+        mat_khz = [np.interp(field_au, fields, c) for c in tensors.reshape(-1, 9).T]
+        return NqiTensor.from_khz(np.reshape(mat_khz, (3, 3)), frame=FRAME_E)
 
 
 def load_nqi_table(path) -> NqiTable:

@@ -17,10 +17,10 @@ The pipeline implemented here:
 3. q0_q1: the static tensor Q0 and the fundamental-harmonic amplitude
    Q1 of the effective coupling, built from the square-wave limit of the
    population (DC value rho_inf / 2, fundamental 2 rho_inf / pi).
-4. transition_table / plan: per transition, the repetition rate from
-   the first-order transition energy with Q0 and the predicted Rabi
-   frequency |g(Q1)| / 2 pi from the transition amplitude; plan reads
-   the row of one target transition.
+4. transition_table / plan: per orientation and transition, the
+   repetition rate from the first-order transition energy with Q0 and
+   the predicted Rabi frequency |g(Q1)| / 2 pi from the transition
+   amplitude; plan reads the row of one target transition.
 5. simulate_spin_effective / simulate_coupled: the spin-only model with
    a harmonically modulated tensor, and the full 2 x (2I+1) density
    matrix with the operator-valued coupling, for cross-validation.
@@ -40,11 +40,10 @@ from scipy.optimize import curve_fit
 
 from . import qdyn
 from .constants import TWO_PI, NucleusRecord
-from .efg import FRAME_B, FRAME_E, NqiTensor, rotate_about_x
+from .efg import FRAME_B, FRAME_E, NqiTensor, _validated_tensor, rotate_about_x
 from .qdyn import CollapseChannel, DensityOperator, PropagationDiagnostics
 from .spin import (
     HierarchyWarning,
-    SpinSystem,
     allowed_transitions,
     make_spin,
     quadrupole_hamiltonian,
@@ -385,6 +384,14 @@ def effective_nqi_series(
     return out
 
 
+def _q0_q1(qg, qe, rho_ee_inf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q0 and Q1 (unvalidated) of ground and excited matrices, or of stacks of them."""
+    if not -1e-6 <= rho_ee_inf <= 0.5 + 1e-6:
+        raise ValueError(f"rho_ee_inf = {rho_ee_inf:.6g} outside the physical range [0, 1/2]")
+    dq = qe - qg
+    return qg + (rho_ee_inf / 2.0) * dq, (2.0 * rho_ee_inf / math.pi) * dq
+
+
 def q0_q1(pair: StatePairNqi, rho_ee_inf: float) -> tuple[NqiTensor, NqiTensor]:
     """Static and fundamental-harmonic parts of the effective coupling.
 
@@ -392,14 +399,15 @@ def q0_q1(pair: StatePairNqi, rho_ee_inf: float) -> tuple[NqiTensor, NqiTensor]:
     Q1 = (2 rho_inf / pi) (Qe - Qg) is the amplitude of the sin term at
     the repetition rate, both from the square-wave limit of rho_ee(t).
     """
-    if not -1e-6 <= rho_ee_inf <= 0.5 + 1e-6:
-        raise ValueError(
-            f"rho_ee_inf = {rho_ee_inf:.6g} outside the physical range [0, 1/2]"
-        )
-    dq = pair.qe.matrix - pair.qg.matrix
-    q0 = NqiTensor(pair.qg.matrix + (rho_ee_inf / 2.0) * dq, frame=pair.frame)
-    q1 = NqiTensor((2.0 * rho_ee_inf / math.pi) * dq, frame=pair.frame)
-    return q0, q1
+    q0, q1 = _q0_q1(pair.qg.matrix, pair.qe.matrix, rho_ee_inf)
+    return NqiTensor(q0, frame=pair.frame), NqiTensor(q1, frame=pair.frame)
+
+
+def _turns_to_b(pair: StatePairNqi) -> bool:
+    """Whether the pair is in the E frame, which turns about x into the B frame."""
+    if pair.frame in (FRAME_E, FRAME_B):
+        return pair.frame == FRAME_E
+    raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
 
 
 def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
@@ -408,43 +416,46 @@ def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
     E-frame tensors are rotated about x by theta, the angle between the
     gradient and field frames; B-frame tensors pass through unchanged.
     """
-    if pair.frame == FRAME_E:
-        return pair.map(lambda q: rotate_about_x(q, theta))
-    if pair.frame == FRAME_B:
-        return pair
-    raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
+    return pair.map(lambda q: rotate_about_x(q, theta)) if _turns_to_b(pair) else pair
 
 
 def transition_table(
     pair: StatePairNqi,
     nucleus: NucleusRecord,
     b0_tesla: float,
-    theta: float,
+    theta: float | np.ndarray,
     rho_inf: float,
     transitions=None,
-) -> tuple[NqiTensor, NqiTensor, list[tuple[float, float, float, float, float]]]:
-    """Q0, Q1 and one (m_from, m_to, zeeman_hz, energy_hz, rabi_hz) row per transition.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q0, Q1 and one row per transition at each orientation in theta.
 
-    Rotates the state pair into the magnetic-field frame and forms Q0
-    and Q1 from the excited-state steady-state population rho_inf.
-    zeeman_hz is |gamma B0 delta m|, energy_hz the first-order transition
-    energy |E(m_to) - E(m_from)| with Q0 (the resonant repetition rate),
-    and rabi_hz is |g(Q1)| / 2 pi, set to exactly 0.0 when the amplitude
-    vanishes relative to the norm of Q1 (a forbidden or geometrically
-    suppressed transition).  transitions defaults to every allowed one.
+    theta is an array of N orientations (a scalar is an array of one), at
+    all of which the pair is turned into the field frame (B) at once and
+    checked as NqiTensor checks one tensor.  Q0 and Q1 are (N, 3, 3) stacks
+    at the steady-state population rho_inf; the (N, T, 5) table holds a row
+    (m_from, m_to, zeeman_hz, energy_hz, rabi_hz) per orientation and
+    transition: |gamma B0 delta m|, the first-order |E(m_to) - E(m_from)|
+    with Q0 (the resonant repetition rate), and |g(Q1)| / 2 pi, 0.0 at or
+    below ZERO_AMPLITUDE_RTOL times that orientation's largest |Q1|
+    component.  transitions defaults to every allowed one.
     """
     spin = make_spin(nucleus.two_I)
-    q0, q1 = q0_q1(pair_in_b_frame(pair, theta), rho_inf)
-    gamma = nucleus.gamma_hz_per_t
-    rows = []
-    for m_from, m_to in allowed_transitions(spin) if transitions is None else transitions:
-        zeeman = abs(gamma * b0_tesla * (m_to - m_from))
-        energy = abs(transition_energy(m_from, m_to, gamma, b0_tesla, q0.qzz_hz, spin))
-        g = abs(transition_amplitude(m_from, m_to, q1, spin))
-        if g <= ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300):
-            g = 0.0
-        rows.append((m_from, m_to, zeeman, energy, g / TWO_PI))
-    return q0, q1, rows
+    thetas = np.asarray(theta, dtype=float).ravel()
+    angles = thetas if _turns_to_b(pair) else np.zeros_like(thetas)  # B turns by 0, exactly
+    turned = (rotate_about_x(q.matrix, angles) for q in (pair.qg, pair.qe))
+    qg, qe = (_validated_tensor(m, "NQI tensor") for m in turned)
+    q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _q0_q1(qg, qe, rho_inf))
+    floor = ZERO_AMPLITUDE_RTOL * np.maximum(np.max(np.abs(q1), axis=(1, 2)), 1e-300)
+    gamma, qzz_hz = nucleus.gamma_hz_per_t, q0[:, 2, 2] / TWO_PI
+    transitions = allowed_transitions(spin) if transitions is None else list(transitions)
+    table = np.empty((thetas.size, len(transitions), 5))
+    for k, (m_from, m_to) in enumerate(transitions):
+        table[:, k, :3] = m_from, m_to, abs(gamma * b0_tesla * (m_to - m_from))
+        table[:, k, 3] = np.abs(transition_energy(m_from, m_to, gamma, b0_tesla, qzz_hz, spin))
+        g = transition_amplitude(m_from, m_to, q1, spin)
+        g = np.hypot(g.real, g.imag)  # |g| as abs() rounds it; np.abs can differ in the last bit
+        table[:, k, 4] = np.where(g <= floor, 0.0, g) / TWO_PI
+    return q0, q1, table
 
 
 def plan(
@@ -470,9 +481,10 @@ def plan(
     so OnerPlan raises ValueError, whatever allow_zero_amplitude says.
     """
     rho_inf, _ = steady_state(params)
-    q0, q1, [(m_from, m_to, _, rep_hz, rabi_hz)] = transition_table(
+    q0, q1, [[(m_from, m_to, _, rep_hz, rabi_hz)]] = transition_table(
         pair, nucleus, b0_tesla, theta, rho_inf, [transition]
     )
+    q0, q1 = (NqiTensor(q[0], frame=FRAME_B) for q in (q0, q1))
     if rabi_hz == 0.0 and not allow_zero_amplitude:
         raise ZeroAmplitudeError(
             f"transition {m_from:g} -> {m_to:g} cannot be driven: its amplitude "
@@ -480,13 +492,7 @@ def plan(
             "the geometric prefactor is identically zero for this level pair or the "
             "relevant tensor components vanish at this orientation"
         )
-    return OnerPlan(
-        q0=q0,
-        q1=q1,
-        transition=(float(m_from), float(m_to)),
-        repetition_rate_hz=rep_hz,
-        predicted_rabi_hz=rabi_hz,
-    )
+    return OnerPlan(q0, q1, (float(m_from), float(m_to)), float(rep_hz), float(rabi_hz))
 
 
 def detuned(plan_: OnerPlan, rate_offset_hz: float) -> OnerPlan:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -53,15 +52,10 @@ class SpinSystem:
         if int(two_I) != two_I or two_I < 0:
             raise ValueError(f"two_I must be a non-negative integer, got {two_I}")
         self._two_I = int(two_I)
-        dim = self.two_I + 1
         m = self.m_values
         iz = np.diag(m.astype(complex))
-        ip = np.zeros((dim, dim), dtype=complex)
-        ii = self.I * (self.I + 1.0)
         # I+ |m> = sqrt(I(I+1) - m(m+1)) |m+1>; m+1 sits one index earlier
-        for k in range(1, dim):
-            mm = m[k]
-            ip[k - 1, k] = np.sqrt(ii - mm * (mm + 1.0))
+        ip = np.diag(np.sqrt(self.I * (self.I + 1.0) - m[1:] * (m[1:] + 1.0)), 1).astype(complex)
         im = ip.conj().T
         ix = (ip + im) / 2.0
         iy = (ip - im) / 2.0j
@@ -176,21 +170,16 @@ def first_order_energies(
 
 
 def transition_energy(
-    m_from: float, m_to: float, gamma_hz_per_t: float, b0_tesla: float, qzz_hz: float,
-    spin: SpinSystem,
-) -> float:
-    """First-order energy difference E(m_to) - E(m_from) in Hz."""
-    spin.index_of(m_from)
-    spin.index_of(m_to)
-    dm = round(2 * (m_to - m_from)) / 2.0
-    if abs(dm) not in (1.0, 2.0):
-        raise UnsupportedTransitionError(m_from, m_to)
+    m_from: float, m_to: float, gamma_hz_per_t: float, b0_tesla: float, qzz_hz, spin: SpinSystem,
+):
+    """First-order energy difference E(m_to) - E(m_from) in Hz, one per entry of qzz_hz."""
+    transition_prefactor(m_from, m_to, spin)  # checks both levels and |delta m|
     zeeman = gamma_hz_per_t * b0_tesla
     ii = spin.I * (spin.I + 1.0)
     return _level_energy(zeeman, m_to, ii, qzz_hz) - _level_energy(zeeman, m_from, ii, qzz_hz)
 
 
-def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem) -> complex:
+def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem):
     """Drive amplitude of a quadrupole-mediated transition.
 
     For the lowering branch m -> m-1 (m the larger quantum number):
@@ -204,14 +193,18 @@ def transition_amplitude(m_from: float, m_to: float, q, spin: SpinSystem) -> com
 
     Raising amplitudes are the conjugates.  The result carries the same
     units as the tensor components; |g| is the Rabi angular frequency
-    when q is the oscillating tensor amplitude in rad/s.
+    when q is the oscillating tensor amplitude in rad/s.  A (..., 3, 3)
+    stack of tensors gives one amplitude per tensor.
     """
     prefactor = transition_prefactor(m_from, m_to, spin)
-    mat = tensor_matrix(q, "coupling tensor")
+    mat = np.asarray(getattr(q, "matrix", q), dtype=float)
+    if mat.shape[-2:] != (3, 3):
+        raise ValueError(f"coupling tensor must be 3x3 or a stack of 3x3, got shape {mat.shape}")
     if round(2 * abs(m_to - m_from)) == 2:  # |delta m| = 1
-        g = prefactor * complex(mat[0, 2], mat[1, 2])
+        re, im = mat[..., 0, 2], mat[..., 1, 2]
     else:
-        g = prefactor * complex(mat[0, 0] - mat[1, 1], 2.0 * mat[1, 0])
+        re, im = mat[..., 0, 0] - mat[..., 1, 1], 2.0 * mat[..., 1, 0]
+    g = prefactor * (re + 1j * im)
     return g if m_to < m_from else np.conj(g)
 
 
@@ -233,10 +226,5 @@ def transition_prefactor(m_from: float, m_to: float, spin: SpinSystem) -> float:
 
 def allowed_transitions(spin: SpinSystem) -> list[tuple[float, float]]:
     """All lowering transitions with |delta m| in {1, 2}, descending m."""
-    out: list[tuple[float, float]] = []
-    ms: Sequence[float] = spin.m_values.tolist()
-    for dm in (1.0, 2.0):
-        for m in ms:
-            if m - dm >= -spin.I - 1e-12:
-                out.append((float(m), float(m - dm)))
-    return out
+    ms = spin.m_values.tolist()
+    return [(m, m - dm) for dm in (1.0, 2.0) for m in ms if m - dm >= -spin.I - 1e-12]

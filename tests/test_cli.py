@@ -377,6 +377,66 @@ def test_rabi_map_interpolates_each_field_once(monkeypatch, capsys, unit_mode):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 3 * 5
 
 
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+def test_rabi_map_builds_one_table_per_field(monkeypatch, capsys, unit_mode):
+    # each field's table covers every theta of the sweep in one call
+    real, calls = cli.transition_table, []
+
+    def counting(pair, nucleus, b0_tesla, theta, *args):
+        calls.append(np.size(theta))
+        return real(pair, nucleus, b0_tesla, theta, *args)
+
+    monkeypatch.setattr(cli, "transition_table", counting)
+    argv = ["rabi-map", "--theta-count", "4", "--field-count", "3", "--unit-mode", unit_mode]
+    assert main(argv) == EXIT_OK
+    assert calls == [4, 4, 4]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 3 * 5
+
+
+def assert_corrections_mirror(data, n_transitions):
+    """Each row's correction is minus that of its mirror (-m_to, -m_from) at the same node."""
+    rows = list(zip(data["transition_from"], data["transition_to"], data["correction_hz"]))
+    scale = np.abs(data["correction_hz"]).max()
+    assert scale > 0.0
+    for start in range(0, len(rows), n_transitions):
+        node = {(mf, mt): c for mf, mt, c in rows[start : start + n_transitions]}
+        assert len(node) == n_transitions
+        for (mf, mt), c in node.items():
+            assert c == pytest.approx(-node[(-mt, -mf)], abs=1e-9 * scale)
+
+
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+@pytest.mark.parametrize("nucleus, n_transitions", [("2H", 3), ("43Ca", 13)])
+def test_integer_and_high_spins_run_spectrum_and_rabi_map(
+    tmp_path, capsys, nucleus, n_transitions, unit_mode
+):
+    path = write_scenario(tmp_path, nucleus=nucleus, unit_mode=unit_mode)
+    assert main(["spectrum", "--scenario", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "transition_from,transition_to,zeeman_hz,correction_hz,total_hz"
+    data = parse_csv(out)
+    assert data["total_hz"].size == n_transitions
+    assert_corrections_mirror(data, n_transitions)
+
+    argv = ["rabi-map", "--scenario", path, "--theta-count", "3", "--field-count", "2"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    header = "theta_rad,field_au,transition_from,transition_to,rabi_hz,correction_hz"
+    assert out.splitlines()[0] == header
+    data = parse_csv(out)
+    assert data["rabi_hz"].size == 3 * 2 * n_transitions
+    assert_corrections_mirror(data, n_transitions)
+
+
+def test_coupled_default_transition_is_not_a_spin_1_level(tmp_path, capsys):
+    # the packaged 1.5 -> 0.5 transition does not exist for I = 1
+    assert main(["coupled", "--scenario", write_scenario(tmp_path, nucleus="2H")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a level of a spin-1 system" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_rabi_map_refuses_extrapolation(capsys):
     code = main(["rabi-map", "--field-min", "0.005", "--field-max", "0.05"])
     assert code == EXIT_INGESTION

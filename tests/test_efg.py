@@ -8,9 +8,12 @@ files for the parser.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from onersim import efg
 from onersim.constants import (
     BARN_TO_M2,
     EFG_AU_TO_SI,
@@ -151,6 +154,40 @@ def test_rotation_composes():
     a, b = 0.4, 0.9
     once = rotate_about_x(rotate_about_x(mat, a), b)
     np.testing.assert_allclose(once, rotate_about_x(mat, a + b), atol=1e-12)
+
+
+def test_rotation_over_an_array_of_angles_is_one_rotation_per_angle():
+    rng = np.random.default_rng(17)
+    mat, thetas = random_traceless_symmetric(rng), rng.uniform(-np.pi, np.pi, 11)
+    stack, turned = rotation_about_x(thetas), rotate_about_x(mat, thetas)
+    assert stack.shape == turned.shape == (11, 3, 3)
+    for theta, r, t in zip(thetas, stack, turned):
+        np.testing.assert_array_equal(r, rotation_about_x(theta))
+        np.testing.assert_array_equal(t, rotate_about_x(mat, theta))
+
+
+def test_validated_tensor_checks_each_tensor_of_a_stack_as_nqi_tensor_does():
+    rng = np.random.default_rng(19)
+    stack = np.array([random_traceless_symmetric(rng, 10.0**k) for k in range(-3, 4)])
+    stack[:, 0, 1] *= 1.0 + 1e-14  # asymmetric within tolerance: symmetrized
+    out = efg._validated_tensor(stack, "NQI tensor")
+    assert not out.flags.writeable
+    for m, o in zip(stack, out):
+        np.testing.assert_array_equal(o, (m + m.T) / 2.0)
+        np.testing.assert_array_equal(o, NqiTensor(m).matrix)
+    # each tensor is judged by its own scale: a trace negligible next to
+    # the largest tensor still fails the smallest one
+    bad = stack.copy()
+    bad[0] += np.eye(3) * 1e-8 * np.abs(bad[0]).max()
+    tr, norm = np.trace(bad[0]), np.abs(bad[0]).max()
+    with pytest.raises(ValueError, match=re.escape(f"trace = {tr:.3e}, norm = {norm:.3e}")):
+        efg._validated_tensor(bad, "NQI tensor")
+    bad = stack.copy()
+    bad[1, 0, 2] += 1e-6 * np.abs(bad[1]).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        efg._validated_tensor(bad, "NQI tensor")
+    with pytest.raises(ValueError, match="non-finite"):
+        efg._validated_tensor(np.where(np.eye(3) > 0, np.nan, stack), "NQI tensor")
 
 
 def test_asymmetry_reference_values():

@@ -18,7 +18,7 @@ import pytest
 
 from onersim import oner
 from onersim.constants import TWO_PI, NucleusRecord
-from onersim.efg import NqiTensor, axial_nqi
+from onersim.efg import NqiTensor, axial_nqi, rotate_about_x
 from onersim.oner import (
     FourierSeries,
     NoSteadyStateError,
@@ -43,7 +43,14 @@ from onersim.oner import (
     TwoLevelTrajectory,
 )
 from onersim.qdyn import DensityOperator, propagate
-from onersim.spin import HierarchyWarning, make_spin, transition_energy
+from onersim.spin import (
+    HierarchyWarning,
+    UnsupportedTransitionError,
+    allowed_transitions,
+    make_spin,
+    transition_amplitude,
+    transition_energy,
+)
 
 
 def nucleus_for(gamma_b0_hz: float, two_I: int = 3) -> NucleusRecord:
@@ -453,7 +460,7 @@ def test_plan_refuses_a_zero_repetition_rate():
     xz = np.zeros((3, 3))
     xz[0, 2] = xz[2, 0] = TWO_PI * 50e3
     tilted = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor(xz))
-    assert transition_table(tilted, nuc, 0.0, 0.0, 0.5, [(1.5, 0.5)])[2][0][4] > 0.0
+    assert transition_table(tilted, nuc, 0.0, 0.0, 0.5, [(1.5, 0.5)])[2][0, 0, 4] > 0.0
     with pytest.raises(ValueError, match="zero energy"):
         plan(flat, nuc, 0.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=True)
     for allow in (False, True):
@@ -467,7 +474,9 @@ def test_transition_table_rows_are_the_plans():
     nuc = nucleus_for(33333.0)
     pair = axial_pair(TWO_PI * 1000.0)
     rho_inf, _ = steady_state(CW)
-    q0, q1, rows = transition_table(pair, nuc, 1.0, 0.9, rho_inf)
+    q0, q1, table = transition_table(pair, nuc, 1.0, 0.9, rho_inf)
+    assert q0.shape == q1.shape == (1, 3, 3) and table.shape == (1, 5, 5)
+    rows = [tuple(r) for r in table[0].tolist()]
     assert [r[:2] for r in rows] == [
         (1.5, 0.5), (0.5, -0.5), (-0.5, -1.5), (1.5, -0.5), (0.5, -1.5)
     ]
@@ -475,9 +484,80 @@ def test_transition_table_rows_are_the_plans():
         pl = plan(pair, nuc, 1.0, 0.9, CW, (m_from, m_to), allow_zero_amplitude=True)
         assert (energy, rabi) == (pl.repetition_rate_hz, pl.predicted_rabi_hz)
         assert zeeman == pytest.approx(33333.0 * abs(m_to - m_from), rel=1e-15)
-        np.testing.assert_array_equal(pl.q0.matrix, q0.matrix)
-        np.testing.assert_array_equal(pl.q1.matrix, q1.matrix)
+        np.testing.assert_array_equal(pl.q0.matrix, q0[0])
+        np.testing.assert_array_equal(pl.q1.matrix, q1[0])
     assert rows[1][4] == 0.0 and rows[0][4] > 0.0
+
+
+def per_node_table(pair, nuc, b0, theta, rho_inf, transitions):
+    """Q0, Q1 and rows at one orientation from rotate_about_x, q0_q1 and the scalar spin helpers."""
+    spin = make_spin(nuc.two_I)
+    pair_b = pair.map(lambda q: rotate_about_x(q, theta)) if pair.frame == "E" else pair
+    q0, q1 = q0_q1(pair_b, rho_inf)
+    gamma, rows = nuc.gamma_hz_per_t, []
+    for m_from, m_to in transitions:
+        energy = abs(transition_energy(m_from, m_to, gamma, b0, q0.qzz_hz, spin))
+        g = abs(transition_amplitude(m_from, m_to, q1, spin))
+        g = 0.0 if g <= oner.ZERO_AMPLITUDE_RTOL * max(q1.norm, 1e-300) else g
+        rows.append([m_from, m_to, abs(gamma * b0 * (m_to - m_from)), energy, g / TWO_PI])
+    return q0.matrix, q1.matrix, rows
+
+
+@pytest.mark.parametrize("two_I", [2, 3, 7])
+@pytest.mark.parametrize("frame", ["E", "B"])
+def test_transition_table_over_orientations_is_the_per_node_table(frame, two_I):
+    # one call over 50 seeded orientations equals 50 single-orientation
+    # tables built tensor by tensor, bit for bit
+    rng = np.random.default_rng(40 + two_I)
+
+    def tensor():
+        a = rng.normal(size=(3, 3))
+        a = a + a.T
+        return NqiTensor(TWO_PI * 1e3 * (a - np.eye(3) * np.trace(a) / 3.0), frame=frame)
+
+    pair, nuc = StatePairNqi(qg=tensor(), qe=tensor()), nucleus_for(33333.0, two_I)
+    thetas = rng.uniform(-np.pi, np.pi, 50)
+    transitions = allowed_transitions(make_spin(two_I))
+    rho_inf, _ = steady_state(CW)
+    q0, q1, table = transition_table(pair, nuc, 0.7, thetas, rho_inf)
+    assert table.shape == (50, len(transitions), 5) and q0.shape == q1.shape == (50, 3, 3)
+    assert len(transitions) == {2: 3, 3: 5, 7: 13}[two_I]
+    for n, theta in enumerate(thetas):
+        ref_q0, ref_q1, rows = per_node_table(pair, nuc, 0.7, theta, rho_inf, transitions)
+        np.testing.assert_array_equal(q0[n], ref_q0)
+        np.testing.assert_array_equal(q1[n], ref_q1)
+        assert table[n].tolist() == rows
+
+
+def test_transition_table_zeroes_each_orientation_against_its_own_q1():
+    # just past 90 degrees the axial pair's single-quantum amplitude lies
+    # under ZERO_AMPLITUDE_RTOL times that orientation's largest |Q1|
+    # component but over it times the smaller one at 45 degrees, so only a
+    # per-orientation threshold zeroes it; its neighbours drive the line
+    nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
+    rho_inf, _ = steady_state(CW)
+    thetas = np.pi / 2.0 + np.array([-np.pi / 4.0, -0.01, 3.5e-10, 0.01])
+    _, q1, table = transition_table(pair, nuc, 1.0, thetas, rho_inf, [(1.5, 0.5)])
+    top = oner.ZERO_AMPLITUDE_RTOL * np.abs(q1).max(axis=(1, 2))
+    assert top[0] < abs(transition_amplitude(1.5, 0.5, q1[2], make_spin(3))) <= top[2]
+    assert table[2, 0, 4] == 0.0 and np.all(table[[0, 1, 3], 0, 4] > 0.0)
+    for n, theta in enumerate(thetas):
+        assert table[n].tolist() == per_node_table(pair, nuc, 1.0, theta, rho_inf, [(1.5, 0.5)])[2]
+
+
+def test_transition_table_refuses_bad_orientations_and_transitions():
+    nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
+    with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
+        transition_table(pair, nuc, 1.0, [0.3, np.nan, 0.6], 0.3)
+    with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
+        transition_table(pair, nuc, 1.0, np.nan, 0.3)
+    # a B-frame pair takes no turn, so its orientation is never read
+    b_pair = StatePairNqi(*(NqiTensor(q.matrix, frame="B") for q in (pair.qg, pair.qe)))
+    assert transition_table(b_pair, nuc, 1.0, np.nan, 0.3)[2].shape == (1, 5, 5)
+    with pytest.raises(UnsupportedTransitionError, match=r"transition 1.5 -> -1.5 changes m by 3"):
+        transition_table(pair, nuc, 1.0, [0.3, 0.6], 0.3, [(1.5, 0.5), (1.5, -1.5)])
+    with pytest.raises(ValueError, match=r"m = 2.5 is not a level of a spin-1.5 system"):
+        transition_table(pair, nuc, 1.0, 0.3, 0.3, [(2.5, 1.5)])
 
 
 def test_plan_accepts_prerotated_pairs():
