@@ -40,7 +40,7 @@ from scipy.optimize import curve_fit
 
 from . import qdyn
 from .constants import TWO_PI, NucleusRecord
-from .efg import FRAME_B, FRAME_E, NqiTensor, _validated_tensor, rotate_about_x
+from .efg import FRAME_B, FRAME_E, TRACE_RTOL, NqiTensor, _validated_tensor, rotate_about_x
 from .qdyn import CollapseChannel, DensityOperator, PropagationDiagnostics
 from .spin import (
     HierarchyWarning,
@@ -170,7 +170,7 @@ class StatePairNqi:
     @property
     def delta(self) -> NqiTensor:
         """Difference tensor Qe - Qg."""
-        return NqiTensor(self.qe.matrix - self.qg.matrix, frame=self.frame)
+        return NqiTensor(_difference(self.qg.matrix, self.qe.matrix), frame=self.frame)
 
     def map(self, fn) -> "StatePairNqi":
         """The pair of fn(qg), fn(qe) and, when present, fn(qeg)."""
@@ -221,10 +221,18 @@ def steady_state(params: TwoLevelParams) -> tuple[float, complex]:
         raise NoSteadyStateError("steady state requires a nonzero decay rate")
     gp = params.gamma_perp
     om, dl, gam = params.omega_rabi, params.detuning, params.decay
-    denom = 1.0 + (dl / gp) ** 2 + om * om / (gp * gam)
-    rho_ee = (om * om / (2.0 * gp * gam)) / denom
-    rho_eg = (1j * om / (2.0 * gp)) * (1.0 + 1j * dl / gp) / denom
-    return rho_ee, complex(rho_eg)
+    try:
+        denom = 1.0 + (dl / gp) ** 2 + om * om / (gp * gam)
+        rho_ee = (om * om / (2.0 * gp * gam)) / denom
+        rho_eg = complex((1j * om / (2.0 * gp)) * (1.0 + 1j * dl / gp) / denom)
+    except (ZeroDivisionError, OverflowError):
+        rho_ee = rho_eg = math.nan
+    if not np.all(np.isfinite([rho_ee, rho_eg])):
+        raise NoSteadyStateError(
+            f"steady state out of floating-point range: omega {om:.3g}, detuning {dl:.3g}, "
+            f"decay {gam:.3g} rad/s"
+        )
+    return rho_ee, rho_eg
 
 
 def drive_hamiltonian(params: TwoLevelParams, on: bool) -> np.ndarray:
@@ -326,6 +334,7 @@ class FourierSeries:
         return len(self.a) - 1
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a bad period raises below
 def fourier_coefficients(times, values, n_max: int) -> FourierSeries:
     """Fourier coefficients of one period of a sampled series.
 
@@ -353,7 +362,10 @@ def fourier_coefficients(times, values, n_max: int) -> FourierSeries:
     if n_max >= n / 2:
         raise ValueError(f"n_max = {n_max} unresolvable with {n} samples per period")
     tau = n * float(dt[0])
-    phase = np.outer(TWO_PI * np.arange(n_max + 1) / tau, t - t[0])
+    omega = TWO_PI * np.arange(n_max + 1) / tau
+    if not np.all(np.isfinite(omega)):
+        raise ValueError(f"harmonics up to {n_max} of a period of {tau:.3g} overflow")
+    phase = np.outer(omega, t - t[0])
     a = 2.0 * np.mean(v * np.cos(phase), axis=1)
     b = 2.0 * np.mean(v * np.sin(phase), axis=1)
     b[0] = 0.0
@@ -384,11 +396,25 @@ def effective_nqi_series(
     return out
 
 
+def _difference(qg, qe) -> np.ndarray:
+    """Qe - Qg of validated matrices, or of stacks of them, traceless next to its own norm.
+
+    The inputs are traceless up to rounding at their own scale, which the difference
+    keeps: where that rounding reads as a trace next to the difference's own norm (a
+    Qe - Qg far below Qg), the trace is projected out, and elsewhere left as it is.
+    """
+    dq = qe - qg
+    tr = np.trace(dq, axis1=-2, axis2=-1)
+    far = np.abs(tr) > TRACE_RTOL * np.max(np.abs(dq), axis=(-2, -1))
+    dq -= np.where(far, tr / 3.0, 0.0)[..., None, None] * np.eye(3)
+    return dq
+
+
 def _q0_q1(qg, qe, rho_ee_inf: float) -> tuple[np.ndarray, np.ndarray]:
     """Q0 and Q1 (unvalidated) of ground and excited matrices, or of stacks of them."""
     if not -1e-6 <= rho_ee_inf <= 0.5 + 1e-6:
         raise ValueError(f"rho_ee_inf = {rho_ee_inf:.6g} outside the physical range [0, 1/2]")
-    dq = qe - qg
+    dq = _difference(qg, qe)
     return qg + (rho_ee_inf / 2.0) * dq, (2.0 * rho_ee_inf / math.pi) * dq
 
 
@@ -536,9 +562,10 @@ def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_
     cross = np.abs(np.outer(q1.ravel(), dq.ravel()) - np.outer(dq.ravel(), q1.ravel()))
     if float(np.max(cross)) > 1e-9 * scale * scale:
         raise ValueError("plan.q1 is not proportional to Qe - Qg of the supplied pair")
-    # Q0 - Qg = (pi / 4) Q1 regardless of the steady-state value
+    # Q0 - Qg = (pi / 4) Q1 regardless of the steady-state value, up to Q0's own rounding
     resid = plan_.q0.matrix - pair_b.qg.matrix - (math.pi / 4.0) * q1
-    if float(np.max(np.abs(resid))) > 1e-9 * scale:
+    rounding = 8 * np.finfo(float).eps * float(np.max(np.abs(plan_.q0.matrix)))
+    if float(np.max(np.abs(resid))) > 1e-9 * scale + rounding:
         raise ValueError("plan.q0 inconsistent with the supplied pair")
     if duration <= 0:
         raise ValueError("duration must be > 0")

@@ -4,45 +4,39 @@ Lindblad master equation for small dense Hilbert spaces (dim <= 8):
 
     drho/dt = -i [H, rho] + sum_a k_a (c_a rho c_a+ - 1/2 {c_a+ c_a, rho})
 
-with H in angular-frequency units (hbar = 1).  Both propagators take
-H(t) = H_part + f(t) H_drive with |f| <= 1: propagate has no drive and
-one H_part per piece, propagate_modulated one H_part and a drive.  One
-front end (_run) checks and builds every run.  Propagation is fixed-step
-classical RK4 on a lattice: a piece of time of length L gets
-N = ceil(L * scale / max_step_phase) equal steps, scale being the larger
-of the total rate and rho(H_part) + rho(H_drive), rho the spectral
-radius, so the phase advanced per step stays below a small budget and no
-RK4 stage crosses a piece boundary.  A periodic drive is given as one
-period that starts at the first grid time and repeats: (length, H)
-pieces for propagate, the modulation period for propagate_modulated.
-Without a period the run is one piece that spans the grid.  Fixed steps
-keep output grids, and therefore any emitted tables, bit-stable across
-runs.
+with H in angular-frequency units (hbar = 1).  Both propagators take H(t) =
+H_part + f(t) H_drive with |f| <= 1: propagate has no drive and one H_part per
+piece, propagate_modulated one H_part and a drive.  One front end (_run)
+checks and builds every run.  Propagation is fixed-step classical RK4 on a
+lattice: a piece of time of length L gets N = ceil(L * scale / max_step_phase)
+equal steps, scale being the larger of the total rate and rho(H_part) +
+rho(H_drive), rho the spectral radius, so the phase advanced per step stays
+below a small budget and no RK4 stage crosses a piece boundary.  A periodic
+drive is given as one period that starts at the first grid time and repeats:
+(length, H) pieces for propagate, the modulation period for
+propagate_modulated.  Without a period the run is one piece that spans the
+grid.  Fixed steps keep output grids, and any emitted tables, bit-stable.
 
-Every run integrates a linear generator A(t) = A0 + f(t) A1: a
-channel-free pure state as a state vector under -iH, any other state as
-the row-major vec(rho) under the Liouvillian, whose drive part carries
-no dissipator.  One RK4 step is then a matrix, and each piece's maps are
-built once per run: the powers P^(2^b) of a constant piece's step map,
-on the samples or, when F phases (j, dt) serve R > F D samples, on the
-sample maps T(dt A) P^j, T the RK4 step by Horner in dt A; a modulated
-piece's step maps in real form (a GEMM of envelope monomials and 12
-coefficients per bounded batch) and their products at the samples (one
-in-place scan per batch).  Piece maps carry the state through each period
-that holds a sample, powers U^(2^b) of the period map skip the others,
-and sample maps and prefixes reach phases and stops that recur across
-periods by one GEMM on the period states.  Other samples take one RK4
-step each, by stages on A0 and A1 past a prefix, or by T past a power.
-This is stepwise RK4 with the products reassociated: deterministic, and
-equal to a literal step loop on the same lattice up to rounding.
-n_substeps counts the steps of that loop: the lattice steps up to the
-last sample, plus one per sample off the lattice.
+Every run integrates a linear generator A(t) = A0 + f(t) A1: a channel-free
+pure state as a state vector under -iH, any other state as the row-major
+vec(rho) under the Liouvillian, whose drive part carries no dissipator.  One
+RK4 step is then a matrix, and each piece builds its maps once per run
+(_piece_maps): the powers of a constant piece's step map, or its sample maps
+at recurring phases, and a modulated piece's step maps and their products at
+the samples.  Piece maps carry the state through each period that holds a
+sample, and powers of the period map skip the others.  This is stepwise RK4
+with the products reassociated: deterministic, and equal to a literal step
+loop on the same lattice up to rounding.  n_substeps counts the steps of that
+loop: the lattice steps up to the last sample, plus one per sample off it.  A
+run returns one read-only (n_times, d, d) stack of states, corrected and
+checked once, at the end, by _record.
 
-A run returns one read-only (n_times, d, d) stack of states.  The raw
-states are corrected and checked once, at the end: pre-correction drifts
-are checked and kept as diagnostics, every state is re-hermitized as
-(rho + rho+)/2 and trace renormalized, and positivity is checked in
-closed form at d = 2, by one batched eigvalsh above.
+Memory follows one rule: each batch of step maps, column block of poly, chunk
+of rows and choice of regime takes as many items as _fit lets fit in
+BATCH_BYTES beside what its path holds, the path's bytes per item stated
+beside its code.  The rows a path returns count up to half of what is left,
+so its peak, output included, stays within the bound until the output alone
+crowds it.  A modulated piece's prefixes take half the bound, the rows the rest.
 """
 
 from __future__ import annotations
@@ -71,16 +65,12 @@ MAX_STEP_PHASE_LIMIT = 0.05
 # is considered broken
 STEP_TRACE_DRIFT_LIMIT = 1e-6
 
-# bytes a batch of RK4 step maps may hold with its temporaries, poly and _real(poly)
-# (_step_bytes per step): 676 steps of 4 x 4 maps, 47 of 16 x 16, 1 from 40 x 40 on
+# the one memory rule: every batch, chunk and regime of the engine takes as many items
+# as _fit lets fit beside what its path holds, each path stating its bytes per item
 BATCH_BYTES = 1 << 20
 # classical RK4, (p, c, w) per stage: the envelope at point p of the step (start, middle,
 # end), input x + c dt k of the stage k before, and dt / w times the stage added to x
 _RK4_TABLEAU = ((0, 0.0, 6.0), (1, 0.5, 3.0), (1, 0.5, 3.0), (2, 1.0, 6.0))
-# stacks of a column block counted for building _Piece.poly: five live at
-# once (the identity block, a stage, its input and two matrix products),
-# three more cover matmul's buffers and the calls' fixed overhead
-_POLY_STACKS = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -95,6 +85,8 @@ def _as_complex_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must hold finite entries only")
     return arr
 
 
@@ -190,8 +182,8 @@ class CollapseChannel:
         arr = _as_complex_matrix(self.operator, "collapse operator").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "operator", arr)
-        if self.rate < 0:
-            raise ValueError(f"collapse rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < np.inf:
+            raise ValueError(f"collapse rate must be finite and >= 0, got {self.rate}")
 
 
 @dataclass
@@ -218,8 +210,7 @@ class PropagationDiagnostics:
 class PropagationResult:
     """States on the requested grid as one read-only stack, plus diagnostics.
 
-    matrices has shape (n_times, d, d); res[i] wraps matrices[i] in a
-    DensityOperator on demand.
+    matrices has shape (n_times, d, d); res[i] wraps matrices[i] in a DensityOperator on demand.
     """
 
     times: np.ndarray
@@ -259,10 +250,9 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
 def _hamiltonian_norm(h) -> float:
     """Step-control scale of an operator: a bound on its spectral radius.
 
-    Hermitian operators get the exact radius; anything else falls back
-    to the Frobenius norm, which bounds the spectral norm from above.
-    A max-entry norm is not enough here: it can undershoot the radius by
-    a factor of the dimension and starve the step control.
+    Hermitian operators get the exact radius; anything else falls back to the Frobenius
+    norm, which bounds the spectral norm from above.  A max-entry norm is not enough here:
+    it can undershoot the radius by a factor of the dimension and starve the step control.
     """
     arr = np.asarray(h, dtype=complex)
     if arr.size == 0:
@@ -290,15 +280,13 @@ def _record(
 ) -> PropagationResult:
     """Correct and check the raw vectors at t (vec(rho), or state vectors when pure).
 
-    A pure run's vectors become their outer products, whose traces are
-    the squared norms.  Then one batched pass, in order: the first
-    interval whose drift |tr_{k+1}/tr_k - 1| is not within
-    STEP_TRACE_DRIFT_LIMIT raises; hermitize and divide by those traces,
-    which hermitizing keeps; _min_eigenvalues.  The maps are linear and,
-    exactly, trace and hermiticity preserving, so this differs from
-    correcting between intervals by rounding only.  A broken run may
-    overflow on the way; the drift check reports it.  (v + v+) / 2 / tr
-    is one product by 0.5 / tr on the float view: numpy's complex / real
+    A pure run's vectors become their outer products, whose traces are the squared norms.
+    Then one batched pass, in order: the first interval whose drift |tr_{k+1}/tr_k - 1| is
+    not within STEP_TRACE_DRIFT_LIMIT raises; hermitize and divide by those traces, which
+    hermitizing keeps; _min_eigenvalues.  The maps are linear and, exactly, trace and
+    hermiticity preserving, so this differs from correcting between intervals by rounding
+    only.  A broken run may overflow on the way; the drift check reports it.
+    (v + v+) / 2 / tr is one product by 0.5 / tr on the float view: numpy's complex / real
     is Smith's rule, each part times the reciprocal, and halving is exact.
     """
     if pure:
@@ -345,10 +333,9 @@ def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
 def _rk4(a0, a1, f, dt, x: np.ndarray) -> np.ndarray:
     """One RK4 step of dx/dt = (a0 + f(t) a1) x on each row x[r]; a1 and f None is constant.
 
-    dt is one value or one per row, f[p, r] the envelope of row r at point p
-    of its step.  A stage is one GEMM per generator part on all rows, never
-    a per-row D x D generator, and is summed as it comes: a row at dt = 0
-    comes back as it went in.
+    dt is one value or one per row, f[p, r] the envelope of row r at point p of its step.  A
+    stage is one GEMM per generator part on all rows, never a per-row D x D generator, and
+    is summed as it comes: a row at dt = 0 comes back as it went in.
     """
     dt = np.reshape(dt, (-1, 1))
     out, k = x.copy(), 0.0
@@ -371,18 +358,24 @@ def _taylor(a, dt, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _step_bytes(dim: int) -> int:
-    """Bytes per step of a batch: its real-form map, 5/4 of one for scan or read-back, 48 floats."""
-    return 72 * dim * dim + 8 * 48
+def _fit(held: int, per_item: int, out: int = 0) -> int:
+    """Items of per_item bytes that fit in BATCH_BYTES beside held, and out up to half the rest."""
+    spare = BATCH_BYTES - held
+    return max(0, (spare - min(out, spare // 2)) // per_item)
+
+
+def _chunks(n: int, held: int, per_item: int, out: int = 0):
+    """Slices of range(n), each of as many items as _fit lets fit, and at least one."""
+    step = max(1, _fit(held, per_item, out))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True)
 class _Piece:
     """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant.
 
-    A constant piece's step map is _rk4 on the identity; a modulated
-    step's map is a polynomial in the envelope (poly), built once by the
-    same tableau.
+    A constant piece's step map is _rk4 on the identity; a modulated step's map is a
+    polynomial in the envelope (poly), built by the same tableau and kept in real form (coef).
     """
 
     a0: np.ndarray
@@ -397,31 +390,34 @@ class _Piece:
         return np.broadcast_to(np.asarray(self.envelope(t), dtype=float), t.shape)
 
     @functools.cached_property
+    def coef(self) -> np.ndarray:
+        """_real(poly), built once; poly is dropped once it is in real form."""
+        return _real(self.poly)
+
+    @property
     def poly(self) -> np.ndarray:
         """(12, D, D) coefficients of the step map minus I, f_s^a f_m^b f_e^c in row [a, b, c].
 
-        f_s, f_m, f_e are the envelope at a step's start, middle and end,
-        a, c <= 1 and b <= 2: the coefficients sum the 30 words of length
-        1 to 4 in h a0 and h a1.  The RK4 stages run on such polynomials;
-        A(t) = a0 + f a1 raises the power of f at t within its axis.  They
-        multiply from the left only, so the identity's columns are built in
-        blocks: the output and _POLY_STACKS stacks of a block's width fit
-        in BATCH_BYTES, and a bound without room for one column raises
-        ValueError.
+        f_s, f_m, f_e are the envelope at a step's start, middle and end, a, c <= 1 and
+        b <= 2: the coefficients sum the 30 words of length 1 to 4 in h a0 and h a1.  The
+        RK4 stages run on such polynomials; A(t) = a0 + f a1 raises the power of f at t
+        within its axis.  They multiply from the left only, so the identity's columns are
+        built in blocks beside the output; a bound without room for one raises ValueError.
         """
         d = self.a0.shape[0]
-        column = 12 * d * 16  # bytes of one column of the 12 complex matrices
-        width = (BATCH_BYTES - column * d) // (_POLY_STACKS * column)
-        if width < 1:
+        # a column: six stacks of 12 complex vectors (its block, the identity's, a stage,
+        # its input and two products), beside the output and the build's array objects
+        out, column = np.zeros((2, 3, 2, d, d), dtype=complex), 6 * 12 * 16 * d
+        held = out.nbytes + 4096
+        if (width := _fit(held, column)) < 1:
             raise ValueError(
-                f"BATCH_BYTES = {BATCH_BYTES} cannot hold the step-map polynomial of a "
-                f"{d} x {d} generator, which needs {column * (d + _POLY_STACKS)} bytes"
+                "BATCH_BYTES cannot hold the step-map polynomial of a "
+                f"{d} x {d} generator, which needs {held + column} bytes"
             )
-        out = np.zeros((2, 3, 2, d, d), dtype=complex)
         for c0 in range(0, d, width):
-            block = out[..., c0 : c0 + width]  # a view: the stages add into out
+            block = np.zeros_like(out[..., c0 : c0 + width])  # numpy buffers adds into a view
             eye = np.zeros_like(block)
-            eye[0, 0, 0] = np.eye(d, block.shape[-1], -c0)
+            eye[0, 0, 0, c0 : c0 + width].reshape(-1)[:: block.shape[-1] + 1] = 1.0
             k = 0.0
             for axis, c, w in _RK4_TABLEAU:
                 p, up = eye + (c * self.h) * k, (slice(None),) * axis
@@ -429,6 +425,7 @@ class _Piece:
                 k = self.a0 @ p
                 k[up + (slice(1, None),)] += self.a1 @ p[up + (slice(-1),)]
                 block += (self.h / w) * k
+            out[..., c0 : c0 + width] = block
         return out.reshape(12, d, d)
 
     def step_map(self) -> np.ndarray:
@@ -453,7 +450,8 @@ def _real(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     r = np.empty((*a.shape[:-2], 2 * d, 2 * d))
     r[..., :d, :d] = r[..., d:, d:] = a.real
-    r[..., d:, :d], r[..., :d, d:] = a.imag, -a.imag
+    r[..., d:, :d] = a.imag
+    np.negative(a.imag, out=r[..., :d, d:])
     return r
 
 
@@ -471,22 +469,22 @@ def _scan(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _prefixes(piece: _Piece, stops: np.ndarray):
+def _prefixes(piece: _Piece, stops: np.ndarray, held: int, keep: bool):
     """Yield (s, Q) per batch of step maps: Q[r] = M_{s[r]-1} ... M_0 at the stops s it completes.
 
-    stops ascend, 0 < stops <= piece.n.  The maps up to the last stop are
-    built once, as real forms, in batches that fit in BATCH_BYTES beside
-    poly and _real(poly).  Per batch, the product of the earlier batches
-    enters the first map, _scan makes the prefixes in place, and their left
-    block columns at the stops are read back as complex matrices.
+    stops ascend, 0 < stops <= piece.n.  The maps up to the last stop are built once, as
+    real forms, in batches beside coef, held and, if the caller keeps them, the prefixes
+    yielded before.  Per batch, the product of the earlier batches enters the first map,
+    _scan makes the prefixes in place, and their left block columns at the stops are read
+    back as complex matrices.
     """
     d = piece.a0.shape[0]
-    q, last = np.eye(2 * d), int(stops.max(initial=0))
-    # poly is kept, and its real forms, twice its bytes, sit beside each batch
-    coef = _real(piece.poly)
-    chunk = max(1, (BATCH_BYTES - 3 * piece.poly.nbytes) // _step_bytes(d))
-    for lo in range(0, last, chunk):
-        hi = min(lo + chunk, last)
+    q, lo, last = np.eye(2 * d), 0, int(stops.max(initial=0))
+    coef = piece.coef
+    held += 3 * coef.nbytes // 2  # coef, and poly (half its bytes) while coef is built
+    while lo < last:
+        # a step: its real-form map, 5/4 of one for scan or read-back, and 48 envelope floats
+        hi = min(lo + max(1, _fit(held, 72 * d * d + 384)), last)
         m = piece.step_maps(lo, hi, coef)
         m[0] = m[0] @ q
         q = _scan(m)[-1].copy()
@@ -494,21 +492,21 @@ def _prefixes(piece: _Piece, stops: np.ndarray):
         if s.size:
             r = m[s - lo - 1, :d, :d].astype(complex)
             r.imag = m[s - lo - 1, d:, :d]
+            held += keep * r.nbytes
             yield s, r
-        del m  # before the next batch is built
+        lo, m = hi, None  # m is freed before the next batch is built
 
 
 def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
     """The piece map M_{n-1} ... M_0, and advance(v, k, j, dt): v[k[r]] j[r] steps on, then dt[r].
 
-    stops holds the distinct j > 0 advance will get.  A constant piece's
-    phase is a j and the least dt of its rows.  If all rows lie within tol of
-    their phase, F D < R and six stacks of F maps fit in BATCH_BYTES, it maps
-    each phase once: tables P^j from the powers P^(2^b) of its step map (F D^3
-    per bit), stepped by dt (F D rows), reach the rows by _gather.  Else the
-    powers and the step act on the R rows (R D^2 per bit).  A modulated piece
-    keeps its prefixes at the stops, unless they would take more than
-    BATCH_BYTES (advance then builds the step maps again); _rk4 steps the rows.
+    stops holds the distinct j > 0 advance will get.  A constant piece's phase is a j and
+    the least dt of its rows.  If all rows lie within tol of their phase, F D < R and six
+    stacks of F maps fit, it maps each phase once: tables P^j from the powers P^(2^b) of
+    its step map (F D^3 per bit), stepped by dt (F D rows), reach the rows by _gather.
+    Else the powers and the step act on the R rows (R D^2 per bit).  A modulated piece
+    keeps its prefixes at the stops if they fit in half of BATCH_BYTES (else advance builds
+    the step maps again); _rk4 steps the rows.  Rows run in chunks.
     """
     d = piece.a0.shape[0]
     if piece.a1 is None:
@@ -533,13 +531,16 @@ def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
 
         def advance(v, k, j, dt):
             e = stops if j.min() else np.concatenate(([0], stops))
-            tables = e.size * d < j.size and 96 * e.size * d * d <= BATCH_BYTES
+            tables = e.size * d < j.size and e.size <= _fit(0, 96 * d * d)  # six stacks of maps
             if tables:  # the phase of e[s[r]] and row r's dt past it
                 s, dp = np.searchsorted(e, j), np.full(e.size, np.inf)
                 np.minimum.at(dp, s, dt)
                 off = dt - dp[s]
             if not (tables and off.max() <= tol):
-                return _taylor(piece.a0, dt, carry(v[k], j, powers(j.max())))
+                y = v[k]  # a row of a chunk: two vectors and three indices, beside two powers
+                for r in _chunks(j.size, 32 * d * d, 32 * d + 24, y.nbytes):
+                    y[r] = _taylor(piece.a0, dt[r], carry(y[r], j[r], powers(j[r].max())))
+                return y
             # P^c for c < 2^lo <= F by doubling, then the higher powers and the phases' dt
             lo = e.size.bit_length() - 1
             x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), powers(e[-1])
@@ -547,41 +548,52 @@ def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
                 x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
             x = carry(x[e & (1 << lo) - 1], e, bits).reshape(-1, d)
             x = _taylor(piece.a0, np.repeat(dp, d), x).reshape(-1, d, d).swapaxes(1, 2)
-            y = _gather(v, k, j + 1, [(e + 1, x)])  # from 1, as _gather takes 0 for no step
+            # from 1, as _gather takes 0 for no step; beside the tables, s, off and j + 1
+            y = _gather(v, k, j + 1, [(e + 1, x)], x.nbytes + 3 * off.nbytes)
             r = np.flatnonzero(off)  # a row's own dt, at most tol past its phase's, to first order
-            y[r] += off[r, None] * (y[r] @ piece.a0.T)
+            for c in _chunks(r.size, x.nbytes + 3 * off.nbytes, 48 * d + 16, y.nbytes):  # 3 rows
+                y[r[c]] += off[r[c], None] * (y[r[c]] @ piece.a0.T)
             return y
 
         return full, advance
-    kept = (stops.size + 1) * 16 * piece.a0.size <= BATCH_BYTES
-    walk = list(_prefixes(piece, np.union1d(stops, piece.n) if kept else np.array([piece.n])))
+    # prefixes take half the bound, rows the rest: kept if they fit in it beside coef, poly
+    # and a step (less than poly), else a pass that builds them again takes the half
+    half = _fit(0, 1) // 2
+    kept = stops.size + 1 <= _fit(half + 2 * piece.coef.nbytes, 16 * piece.a0.size)
+    walk = list(_prefixes(piece, np.union1d(stops if kept else stops[:0], piece.n), 0, True))
+    held = sum(q.nbytes for _, q in walk) if kept else half
 
     def advance(v, k, j, dt):
-        t = piece.t0 + j * piece.h + np.outer((0.0, 0.5, 1.0), dt)  # each step's start, middle, end
-        y = _gather(v, k, j, walk if kept else _prefixes(piece, stops))
-        return _rk4(piece.a0, piece.a1, piece.f(t.ravel()).reshape(3, -1), dt, y)
+        y = _gather(v, k, j, walk if kept else _prefixes(piece, stops, held, False), held)
+        for r in _chunks(j.size, held, 128 * d + 80, y.nbytes):  # _rk4's 8 vectors, 10 floats
+            t = piece.t0 + j[r] * piece.h + np.outer((0.0, 0.5, 1.0), dt[r])  # start, middle, end
+            y[r] = _rk4(piece.a0, piece.a1, piece.f(t.ravel()).reshape(3, -1), dt[r], y[r])
+        return y
 
     return walk[-1][1][-1], advance
 
 
-def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches) -> np.ndarray:
+def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches, held: int) -> np.ndarray:
     """Rows Q v[k[r]], Q the map at j[r] in its batch (s, maps at s); v[k[r]] at j[r] = 0.
 
-    Each row is written once.  A batch with at most twice as many (stop,
-    state) pairs as rows acts on every state by one GEMM; otherwise its rows
-    gather their prefixes and states for a batched matvec, in chunks that
-    take at most half of BATCH_BYTES.
+    Each row is written once.  A batch with at most twice as many (stop, state) pairs as
+    rows acts on every state by one GEMM, if its rows fit beside held, the output, the batch
+    and their selection; otherwise its rows gather their prefixes and states for a batched
+    matvec, in chunks.
     """
     y, d, zero = np.empty((k.size, v.shape[1]), dtype=complex), v.shape[1], j == 0
     y[zero] = v[k[zero]]
     for s, q in batches:
         sel = np.flatnonzero((j >= s[0]) & (j <= s[-1]))
-        if s.size * v.shape[0] <= 2 * sel.size:
+        beside = held + q.nbytes + sel.nbytes
+        # a row of the GEMM: two (stop, state) pairs at most, its output, three indices
+        if s.size * v.shape[0] <= 2 * sel.size <= 2 * _fit(beside, 48 * d + 24, y.nbytes):
             z = (v @ q.transpose(2, 0, 1).reshape(d, -1)).reshape(-1, d)  # row kk S + i: q[i] v[kk]
             sel = slice(None) if sel.size == j.size else sel  # all rows: views, not copies
             y[sel] = np.take(z, k[sel] * s.size + np.searchsorted(s, j[sel]), axis=0)
             continue
-        for r in np.array_split(sel, 1 + sel.size * (32 * d * d + 64 * d + 48) // BATCH_BYTES):
+        for c in _chunks(sel.size, beside, 16 * d * d + 32 * d + 24, y.nbytes):
+            r = sel[c]  # a row: its map, state and output, and three indices
             y[r] = np.einsum("rij,rj->ri", q[np.searchsorted(s, j[r])], v[k[r]])
     return y
 
@@ -610,11 +622,10 @@ def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
 def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: float):
     """Raw vectors at the sample times t, and the RK4 steps they stand for.
 
-    Piece i of a period repeated from t[0] is lengths[i] long and driven
-    by gens[i] = (scale, a0, a1); without lengths the period is one piece
-    that spans t.  t ascends, so k does too and the bookkeeping sorts, not
-    hashes.  Samples at piece starts are copied from the chain, the rest
-    come from their piece's advance.  _record reports an overflow on the way.
+    Piece i of a period repeated from t[0] is lengths[i] long and driven by gens[i] = (scale,
+    a0, a1); without lengths the period is one piece that spans t.  t ascends, so k does
+    too and the bookkeeping sorts, not hashes.  Samples at piece starts are copied from the
+    chain, the rest come from their piece's advance.  _record reports an overflow on the way.
     """
     if lengths is not None:
         lengths = np.asarray(lengths, dtype=float)
@@ -624,7 +635,10 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         return v0[None].astype(complex), 0
     bounds = np.concatenate(([0.0], np.cumsum([t[-1] - t[0]] if lengths is None else lengths)))
     lengths = np.diff(bounds)
-    n = np.maximum(np.ceil(lengths * [g[0] for g in gens] / phase), 1).astype(int)
+    n = np.maximum(np.ceil(lengths * [g[0] for g in gens] / phase), 1)
+    if not np.all(n < 2.0**63):  # the steps of a piece are counted in int64
+        raise IntegrationFailureError(f"a piece needs {n.max():.3e} RK4 steps, 2^63 or more")
+    n = n.astype(int)
     h = lengths / n
     k, i, j, dt, tol = _locate(t, bounds, h)
     inner = (j > 0) | (dt > 0)
@@ -669,13 +683,10 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
 def _run(parts, h_drive, envelope, channels, rho0, t_grid, lengths, phase) -> PropagationResult:
     """The front end of both propagators: checks, generators, _lattice, _record.
 
-    parts holds one Hamiltonian per piece of the period (lengths), or the
-    one Hamiltonian of a run without a period (lengths None); h_drive,
-    scaled by envelope, is added to each, or is None.  A piece's step
-    scale is max(total rate, rho(H_part) + rho(h_drive)), as |envelope| <= 1.
-    A channel-free pure state runs as a state vector under -iH, any other
-    state as vec(rho) under the Liouvillian, whose drive part carries no
-    dissipator.
+    parts holds one Hamiltonian per piece of the period (lengths), or the one of a run
+    without a period (lengths None); h_drive, scaled by envelope, is added to each, or is
+    None.  A piece's step scale is max(total rate, rho(H_part) + rho(h_drive)), as
+    |envelope| <= 1.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -729,14 +740,12 @@ def propagate(
         max_step_phase: phase budget per substep, at most 0.05.
 
     Returns:
-        PropagationResult holding one read-only (n_times, d, d) stack of
-        the states at the grid points and pre-correction drift
-        diagnostics.  The raw states are corrected and checked once, at
-        the end: an interval whose trace drift exceeds
-        STEP_TRACE_DRIFT_LIMIT raises IntegrationFailureError naming it,
-        then every state is re-hermitized and trace renormalized, and a
-        state with an eigenvalue below -OUTPUT_POSITIVITY_TOL raises
-        IntegrationFailureError naming its time.
+        PropagationResult holding one read-only (n_times, d, d) stack of the states at the grid
+        points and pre-correction drift diagnostics.  The raw states are corrected and
+        checked once, at the end: an interval whose trace drift exceeds
+        STEP_TRACE_DRIFT_LIMIT raises IntegrationFailureError naming it, then every state is
+        re-hermitized and trace renormalized, and a state with an eigenvalue below
+        -OUTPUT_POSITIVITY_TOL raises IntegrationFailureError naming its time.
     """
     if (hamiltonian is None) == (period is None):
         raise ValueError("give either a constant hamiltonian or a period of (length, H) pieces")
@@ -758,22 +767,18 @@ def propagate_modulated(
 ) -> PropagationResult:
     """Propagate under H(t) = h_static + envelope(t) * h_drive.
 
-    Same lattice rule, checks and result as propagate, for the linearly
-    modulated generator L0 + f(t) L1.  envelope is called with a 1-D
-    float array of times and returns the envelope at each, as an array
-    of that shape or one scalar for all of them.  The contract has two
-    parts.  |envelope| <= 1 over the run: the step control takes only
-    rho(h_static) + rho(h_drive) as the Hamiltonian's scale, so a larger
-    drive belongs in h_drive.  And the envelope's period spans many
-    lattice steps, as the step control does not see how fast it turns:
-    at max_step_phase=0.05 a sine period of 9 or fewer steps fails, and
-    one of 10 or more runs.  A run that breaks the contract starves the
-    step control, and the trace-drift or positivity guard aborts it with
-    IntegrationFailureError.  period is the envelope's period, one piece
-    repeated from t_grid[0], or None for one piece that spans t_grid.  A
-    channel-free pure state is integrated as a state vector under
-    -iH(t), which keeps the density matrix positive by construction and
-    shrinks the working dimension from d^2 to d.
+    Same lattice rule, checks and result as propagate, for the linearly modulated generator L0 +
+    f(t) L1.  envelope is called with a 1-D float array of times and returns the envelope at
+    each, as an array of that shape or one scalar for all of them.  The contract has two
+    parts.  |envelope| <= 1 over the run: the step control takes only rho(h_static) +
+    rho(h_drive) as the Hamiltonian's scale, so a larger drive belongs in h_drive.  And the
+    envelope's period spans many lattice steps, as the step control does not see how fast it
+    turns: at max_step_phase=0.05 a sine period of 9 or fewer steps fails, and one of 10 or
+    more runs.  A run that breaks the contract starves the step control, and the trace-drift
+    or positivity guard aborts it with IntegrationFailureError.  period is the envelope's
+    period, one piece repeated from t_grid[0], or None for one piece that spans t_grid.  A
+    channel-free pure state is integrated as a state vector under -iH(t), which keeps the
+    density matrix positive by construction and shrinks the working dimension from d^2 to d.
     """
     lengths = None if period is None else [period]
     return _run([h_static], h_drive, envelope, channels, rho0, t_grid, lengths, max_step_phase)

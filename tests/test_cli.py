@@ -675,7 +675,7 @@ FUZZ_COMMANDS = {
 
 
 def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
-    # every float key set to 0, -1, NaN or inf, through each scenario
+    # every float key set to 0, -1, NaN, inf, 1e300 or 1e-300, through each scenario
     # subcommand in both unit modes: the run succeeds or exits with a
     # documented code, never with a traceback, and a successful run prints
     # nan only as coupled's no-oscillation sentinel.  The base is the
@@ -691,7 +691,7 @@ def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
     assert len(keys) == 15
     path, bad = tmp_path / "fuzz.yaml", []
     for key in keys:
-        for value in (0.0, -1.0, math.nan, math.inf):
+        for value in (0.0, -1.0, math.nan, math.inf, 1e300, 1e-300):
             path.write_text(yaml.safe_dump({**base, key: value}), encoding="utf-8")
             for command, extra in FUZZ_COMMANDS.items():
                 for mode in (cli.UNIT_PHYSICAL, cli.UNIT_SCALED):
@@ -714,6 +714,16 @@ def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
                         if not sentinel or "nan" in "".join(series):
                             bad.append((*case, "nan in output"))
     assert bad == []
+
+
+def test_pulse_past_the_int64_step_count_exits_3(tmp_path, capsys):
+    # a 1e25 Hz drive needs about 3e19 RK4 steps per piece: the count is
+    # refused by name, where it once wrapped into a drifting run
+    path = write_scenario(tmp_path, omega_hz=1e25)
+    assert main(["pulse", "--scenario", path]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RK4 steps, 2^63 or more" in captured.err
 
 
 def test_module_entry_point_runs():

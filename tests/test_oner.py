@@ -600,6 +600,34 @@ def test_plan_refuses_a_rate_that_is_not_finite_and_positive():
     assert pl.period_s == 1.0 / pl.repetition_rate_hz
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_a_difference_far_below_qg_plans_and_runs(scale):
+    # a seeded random B-frame Qg of scale 2 pi 1e6 rad/s and Qe = Qg plus a
+    # traceless difference of scale 2 pi scale: the difference's trace is
+    # rounding at Qg's scale, which it is projected free of, so plan takes
+    # the pair, Q1 is (2 rho_inf / pi) times the difference, and the spin
+    # run under it keeps its populations
+    rng = np.random.default_rng(167)
+
+    def traceless(size):
+        a = rng.normal(size=(3, 3))
+        a = (a + a.T) / 2.0
+        a -= np.eye(3) * np.trace(a) / 3.0
+        return size * a / np.max(np.abs(a))
+
+    qg, dq = traceless(TWO_PI * 1e6), traceless(TWO_PI * scale)
+    pair = StatePairNqi(qg=NqiTensor(qg, frame="B"), qe=NqiTensor(qg + dq, frame="B"))
+    nuc = nucleus_for(33333.0)
+    pl = plan(pair, nuc, 1.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=True)
+    rho_inf, _ = oner.steady_state(CW)
+    rounding = 8 * np.finfo(float).eps * TWO_PI * 1e6
+    np.testing.assert_allclose(pl.q1.matrix, (2.0 * rho_inf / np.pi) * dq, rtol=0.0, atol=rounding)
+    traj = simulate_spin_effective(
+        pl, pair, nuc, 1.0, 0.0, duration=2.0 / pl.repetition_rate_hz, n_samples=20
+    )
+    np.testing.assert_allclose(traj.populations.sum(axis=1), 1.0, atol=1e-9)
+
+
 def effective_setup(theta=np.pi / 4.0):
     gamma_b0 = 33333.0
     nuc = nucleus_for(gamma_b0)

@@ -301,6 +301,38 @@ def test_collapse_channel_rejects_negative_rate():
         CollapseChannel(SIGMA, -1.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_collapse_channel_rejects_a_rate_that_is_not_finite(rate):
+    with pytest.raises(ValueError, match="collapse rate must be finite and >= 0"):
+        CollapseChannel(SIGMA, rate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_are_refused_at_the_boundary(bad):
+    # a density matrix, a collapse operator, a Hamiltonian and a drive
+    # holding NaN or inf each raise ValueError naming them, before a step:
+    # NaN passes every comparison the other checks make
+    m = np.eye(2, dtype=complex) / 2.0
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="density matrix must hold finite entries only"):
+        DensityOperator(m)
+    with pytest.raises(ValueError, match="collapse operator must hold finite entries only"):
+        CollapseChannel(np.where(SIGMA != 0, bad, 0.0), 1.0)
+    rho0, h = DensityOperator.maximally_mixed(2), np.diag([bad, 0.0])
+    with pytest.raises(ValueError, match="hamiltonian must hold finite entries only"):
+        propagate(h, [], rho0, [0.0, 1.0])
+    with pytest.raises(ValueError, match="h_drive must hold finite entries only"):
+        propagate_modulated(SIGMA_X, h, np.sin, [], rho0, [0.0, 1.0])
+
+
+def test_a_piece_of_2_to_the_63_steps_or_more_is_refused():
+    # 1e20 rad/s over one time unit at the phase limit is 2e21 steps, past
+    # what int64 counts: the run stops before it, naming the count
+    with pytest.raises(IntegrationFailureError, match=r"2\.000e\+21 RK4 steps, 2\^63 or more"):
+        propagate(1e20 * SIGMA_X, [], DensityOperator.pure(0, dim=2), [0.0, 1.0],
+                  max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT)
+
+
 def test_total_rate_sums_channel_scales():
     channels = [CollapseChannel(SIGMA, 2.0), CollapseChannel(np.diag([1.0, -1.0]), 3.0)]
     assert total_rate(channels) == pytest.approx(5.0)
@@ -539,7 +571,8 @@ def test_modulated_interval_across_batches_matches_stepwise(pure, monkeypatch):
         rho0, channels, dim = random_density(rng, 2), [CollapseChannel(SIGMA, 0.4)], 4
         y0, rhs = rho0.matrix, lambda tt, r: lindblad_rhs(h0 + env(tt) * h1, channels, r)
     # poly (12 complex maps) and its real forms sit beside each batch
-    monkeypatch.setattr(qdyn, "BATCH_BYTES", 3 * 12 * 16 * dim * dim + 16 * qdyn._step_bytes(dim))
+    held, per_step = step_fit(dim)
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", held + 16 * per_step)
     scale = max(total_rate(channels), spectral_radius(h0) + spectral_radius(h1))
     t = [0.0, (n_sub - 0.5) * phase / scale]
     res = propagate_modulated(h0, h1, env, channels, rho0, t, max_step_phase=phase)
@@ -622,13 +655,36 @@ def spy_gather(mp):
     """Record (stops, rows) of every _gather batch; returns the list."""
     real, calls = qdyn._gather, []
 
-    def spying(v, k, j, batches):
+    def spying(v, k, j, batches, held):
         batches = list(batches)
         calls.extend((s.size, j.size) for s, _ in batches)
-        return real(v, k, j, batches)
+        return real(v, k, j, batches, held)
 
     mp.setattr(qdyn, "_gather", spying)
     return calls
+
+
+def fit_calls(run):
+    """(held, per_item) of each qdyn._fit call that run() makes, in order."""
+    calls, real = [], qdyn._fit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qdyn, "_fit", lambda held, per: calls.append((held, per)) or real(held, per))
+        run()
+    return calls
+
+
+def poly_fit(dim):
+    """(held, per column) with which _Piece.poly of a dim x dim generator sizes its blocks."""
+    a = np.zeros((dim, dim), dtype=complex)
+    return fit_calls(lambda: qdyn._Piece(a, a, None, 0.0, 0.01, 1).poly)[0]
+
+
+def step_fit(dim):
+    """(held, per step) with which _prefixes sizes the first batch of a dim x dim piece."""
+    a = np.zeros((dim, dim), dtype=complex)
+    piece = qdyn._Piece(a, a, np.sin, 0.0, 0.01, 1)
+    piece.coef
+    return fit_calls(lambda: list(qdyn._prefixes(piece, np.array([1]), 0, False)))[0]
 
 
 def pulse_setup():
@@ -878,7 +934,7 @@ def test_sine_period_lattice_matches_stepwise(pure, monkeypatch):
     shared = [(0, 0, 0, 0.0)] + [
         (k, 0, j, f) for k in range(4) for j, f in ((7, 0.3), (40, 0.0), (n // 2, 0.6))
     ] + [(4, 0, 0, 0.0)]
-    assert pure or (qdyn.BATCH_BYTES - 3 * 12 * 16 * 81) // qdyn._step_bytes(9) == 161 < n < 2 * 161
+    assert pure or qdyn._fit(*step_fit(9)) == 161 < n < 2 * 161
     split = lambda one, two: [one] if pure else two
     for points, batches in (
         (scattered, split((5, 6), [(3, 6), (2, 6)])), (shared, split((4, 12), [(3, 12), (1, 12)]))
@@ -915,7 +971,9 @@ def test_prefixes_beyond_the_batch_bound_are_built_again(monkeypatch):
         ref = run()
     with monkeypatch.context() as mp:
         mp.setattr(qdyn, "BATCH_BYTES", 12 << 10)
-        assert (60 + 1) * 16 * 4 * 4 > qdyn.BATCH_BYTES  # _piece_maps's rule for kept prefixes
+        # _piece_maps's rule: kept if they fit in half the bound beside coef, poly and a step
+        coef = 2 * 12 * 16 * 4 * 4
+        assert 60 + 1 > qdyn._fit(qdyn._fit(0, 1) // 2 + 2 * coef, 16 * 4 * 4)
         rebuilt = count_step_maps(mp)
         res = run()
     assert rebuilt[0] > built[0]
@@ -943,15 +1001,17 @@ def spy_engine(mp, seen):
 
         return full, spying_advance
 
-    def spying_gather(v, k, j, batches):
+    def spying_gather(v, k, j, batches, held):
         gathered.append(isinstance(batches, list))
         batches = list(batches)
         gathered.extend(s.size for s, _ in batches)
-        for s, _ in batches:
+        for s, q in batches:
             sel = np.count_nonzero((j >= s[0]) & (j <= s[-1]))
-            if sel:  # _gather's rule
-                seen.add("gemm" if s.size * v.shape[0] <= 2 * sel else "per-row")
-        return gather(v, k, j, batches)
+            if sel:  # _gather's rule: a GEMM row holds its output, two pairs, three indices
+                out = j.size * v.itemsize * v.shape[1]
+                fits = sel <= qdyn._fit(held + q.nbytes + 8 * sel, 48 * v.shape[1] + 24, out)
+                seen.add("gemm" if s.size * v.shape[0] <= 2 * sel and fits else "per-row")
+        return gather(v, k, j, batches, held)
 
     def spying_locate(t, bounds, h):
         k, i, j, dt, tol = locate(t, bounds, h)
@@ -1069,8 +1129,8 @@ def test_engine_differential_fuzz(monkeypatch):
         run, ref, n_ref, dim = fuzz_layout(rng, sine, d, pure, pattern)
         with monkeypatch.context() as mp:
             if small:
-                column = 12 * dim * 16  # bytes of one column of poly
-                mp.setattr(qdyn, "BATCH_BYTES", column * (dim + qdyn._POLY_STACKS))
+                held, column = poly_fit(dim)  # one column of poly's build
+                mp.setattr(qdyn, "BATCH_BYTES", held + column)
             spy_engine(mp, seen)
             res = run()
         label = f"layout {n}: sine={sine} d={d} pure={pure} {pattern} small={small}"
@@ -1226,10 +1286,10 @@ def test_prefix_pass_matches_sequential_products(batch, monkeypatch):
             ref.append(seq)
     if batch:
         # poly and its real forms sit beside each batch
-        bound = 3 * piece.poly.nbytes + batch * qdyn._step_bytes(4)
-        monkeypatch.setattr(qdyn, "BATCH_BYTES", bound)
+        held, per_step = step_fit(4)
+        monkeypatch.setattr(qdyn, "BATCH_BYTES", held + batch * per_step)
     built = count_step_maps(monkeypatch)
-    got = list(qdyn._prefixes(piece, stops))
+    got = list(qdyn._prefixes(piece, stops, 0, False))
     assert built[0] == piece.n
     assert len(got) == (5 if batch else 1)
     assert np.array_equal(np.concatenate([s for s, _ in got]), stops)
@@ -1293,8 +1353,7 @@ def test_envelope_calls_do_not_grow_with_the_substeps():
 def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatch):
     # a modulated period of 10,000 to 16,000 4 x 4 step maps (2.5 to 4 MB),
     # or of 9 x 9 ones for a qutrit Liouvillian, in batches of 64 KiB: the
-    # traced peak of the run stays within BATCH_BYTES at D = 4, and within
-    # twice BATCH_BYTES for the qutrit
+    # traced peak of the run stays within BATCH_BYTES
     rng = np.random.default_rng(83)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
     if pure:
@@ -1316,14 +1375,15 @@ def test_modulated_run_memory_stays_within_the_batch_bound(dim, pure, monkeypatc
     finally:
         tracemalloc.stop()
     assert res.diagnostics.n_substeps > 9_000
-    assert peak <= (2 if dim == 3 else 1) * qdyn.BATCH_BYTES
+    assert peak <= qdyn.BATCH_BYTES
 
 
 def test_modulated_remainder_memory_grows_with_rows_not_generators(monkeypatch):
     # 2,000 samples off the lattice of a qutrit Liouvillian (D = 9) run
-    # under 64 KiB: each takes its remainder step, and the traced peak of
-    # the run stays within BATCH_BYTES and a few copies of the state stack,
-    # with no (R, D, D) generator stack per sample
+    # under 64 KiB: each takes its remainder step, in row chunks, and the
+    # traced peak of the run stays within BATCH_BYTES and 3.5 copies of the
+    # state stack (raw states and _record's passes), with no (R, D, D)
+    # generator stack per sample
     rng = np.random.default_rng(127)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", 1 << 16)
     channels, rho0 = [random_channel(rng, 3)], random_density(rng, 3)
@@ -1343,7 +1403,7 @@ def test_modulated_remainder_memory_grows_with_rows_not_generators(monkeypatch):
     finally:
         tracemalloc.stop()
     assert res.matrices.shape == (2001, 3, 3)
-    assert peak <= qdyn.BATCH_BYTES + 16 * res.matrices.nbytes
+    assert peak <= qdyn.BATCH_BYTES + 3.5 * res.matrices.nbytes
 
 
 @pytest.mark.parametrize("n_stops", [1, 4, 100])
@@ -1359,11 +1419,11 @@ def test_prefix_scan_memory_stays_within_the_batch_bound(n_stops, monkeypatch):
     h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
     piece = qdyn._Piece(a0, a1, np.sin, 0.0, h, 5000)
     stops = (5000 // n_stops) * np.arange(1, n_stops + 1)
-    list(qdyn._prefixes(piece, stops))  # builds poly, and numpy's one-time caches
+    list(qdyn._prefixes(piece, stops, 0, False))  # builds poly, and numpy's one-time caches
     tracemalloc.start()
     try:
         base, seen = tracemalloc.get_traced_memory()[0], 0
-        for s, _ in qdyn._prefixes(piece, stops):
+        for s, _ in qdyn._prefixes(piece, stops, 0, False):
             seen += s.size
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -1427,13 +1487,96 @@ def test_step_map_polynomial_beyond_the_batch_bound_is_refused(monkeypatch):
     # one byte less is refused before anything is built
     rng = np.random.default_rng(31)
     a0, a1 = -1j * random_hermitian(rng, 4), -1j * random_hermitian(rng, 4)
-    column = 12 * 4 * 16
-    need = column * (4 + qdyn._POLY_STACKS)
+    held, column = poly_fit(4)
+    need = held + column
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need)
     assert qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly.shape == (12, 4, 4)
     monkeypatch.setattr(qdyn, "BATCH_BYTES", need - 1)
     with pytest.raises(ValueError, match="cannot hold the step-map polynomial"):
         qdyn._Piece(a0, a1, None, 0.0, 0.01, 10).poly
+
+
+def engine_path(path, dim, seed):
+    """One engine path on a dim x dim generator: run() returns what the path returns.
+
+    Constant pieces of 4,000 steps, modulated ones of 400.  tables: 7 phases,
+    each reached in dim + 2 periods by rows a few ulps apart in dt.  rows:
+    2,000 samples at distinct steps.  kept and remainder: 50 or 2,000 samples
+    at 5 stops.  rebuilt: 300 samples at distinct stops, more than the bound
+    keeps.  gemm and chunks: _gather on 10 prefixes, for 100 rows in 20
+    states (one GEMM) or 2,000 rows in states of their own (in chunks).
+    poly: the step-map polynomial.
+    """
+    rng = np.random.default_rng(seed)
+    a0, a1 = (-1j * random_hermitian(rng, dim, 1.0) for _ in range(2))
+    h = qdyn.MAX_STEP_PHASE_LIMIT / (np.linalg.norm(a0, 2) + np.linalg.norm(a1, 2))
+    const = path in ("tables", "rows")
+    piece = qdyn._Piece(a0, None if const else a1, np.sin, 0.0, h, 4000 if const else 400)
+    states = lambda n: rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    if path == "poly":
+        return lambda: piece.poly
+    if path in ("gemm", "chunks"):
+        s, q = np.arange(1, 11), states(10 * dim).reshape(10, dim, dim)
+        n, r = (20, 100) if path == "gemm" else (2000, 2000)
+        k, j, v = np.sort(rng.integers(0, n, size=r)), rng.choice(s, r), states(n)
+        k = np.arange(n) if path == "chunks" else k
+        return lambda: qdyn._gather(v, k, j, [(s, q)], 0)
+    if path == "tables":
+        stops, periods = 301 * np.arange(1, 8), dim + 2
+        j, k = np.tile(stops, periods), np.repeat(np.arange(periods), 7)
+        dt = np.tile(rng.uniform(0.1 * h, 0.9 * h, size=7), periods)
+        dt += rng.integers(-3, 4, size=j.size) * np.spacing(dt)
+    else:
+        n = {"rows": 2000, "kept": 50, "rebuilt": 300, "remainder": 2000}[path]
+        if path in ("rows", "rebuilt"):
+            j = np.sort(rng.choice(piece.n - 1, n, replace=False) + 1)
+        else:
+            j = rng.choice(60 * np.arange(1, 6), n)
+        k, dt = np.sort(rng.integers(0, 40, size=n)), rng.uniform(0.1 * h, 0.9 * h, size=n)
+    v, stops = states(int(k.max()) + 1), np.unique(j)
+    tol = 32 * np.finfo(float).eps * piece.n * h  # _locate's, for a run that ends with the piece
+
+    def run():
+        _, advance = qdyn._piece_maps(piece, stops, tol)
+        return advance(v, k, j, dt)
+
+    return run
+
+
+PATHS = ("tables", "rows", "kept", "rebuilt", "gemm", "chunks", "remainder", "poly")
+
+
+@pytest.mark.parametrize(
+    "path, dim", [(p, d) for p in PATHS for d in (4, 9, 16)] + [("remainder", 48)]
+)
+def test_each_engine_path_stays_within_the_batch_bound(path, dim, monkeypatch):
+    # each path traced on its own, under a bound of 16 times the step-map
+    # polynomial (48 KiB at D = 4, 6.75 MiB at D = 48) or, for poly, the
+    # smallest that holds it: the traced peak above what the path returns
+    # stays within BATCH_BYTES, a modulated piece keeps its prefixes or
+    # builds them again as named, and the path returns what it returns
+    # under the default bound, up to rounding
+    ref = engine_path(path, dim, 151 + dim)()
+    held, column = poly_fit(dim)
+    bound = held + column if path == "poly" else 16 * 12 * 16 * dim * dim
+    monkeypatch.setattr(qdyn, "BATCH_BYTES", bound)
+    run, passes, real = engine_path(path, dim, 151 + dim), [0], qdyn._prefixes
+
+    def counting(*args):
+        passes[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qdyn, "_prefixes", counting)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes <= qdyn.BATCH_BYTES
+    assert passes[0] == {"kept": 1, "rebuilt": 2, "remainder": 1}.get(path, 0)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("dim", [64, 70, 71])
@@ -1451,7 +1594,7 @@ def test_default_bound_holds_the_polynomial_up_to_dimension_70(dim):
         return
     m = piece.step_maps(0, 2, qdyn._real(piece.poly))
     ref = m[1] @ m[0]
-    ((s, q),) = qdyn._prefixes(piece, np.array([2]))
+    ((s, q),) = qdyn._prefixes(piece, np.array([2]), 0, False)
     assert s.tolist() == [2]
     np.testing.assert_allclose(q[0], ref[:dim, :dim] + 1j * ref[dim:, :dim], rtol=0.0, atol=1e-14)
 
