@@ -10,7 +10,7 @@ the orientation through the static part of the effective tensor.
 
 import numpy as np
 
-from onersim import NqiTensor, StatePairNqi, axial_nqi, get_nucleus, plan, steady_state
+from onersim import NqiTensor, StatePairNqi, axial_nqi, get_nucleus, plan
 from onersim.constants import TWO_PI
 from onersim.oner import TwoLevelParams, transition_table
 
@@ -26,9 +26,8 @@ print()
 print(f"{'theta/deg':>9} {'dm=1 rabi/Hz':>14} {'dm=2 rabi/Hz':>14} {'rep dm=1/Hz':>16}")
 # one table for every orientation: a (m_from, m_to, zeeman, rate, rabi) row per transition
 degrees = np.arange(0, 95, 15)
-rho_inf, _ = steady_state(params)
 _, _, table = transition_table(
-    pair, nucleus, 1.0, np.deg2rad(degrees), rho_inf, [(1.5, 0.5), (1.5, -0.5)]
+    pair, nucleus, 1.0, np.deg2rad(degrees), params, [(1.5, 0.5), (1.5, -0.5)]
 )
 for deg, (single, double) in zip(degrees, table):
     print(f"{deg:9d} {single[4]:14.2f} {double[4]:14.2f} {single[3]:16.2f}")

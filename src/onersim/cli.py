@@ -25,7 +25,8 @@ coupling tensors are rescaled so their largest component is gamma*B0 /
 quad_ratio (in angular-frequency terms), preserving tensor shapes.
 Ratios >= 30 keep each tier well separated and bring a coupled run
 too stiff for the propagator's checks (exit 3) within them; all
-reported frequencies simply rescale.  The mode is the scenario's
+reported frequencies simply rescale, and a tier past the float range
+is a configuration error.  The mode is the scenario's
 unit_mode, which --unit-mode overrides.  It acts on the nucleus and
 the coupling tensors only, so it changes spectrum, rabi-map, coupled
 and efg-mesh and leaves steady-state, pulse and ingest-check as they are.
@@ -326,17 +327,15 @@ def _apply_unit_mode(
     if sc.unit_mode == UNIT_PHYSICAL:
         return nucleus, pair
     gamma_b0_hz = sc.omega_hz / sc.zeeman_ratio
-    scaled_nucleus = replace(
-        nucleus,
-        name=f"scaled:{nucleus.name}",
-        gamma_mhz_per_t=gamma_b0_hz / 1e6 / sc.b0_tesla,
-    )
-    target_rad = TWO_PI * gamma_b0_hz / sc.quad_ratio
-    current = max(pair.qg.norm, pair.qe.norm)
-    if current == 0.0:
-        return scaled_nucleus, pair
-    factor = target_rad / current
-    return scaled_nucleus, pair.map(lambda q: q.scaled(factor))
+    gamma_mhz_per_t = gamma_b0_hz / 1e6 / sc.b0_tesla
+    current = max(pair.qg.norm, pair.qe.norm)  # a pair of zero tensors keeps its scale
+    factor = TWO_PI * gamma_b0_hz / sc.quad_ratio / current if current else 1.0
+    gamma = TWO_PI * (gamma_mhz_per_t * 1e6)  # rad/s per tesla, as the Zeeman term forms it
+    for what, value in (("gamma", gamma), ("gamma B0", gamma_b0_hz), ("tensor factor", factor)):
+        if not (math.isfinite(value) and value > 0):  # checked before anything is built
+            raise ScenarioError(f"the scaled unit mode's {what} is {value:g}, not finite and > 0")
+    nucleus = replace(nucleus, name=f"scaled:{nucleus.name}", gamma_mhz_per_t=gamma_mhz_per_t)
+    return nucleus, pair.map(lambda q: q.scaled(factor))
 
 
 def resolve_setup(sc: Scenario) -> ResolvedSetup:
@@ -393,8 +392,9 @@ def run_pulse(sc: Scenario) -> str:
 
 def run_spectrum(sc: Scenario) -> str:
     setup = resolve_setup(sc)
-    rho_inf, _ = steady_state(setup.params)
-    _, _, table = transition_table(setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, rho_inf)
+    _, _, table = transition_table(
+        setup.pair, setup.nucleus, setup.b0_tesla, setup.theta, setup.params
+    )
     m_from, m_to, zeeman, total, _ = table[0].T
     return _csv_block(
         ["transition_from", "transition_to", "zeeman_hz", "correction_hz", "total_hz"],
@@ -421,11 +421,10 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
         field_min=lo if grid.field_min is None else grid.field_min,
         field_max=hi if grid.field_max is None else grid.field_max,
     )
-    nucleus = get_nucleus(sc.nucleus)
-    rho_inf, _ = steady_state(scenario_params(sc))
+    nucleus, params = get_nucleus(sc.nucleus), scenario_params(sc)
     # each field's tensors, interpolated and unit-scaled once for every theta
     setups = [_apply_unit_mode(sc, nucleus, _table_pair(sc, table, f)) for f in grid.fields]
-    rows = [transition_table(p, nuc, sc.b0_tesla, grid.thetas, rho_inf)[2] for nuc, p in setups]
+    rows = [transition_table(p, nuc, sc.b0_tesla, grid.thetas, params)[2] for nuc, p in setups]
     # columns shaped (theta, field, transition)
     m_from, m_to, zeeman, total, rabi = np.moveaxis(np.stack(rows, axis=1), -1, 0)
     cols = (grid.thetas[:, None, None], grid.fields[:, None], m_from, m_to, rabi, total - zeeman)

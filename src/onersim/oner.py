@@ -15,12 +15,12 @@ The pipeline implemented here:
 2. fourier_coefficients: harmonic content of the excited-state
    population over one pulse period.
 3. q0_q1: the static tensor Q0 and the fundamental-harmonic amplitude
-   Q1 of the effective coupling, built from the square-wave limit of the
+   Q1 of the effective coupling, from the square-wave limit of a duty-1/2
    population (DC value rho_inf / 2, fundamental 2 rho_inf / pi).
-4. transition_table / plan: per orientation and transition, the
-   repetition rate from the first-order transition energy with Q0 and
-   the predicted Rabi frequency |g(Q1)| / 2 pi from the transition
-   amplitude; plan reads the row of one target transition.
+4. transition_table / plan: per orientation and transition, at the
+   drive's rho_inf, the repetition rate from the first-order transition
+   energy with Q0 and the predicted Rabi frequency |g(Q1)| / 2 pi; plan
+   reads the row of one target transition and keeps the drive.
 5. simulate_spin_effective / simulate_coupled: the spin-only model with
    a harmonically modulated tensor, and the full 2 x (2I+1) density
    matrix with the operator-valued coupling, for cross-validation.
@@ -187,7 +187,7 @@ class OnerPlan:
     resonant rotating-wave treatment of a sin-modulated coupling.
     Every simulator divides by the rate, so a plan refuses one that is
     not finite and > 0 however it is made (plan, detuned, replace);
-    period_s is the one pulse period.
+    period_s is the one pulse period and params the drive it was made for.
     """
 
     q0: NqiTensor
@@ -195,6 +195,7 @@ class OnerPlan:
     transition: tuple[float, float]
     repetition_rate_hz: float
     predicted_rabi_hz: float
+    params: TwoLevelParams
 
     def __post_init__(self) -> None:
         rate, (m_from, m_to) = self.repetition_rate_hz, self.transition
@@ -365,7 +366,7 @@ def fourier_coefficients(times, values, n_max: int) -> FourierSeries:
     omega = TWO_PI * np.arange(n_max + 1) / tau
     if not np.all(np.isfinite(omega)):
         raise ValueError(f"harmonics up to {n_max} of a period of {tau:.3g} overflow")
-    phase = np.outer(omega, t - t[0])
+    phase = omega[:, None] * (t - t[0])
     a = 2.0 * np.mean(v * np.cos(phase), axis=1)
     b = 2.0 * np.mean(v * np.sin(phase), axis=1)
     b[0] = 0.0
@@ -450,27 +451,30 @@ def transition_table(
     nucleus: NucleusRecord,
     b0_tesla: float,
     theta: float | np.ndarray,
-    rho_inf: float,
+    params: TwoLevelParams,
     transitions=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q0, Q1 and one row per transition at each orientation in theta.
+    """Q0, Q1 and one row per transition at each orientation in theta, under the drive params.
 
     theta is an array of N orientations (a scalar is an array of one), at
     all of which the pair is turned into the field frame (B) at once and
     checked as NqiTensor checks one tensor.  Q0 and Q1 are (N, 3, 3) stacks
-    at the steady-state population rho_inf; the (N, T, 5) table holds a row
+    at the drive's steady-state population, a model of duty 1/2 only (any
+    other duty raises ValueError); the (N, T, 5) table holds a row
     (m_from, m_to, zeeman_hz, energy_hz, rabi_hz) per orientation and
     transition: |gamma B0 delta m|, the first-order |E(m_to) - E(m_from)|
     with Q0 (the resonant repetition rate), and |g(Q1)| / 2 pi, 0.0 at or
     below ZERO_AMPLITUDE_RTOL times that orientation's largest |Q1|
     component.  transitions defaults to every allowed one.
     """
+    if params.duty != 0.5:
+        raise ValueError(f"duty {params.duty:g}: Q0 and Q1 model a square-wave drive of duty 1/2")
     spin = make_spin(nucleus.two_I)
     thetas = np.asarray(theta, dtype=float).ravel()
     angles = thetas if _turns_to_b(pair) else np.zeros_like(thetas)  # B turns by 0, exactly
     turned = (rotate_about_x(q.matrix, angles) for q in (pair.qg, pair.qe))
     qg, qe = (_validated_tensor(m, "NQI tensor") for m in turned)
-    q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _q0_q1(qg, qe, rho_inf))
+    q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _q0_q1(qg, qe, steady_state(params)[0]))
     floor = ZERO_AMPLITUDE_RTOL * np.maximum(np.max(np.abs(q1), axis=(1, 2)), 1e-300)
     gamma, qzz_hz = nucleus.gamma_hz_per_t, q0[:, 2, 2] / TWO_PI
     transitions = allowed_transitions(spin) if transitions is None else list(transitions)
@@ -496,8 +500,8 @@ def plan(
 ) -> OnerPlan:
     """Resolve pulse-train parameters for one target spin transition.
 
-    Reads the transition's row of transition_table at the drive steady
-    state: the repetition rate is the Q0-corrected transition energy and
+    Reads the transition's row of transition_table under the drive, which the
+    plan keeps: the repetition rate is the Q0-corrected transition energy and
     the predicted Rabi frequency comes from the Q1 transition amplitude.
     A transition whose amplitude vanishes (symmetry-forbidden, or
     suppressed by geometry such as a diagonal tensor at theta = 0)
@@ -506,9 +510,8 @@ def plan(
     off-target runs).  A transition of zero energy has no repetition rate,
     so OnerPlan raises ValueError, whatever allow_zero_amplitude says.
     """
-    rho_inf, _ = steady_state(params)
     q0, q1, [[(m_from, m_to, _, rep_hz, rabi_hz)]] = transition_table(
-        pair, nucleus, b0_tesla, theta, rho_inf, [transition]
+        pair, nucleus, b0_tesla, theta, params, [transition]
     )
     q0, q1 = (NqiTensor(q[0], frame=FRAME_B) for q in (q0, q1))
     if rabi_hz == 0.0 and not allow_zero_amplitude:
@@ -518,7 +521,7 @@ def plan(
             "the geometric prefactor is identically zero for this level pair or the "
             "relevant tensor components vanish at this orientation"
         )
-    return OnerPlan(q0, q1, (float(m_from), float(m_to)), float(rep_hz), float(rabi_hz))
+    return OnerPlan(q0, q1, (float(m_from), float(m_to)), float(rep_hz), float(rabi_hz), params)
 
 
 def detuned(plan_: OnerPlan, rate_offset_hz: float) -> OnerPlan:
@@ -550,23 +553,18 @@ class SpinTrajectory:
 def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_samples):
     """Start a spin run: (spin, pair in the B frame, index of the start level, sample grid).
 
-    Checks that the plan's tensors derive from this pair (any rho_inf)
-    and that duration > 0; initial_m defaults to the plan's source level.
+    Q0 and Q1 formed from this pair at the plan's drive must match the plan's to 1e-9 of
+    max(|Q1|, |Qe - Qg|) (Q0 also to its own rounding), and duration must be > 0; initial_m
+    defaults to the plan's source level.
     """
     spin = make_spin(nucleus.two_I)
     pair_b = pair_in_b_frame(pair, theta)
-    dq = pair_b.delta.matrix
-    q1 = plan_.q1.matrix
-    scale = max(float(np.max(np.abs(q1))), float(np.max(np.abs(dq))), 1e-300)
-    # Q1 parallel to Qe - Qg
-    cross = np.abs(np.outer(q1.ravel(), dq.ravel()) - np.outer(dq.ravel(), q1.ravel()))
-    if float(np.max(cross)) > 1e-9 * scale * scale:
-        raise ValueError("plan.q1 is not proportional to Qe - Qg of the supplied pair")
-    # Q0 - Qg = (pi / 4) Q1 regardless of the steady-state value, up to Q0's own rounding
-    resid = plan_.q0.matrix - pair_b.qg.matrix - (math.pi / 4.0) * q1
-    rounding = 8 * np.finfo(float).eps * float(np.max(np.abs(plan_.q0.matrix)))
-    if float(np.max(np.abs(resid))) > 1e-9 * scale + rounding:
-        raise ValueError("plan.q0 inconsistent with the supplied pair")
+    q0, q1 = _q0_q1(pair_b.qg.matrix, pair_b.qe.matrix, steady_state(plan_.params)[0])
+    tol = 1e-9 * max(plan_.q1.norm, float(np.max(np.abs(pair_b.qe.matrix - pair_b.qg.matrix))))
+    rounding = 8 * np.finfo(float).eps * plan_.q0.norm
+    for name, formed, slack in (("q1", q1, 0.0), ("q0", q0, rounding)):
+        if not np.max(np.abs(formed - getattr(plan_, name).matrix)) <= tol + slack:  # NaN fails
+            raise ValueError(f"plan.{name} inconsistent with the supplied pair at the plan's drive")
     if duration <= 0:
         raise ValueError("duration must be > 0")
     start = spin.index_of(plan_.transition[0] if initial_m is None else initial_m)
@@ -654,15 +652,17 @@ def simulate_coupled(
     fast as scaled ones; one too stiff for qdyn's trace-drift or positivity
     check raises IntegrationFailureError, which proportionally rescaled
     inputs (scaled-unit mode) avoid without changing the Rabi physics.
-    A plan_ passed in must be for this pair and transition; without one
-    the run calls plan, which raises ZeroAmplitudeError for a forbidden
-    transition.  To run one anyway, pass a plan made with
-    allow_zero_amplitude=True.
+    A plan_ passed in must be for this pair, transition and drive (tau
+    aside); without one the run calls plan, which raises
+    ZeroAmplitudeError for a forbidden transition.  To run one anyway,
+    pass a plan made with allow_zero_amplitude=True.
     """
     if plan_ is None:
         plan_ = plan(pair, nucleus, b0_tesla, theta, params, transition)
     elif plan_.transition != (float(transition[0]), float(transition[1])):
         raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
+    elif {**vars(plan_.params), "tau": None} != {**vars(params), "tau": None}:
+        raise ValueError(f"plan is for the drive {plan_.params}, not {params}")
     spin, pair_b, start, samples = _check_plan_consistency(
         plan_, pair, nucleus, theta, duration, None, n_samples
     )

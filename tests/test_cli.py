@@ -522,6 +522,38 @@ def test_coupled_zero_repetition_rate_exits_2(tmp_path, capsys, overrides):
     assert np.all(parse_csv(capsys.readouterr().out)["total_hz"] == 0.0)
 
 
+def test_duty_other_than_one_half_exits_2_where_the_effective_model_is_used(tmp_path, capsys):
+    # spectrum, rabi-map and coupled plan with Q0 and Q1, which model duty
+    # 1/2 only; steady-state does not read the duty, and pulse runs it
+    path = write_scenario(tmp_path, duty=0.3)
+    for command in ("spectrum", "rabi-map", "coupled"):
+        assert main([command, "--scenario", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "duty 0.3" in captured.err
+    (tmp_path / "half").mkdir()
+    half = write_scenario(tmp_path / "half", duty=0.5)
+    outputs = {}
+    for p in (path, half):
+        for command in ("steady-state", "pulse"):
+            assert main([command, "--scenario", p]) == EXIT_OK
+            outputs[p, command] = capsys.readouterr().out
+    assert outputs[path, "steady-state"] == outputs[half, "steady-state"]
+    assert outputs[path, "pulse"] != outputs[half, "pulse"]
+
+
+@pytest.mark.parametrize("key", ["zeeman_ratio", "quad_ratio", "b0_tesla"])
+def test_scaled_mode_refuses_a_tier_it_cannot_represent(tmp_path, capsys, key):
+    # at 1e-300 gamma, gamma B0 or the tensor factor leaves the float range:
+    # the scaled mode refuses it before building anything from it
+    path = write_scenario(tmp_path, unit_mode="scaled", **{key: 1e-300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("spectrum", "rabi-map", "coupled", "efg-mesh"):
+            assert main([command, "--scenario", path]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and "the scaled unit mode's" in captured.err
+
+
 def test_main_leaves_the_warnings_filters_as_it_found_them(capsys):
     # main shows every hierarchy note of its own call; later callers in
     # the process keep their filters

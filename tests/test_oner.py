@@ -460,7 +460,7 @@ def test_plan_refuses_a_zero_repetition_rate():
     xz = np.zeros((3, 3))
     xz[0, 2] = xz[2, 0] = TWO_PI * 50e3
     tilted = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor(xz))
-    assert transition_table(tilted, nuc, 0.0, 0.0, 0.5, [(1.5, 0.5)])[2][0, 0, 4] > 0.0
+    assert transition_table(tilted, nuc, 0.0, 0.0, CW, [(1.5, 0.5)])[2][0, 0, 4] > 0.0
     with pytest.raises(ValueError, match="zero energy"):
         plan(flat, nuc, 0.0, 0.0, CW, (1.5, 0.5), allow_zero_amplitude=True)
     for allow in (False, True):
@@ -473,8 +473,7 @@ def test_transition_table_rows_are_the_plans():
     # and Rabi frequency, forbidden ones included
     nuc = nucleus_for(33333.0)
     pair = axial_pair(TWO_PI * 1000.0)
-    rho_inf, _ = steady_state(CW)
-    q0, q1, table = transition_table(pair, nuc, 1.0, 0.9, rho_inf)
+    q0, q1, table = transition_table(pair, nuc, 1.0, 0.9, CW)
     assert q0.shape == q1.shape == (1, 3, 3) and table.shape == (1, 5, 5)
     rows = [tuple(r) for r in table[0].tolist()]
     assert [r[:2] for r in rows] == [
@@ -519,7 +518,7 @@ def test_transition_table_over_orientations_is_the_per_node_table(frame, two_I):
     thetas = rng.uniform(-np.pi, np.pi, 50)
     transitions = allowed_transitions(make_spin(two_I))
     rho_inf, _ = steady_state(CW)
-    q0, q1, table = transition_table(pair, nuc, 0.7, thetas, rho_inf)
+    q0, q1, table = transition_table(pair, nuc, 0.7, thetas, CW)
     assert table.shape == (50, len(transitions), 5) and q0.shape == q1.shape == (50, 3, 3)
     assert len(transitions) == {2: 3, 3: 5, 7: 13}[two_I]
     for n, theta in enumerate(thetas):
@@ -537,7 +536,7 @@ def test_transition_table_zeroes_each_orientation_against_its_own_q1():
     nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
     rho_inf, _ = steady_state(CW)
     thetas = np.pi / 2.0 + np.array([-np.pi / 4.0, -0.01, 3.5e-10, 0.01])
-    _, q1, table = transition_table(pair, nuc, 1.0, thetas, rho_inf, [(1.5, 0.5)])
+    _, q1, table = transition_table(pair, nuc, 1.0, thetas, CW, [(1.5, 0.5)])
     top = oner.ZERO_AMPLITUDE_RTOL * np.abs(q1).max(axis=(1, 2))
     assert top[0] < abs(transition_amplitude(1.5, 0.5, q1[2], make_spin(3))) <= top[2]
     assert table[2, 0, 4] == 0.0 and np.all(table[[0, 1, 3], 0, 4] > 0.0)
@@ -548,16 +547,16 @@ def test_transition_table_zeroes_each_orientation_against_its_own_q1():
 def test_transition_table_refuses_bad_orientations_and_transitions():
     nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
     with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
-        transition_table(pair, nuc, 1.0, [0.3, np.nan, 0.6], 0.3)
+        transition_table(pair, nuc, 1.0, [0.3, np.nan, 0.6], CW)
     with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
-        transition_table(pair, nuc, 1.0, np.nan, 0.3)
+        transition_table(pair, nuc, 1.0, np.nan, CW)
     # a B-frame pair takes no turn, so its orientation is never read
     b_pair = StatePairNqi(*(NqiTensor(q.matrix, frame="B") for q in (pair.qg, pair.qe)))
-    assert transition_table(b_pair, nuc, 1.0, np.nan, 0.3)[2].shape == (1, 5, 5)
+    assert transition_table(b_pair, nuc, 1.0, np.nan, CW)[2].shape == (1, 5, 5)
     with pytest.raises(UnsupportedTransitionError, match=r"transition 1.5 -> -1.5 changes m by 3"):
-        transition_table(pair, nuc, 1.0, [0.3, 0.6], 0.3, [(1.5, 0.5), (1.5, -1.5)])
+        transition_table(pair, nuc, 1.0, [0.3, 0.6], CW, [(1.5, 0.5), (1.5, -1.5)])
     with pytest.raises(ValueError, match=r"m = 2.5 is not a level of a spin-1.5 system"):
-        transition_table(pair, nuc, 1.0, 0.3, 0.3, [(2.5, 1.5)])
+        transition_table(pair, nuc, 1.0, 0.3, CW, [(2.5, 1.5)])
 
 
 def test_plan_accepts_prerotated_pairs():
@@ -594,7 +593,7 @@ def test_plan_refuses_a_rate_that_is_not_finite_and_positive():
         with pytest.raises(ValueError, match="transition 1.5 -> 0.5 has repetition rate"):
             detuned(pl, offset)
     with pytest.raises(ValueError, match="repetition rate nan Hz"):
-        OnerPlan(pl.q0, pl.q1, pl.transition, float("nan"), pl.predicted_rabi_hz)
+        OnerPlan(pl.q0, pl.q1, pl.transition, float("nan"), pl.predicted_rabi_hz, CW)
     with pytest.raises(ValueError, match="repetition rate inf Hz"):
         replace(pl, repetition_rate_hz=float("inf"))
     assert pl.period_s == 1.0 / pl.repetition_rate_hz
@@ -705,10 +704,66 @@ def test_effective_plan_pair_consistency_guard():
         qg=NqiTensor(np.zeros((3, 3))),
         qe=NqiTensor(TWO_PI * np.diag([800.0, -300.0, -500.0])),
     )
-    with pytest.raises(ValueError, match="not proportional"):
+    with pytest.raises(ValueError, match="plan.q1 inconsistent"):
         simulate_spin_effective(pl, skew, nuc, 1.0, np.pi / 4.0, 0.001)
     with pytest.raises(ValueError, match="duration"):
         simulate_spin_effective(pl, pair, nuc, 1.0, np.pi / 4.0, 0.0)
+
+
+@pytest.mark.parametrize("scale_khz", [1e150, 1e300])
+def test_plan_check_refuses_another_pair_at_extreme_scale(scale_khz):
+    # the check forms Q0 and Q1 again and compares them, with no product of
+    # tensor components to overflow: at either scale both runs refuse a plan
+    # of a differently shaped pair, and a plan of the pair itself runs
+    nuc = nucleus_for(33333.0)
+    axial, skew = (
+        StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=NqiTensor.from_khz(scale_khz * np.diag(d)))
+        for d in ([-0.5, -0.5, 1.0], [0.8, -0.3, -0.5])
+    )
+    pl = plan(axial, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5))
+    duration = 2.0 * pl.period_s
+    runs = (
+        lambda pair: simulate_spin_effective(pl, pair, nuc, 1.0, np.pi / 4.0, duration, n_samples=8),
+        lambda pair: simulate_coupled(
+            pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), duration, plan_=pl, n_samples=8
+        ),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", HierarchyWarning)  # CW is slow beside such a period
+        for run in runs:
+            with pytest.raises(ValueError, match="plan.q1 inconsistent"):
+                run(skew)
+            traj = run(axial)
+            assert np.all(np.isfinite(traj.population_of(0.5)))
+
+
+def test_the_effective_model_refuses_a_duty_other_than_one_half():
+    # Q0 and Q1 model a duty-1/2 square wave: the table, and so the plan,
+    # refuse any other duty; a plan keeps its drive through detuned
+    nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
+    off = replace(CW, duty=0.3)
+    with pytest.raises(ValueError, match="duty 0.3"):
+        plan(pair, nuc, 1.0, 0.6, off, (1.5, 0.5))
+    with pytest.raises(ValueError, match="duty 0.3"):
+        transition_table(pair, nuc, 1.0, [0.3, 0.6], off)
+    pl = plan(pair, nuc, 1.0, 0.6, CW, (1.5, 0.5))
+    assert pl.params is CW and detuned(pl, 1.0).params is CW
+
+
+def test_coupled_refuses_a_plan_of_another_drive():
+    # a plan for a 1 MHz drive run at 0.3 MHz would pulse one drive against
+    # the other's tensors; a drive that differs only in tau is the same drive,
+    # as the plan sets the run's period
+    nuc, pair, pl = effective_setup()
+    run = lambda params: simulate_coupled(
+        pair, nuc, 1.0, np.pi / 4.0, params, (1.5, 0.5), 2.0 * pl.period_s, plan_=pl, n_samples=8
+    )
+    with pytest.raises(ValueError, match="plan is for the drive"):
+        run(replace(CW, omega_rabi=0.3 * CW.omega_rabi))
+    np.testing.assert_array_equal(
+        run(replace(CW, tau=1e-3)).spin_populations, run(CW).spin_populations
+    )
 
 
 def test_population_of_unknown_level():
