@@ -35,7 +35,6 @@ from .efg import (
     surface_mesh,
 )
 from .oner import (
-    CoupledTrajectory,
     FourierSeries,
     NoSteadyStateError,
     OnerPlan,
@@ -51,7 +50,6 @@ from .oner import (
     fourier_coefficients,
     pair_in_b_frame,
     plan,
-    q0_q1,
     simulate_coupled,
     simulate_pulsed_two_level,
     simulate_spin_effective,

@@ -456,7 +456,7 @@ def run_coupled(sc: Scenario) -> str:
         scale = 1.0 / tau
     traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
     header = ["t_normalized"] + [f"p_{m:g}" for m in traj.m_values]
-    rows = np.column_stack((traj.times * scale, traj.spin_populations)).tolist()
+    rows = np.column_stack((traj.times * scale, traj.populations)).tolist()
     series = _csv_block(header, rows)
 
     target = traj.population_of(setup.transition[1])

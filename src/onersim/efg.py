@@ -82,7 +82,7 @@ def tensor_matrix(q, what: str = "tensor") -> np.ndarray:
 
 
 def _validated_tensor(matrices, what: str) -> np.ndarray:
-    """Read-only (M + M^T) / 2 of a 3x3 M, or of each M in a (..., 3, 3) stack.
+    """Read-only M / 2 + M^T / 2 of a 3x3 M, or of each M in a (..., 3, 3) stack.
 
     M must be finite, symmetric and traceless, relative to its own largest component.
     """
@@ -100,7 +100,7 @@ def _validated_tensor(matrices, what: str) -> np.ndarray:
     if bad.size:
         k = bad[0]
         raise ValueError(f"{what} is not traceless: trace = {tr[k]:.3e}, norm = {norm[k]:.3e}")
-    out = (arr + arr_t) / 2.0
+    out = arr / 2.0 + arr_t / 2.0  # halved first, so no finite M overflows
     out.setflags(write=False)
     return out
 
@@ -142,10 +142,6 @@ class NqiTensor:
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
-
-    @property
-    def hz(self) -> np.ndarray:
-        return self._matrix / TWO_PI
 
     @property
     def khz(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Protocol core: pulsed two-level dynamics and quadupole-driven spin control.
+"""Protocol core: pulsed two-level dynamics and quadrupole-driven spin control.
 
 A pulsed optical drive toggles an electronic two-level system between its
 ground and excited states; because the two states see different electric
@@ -14,13 +14,14 @@ The pipeline implemented here:
    rate gamma_c / 2).
 2. fourier_coefficients: harmonic content of the excited-state
    population over one pulse period.
-3. q0_q1: the static tensor Q0 and the fundamental-harmonic amplitude
-   Q1 of the effective coupling, from the square-wave limit of a duty-1/2
-   population (DC value rho_inf / 2, fundamental 2 rho_inf / pi).
-4. transition_table / plan: per orientation and transition, at the
-   drive's rho_inf, the repetition rate from the first-order transition
-   energy with Q0 and the predicted Rabi frequency |g(Q1)| / 2 pi; plan
-   reads the row of one target transition and keeps the drive.
+3. transition_table: the static tensor Q0 = Qg + (rho_inf / 2)(Qe - Qg)
+   and the fundamental-harmonic amplitude Q1 = (2 rho_inf / pi)(Qe - Qg)
+   of the effective coupling, from the square-wave limit of a duty-1/2
+   population, at the drive's rho_inf.
+4. transition_table / plan: per orientation and transition, the
+   repetition rate from the first-order transition energy with Q0 and
+   the predicted Rabi frequency |g(Q1)| / 2 pi; plan reads the row of
+   one target transition and keeps Q0, Q1 and the drive.
 5. simulate_spin_effective / simulate_coupled: the spin-only model with
    a harmonically modulated tensor, and the full 2 x (2I+1) density
    matrix with the operator-valued coupling, for cross-validation.
@@ -412,22 +413,11 @@ def _difference(qg, qe) -> np.ndarray:
 
 
 def _q0_q1(qg, qe, rho_ee_inf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q0 and Q1 (unvalidated) of ground and excited matrices, or of stacks of them."""
+    """Q0 and Q1 (unvalidated; step 3 above) of ground and excited matrices, or stacks of them."""
     if not -1e-6 <= rho_ee_inf <= 0.5 + 1e-6:
         raise ValueError(f"rho_ee_inf = {rho_ee_inf:.6g} outside the physical range [0, 1/2]")
     dq = _difference(qg, qe)
     return qg + (rho_ee_inf / 2.0) * dq, (2.0 * rho_ee_inf / math.pi) * dq
-
-
-def q0_q1(pair: StatePairNqi, rho_ee_inf: float) -> tuple[NqiTensor, NqiTensor]:
-    """Static and fundamental-harmonic parts of the effective coupling.
-
-    Q0 = Qg + (rho_inf / 2) (Qe - Qg) is the cycle-averaged tensor;
-    Q1 = (2 rho_inf / pi) (Qe - Qg) is the amplitude of the sin term at
-    the repetition rate, both from the square-wave limit of rho_ee(t).
-    """
-    q0, q1 = _q0_q1(pair.qg.matrix, pair.qe.matrix, rho_ee_inf)
-    return NqiTensor(q0, frame=pair.frame), NqiTensor(q1, frame=pair.frame)
 
 
 def _turns_to_b(pair: StatePairNqi) -> bool:
@@ -529,25 +519,23 @@ def detuned(plan_: OnerPlan, rate_offset_hz: float) -> OnerPlan:
     return replace(plan_, repetition_rate_hz=plan_.repetition_rate_hz + rate_offset_hz)
 
 
-def _population_of(populations: np.ndarray, m_values: np.ndarray, m: float) -> np.ndarray:
-    """Population column of the level with magnetic quantum number m."""
-    idx = int(np.argmin(np.abs(m_values - m)))
-    if abs(m_values[idx] - m) > 1e-9:
-        raise ValueError(f"no level with m = {m}")
-    return populations[:, idx]
-
-
 @dataclass
 class SpinTrajectory:
-    """Spin populations under the effective modulated coupling."""
+    """Spin populations of a run; a coupled run adds the two-level rho_ee and its plan."""
 
     times: np.ndarray
     populations: np.ndarray  # shape (n_times, 2I+1), basis order of m_values
     m_values: np.ndarray
     diagnostics: PropagationDiagnostics
+    rho_ee: np.ndarray | None = None
+    plan: OnerPlan | None = None
 
     def population_of(self, m: float) -> np.ndarray:
-        return _population_of(self.populations, self.m_values, m)
+        """Population column of the level with magnetic quantum number m."""
+        idx = int(np.argmin(np.abs(self.m_values - m)))
+        if abs(self.m_values[idx] - m) > 1e-9:
+            raise ValueError(f"no level with m = {m}")
+        return self.populations[:, idx]
 
 
 def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_samples):
@@ -602,27 +590,7 @@ def simulate_spin_effective(
     res = qdyn.propagate_modulated(
         h0, h1, lambda t: np.sin(omega_mod * t), (), rho0, grid, period=plan_.period_s
     )
-    return SpinTrajectory(
-        times=grid,
-        populations=res.populations(),
-        m_values=spin.m_values,
-        diagnostics=res.diagnostics,
-    )
-
-
-@dataclass
-class CoupledTrajectory:
-    """Spin and electronic observables of the full coupled simulation."""
-
-    times: np.ndarray
-    spin_populations: np.ndarray  # shape (n_times, 2I+1)
-    m_values: np.ndarray
-    rho_ee: np.ndarray  # excited-state population of the two-level factor
-    plan: OnerPlan
-    diagnostics: PropagationDiagnostics
-
-    def population_of(self, m: float) -> np.ndarray:
-        return _population_of(self.spin_populations, self.m_values, m)
+    return SpinTrajectory(grid, res.populations(), spin.m_values, res.diagnostics)
 
 
 def simulate_coupled(
@@ -636,7 +604,7 @@ def simulate_coupled(
     *,
     plan_: OnerPlan | None = None,
     n_samples: int = 400,
-) -> CoupledTrajectory:
+) -> SpinTrajectory:
     """Full 2 x (2I+1) density-matrix run of the pulsed coupled system.
 
     The Hamiltonian is H_2L(t) x 1 + 1 x H_zeeman + sum_uv Q_uv x I_u I_v
@@ -680,13 +648,8 @@ def simulate_coupled(
     pulse_params = TwoLevelParams(**{**vars(params), "tau": plan_.period_s})
     res = _pulse_run(pulse_params, h_static, rho0, samples)
     pops = res.populations().reshape(-1, 2, spin.dim)  # (time, electron, spin)
-    return CoupledTrajectory(
-        times=samples,
-        spin_populations=pops.sum(1),
-        m_values=spin.m_values,
-        rho_ee=pops[:, 1].sum(1),
-        plan=plan_,
-        diagnostics=res.diagnostics,
+    return SpinTrajectory(
+        samples, pops.sum(1), spin.m_values, res.diagnostics, rho_ee=pops[:, 1].sum(1), plan=plan_
     )
 
 

@@ -1,6 +1,7 @@
 """Open-system density matrix dynamics.
 
-Lindblad master equation for small dense Hilbert spaces (dim <= 8):
+Lindblad master equation for small dense Hilbert spaces (43Ca's coupled run has
+dim 16, a 256 x 256 Liouvillian):
 
     drho/dt = -i [H, rho] + sum_a k_a (c_a rho c_a+ - 1/2 {c_a+ c_a, rho})
 
@@ -36,7 +37,9 @@ of rows and choice of regime takes as many items as _fit lets fit in
 BATCH_BYTES beside what its path holds, the path's bytes per item stated
 beside its code.  The rows a path returns count up to half of what is left,
 so its peak, output included, stays within the bound until the output alone
-crowds it.  A modulated piece's prefixes take half the bound, the rows the rest.
+crowds it.  Where one item does not fit beside what is held, _chunks takes one
+item per chunk, and the peak is the held bytes plus that item.  A modulated
+piece's prefixes take half the bound, the rows the rest.
 """
 
 from __future__ import annotations
@@ -154,18 +157,11 @@ class DensityOperator:
         rho._matrix.setflags(write=False)
         return rho
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
     def population(self, index: int) -> float:
         return float(self._matrix[index, index].real)
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self._matrix)).copy()
-
-    def expectation(self, op) -> complex:
-        return complex(np.trace(np.asarray(op) @ self._matrix))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityOperator(dim={self.dim})"
@@ -370,6 +366,17 @@ def _chunks(n: int, held: int, per_item: int, out: int = 0):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
+def _ladder(step: np.ndarray, top: int):
+    """(b, P^(2^b)) of the step map P per bit b of top, squared as it goes.
+
+    It holds one power, and its square while that is built.
+    """
+    p = step
+    for b in range(int(top).bit_length()):
+        p = p @ p if b else p
+        yield b, p
+
+
 @dataclass(frozen=True)
 class _Piece:
     """n RK4 steps of length h from t0 under A(t) = a0 + envelope(t) a1; a1 None is constant.
@@ -504,29 +511,25 @@ def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
     the least dt of its rows.  If all rows lie within tol of their phase, F D < R and six
     stacks of F maps fit, it maps each phase once: tables P^j from the powers P^(2^b) of
     its step map (F D^3 per bit), stepped by dt (F D rows), reach the rows by _gather.
-    Else the powers and the step act on the R rows (R D^2 per bit).  A modulated piece
+    Else each power acts on every chunk of the R rows (R D^2 per bit), then the step does.
+    The piece map, and each advance, walk the _ladder of powers once.  A modulated piece
     keeps its prefixes at the stops if they fit in half of BATCH_BYTES (else advance builds
     the step maps again); _rk4 steps the rows.  Rows run in chunks.
     """
     d = piece.a0.shape[0]
     if piece.a1 is None:
-        step = piece.step_map()
-
-        def powers(top):
-            # squared again on each use, so one power is held at a time
-            p = step
-            for b in range(int(top).bit_length()):
-                p = p @ p if b else p
-                yield b, p
-
+        step, n = piece.step_map(), piece.n
         # low bits first, as np.linalg.matrix_power multiplies them
-        full = functools.reduce(np.matmul, (p for b, p in powers(piece.n) if piece.n >> b & 1))
+        full = functools.reduce(np.matmul, (p for b, p in _ladder(step, n) if n >> b & 1))
 
-        def carry(x, e, bits):
-            # x[r] taken e[r] steps by the powers left in bits; rows of (P^c)^T step like state rows
+        def carry(x, e, bits, size):
+            # x[r] taken e[r] steps by the powers in bits, each on the rows that take it, in
+            # chunks of size rows; rows of (P^c)^T step like state rows
+            starts = np.arange(size, e.size, size)  # of every chunk but the first
             for b, p in bits:
                 r = np.flatnonzero(e >> b & 1)
-                x[r] = (x[r].reshape(-1, d) @ p.T).reshape(-1, *x.shape[1:])
+                for c in np.split(r, np.searchsorted(r, starts)) if starts.size else [r]:
+                    x[c] = (x[c].reshape(-1, d) @ p.T).reshape(-1, *x.shape[1:])
             return x
 
         def advance(v, k, j, dt):
@@ -537,16 +540,20 @@ def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
                 np.minimum.at(dp, s, dt)
                 off = dt - dp[s]
             if not (tables and off.max() <= tol):
-                y = v[k]  # a row of a chunk: two vectors and three indices, beside two powers
-                for r in _chunks(j.size, 32 * d * d, 32 * d + 24, y.nbytes):
-                    y[r] = _taylor(piece.a0, dt[r], carry(y[r], j[r], powers(j[r].max())))
+                # a row of a chunk: two vectors and three indices, and three indices over all
+                # rows (those that take a power, the chunk starts, the cuts), beside two powers
+                y = v[k]
+                chunks = list(_chunks(j.size, 32 * d * d, 32 * d + 48, y.nbytes))
+                carry(y, j, _ladder(step, j.max()), chunks[0].stop)  # the first chunk's size
+                for r in chunks:
+                    y[r] = _taylor(piece.a0, dt[r], y[r])
                 return y
             # P^c for c < 2^lo <= F by doubling, then the higher powers and the phases' dt
             lo = e.size.bit_length() - 1
-            x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), powers(e[-1])
+            x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), _ladder(step, e[-1])
             for b, p in itertools.islice(bits, lo):
                 x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
-            x = carry(x[e & (1 << lo) - 1], e, bits).reshape(-1, d)
+            x = carry(x[e & (1 << lo) - 1], e, bits, e.size).reshape(-1, d)
             x = _taylor(piece.a0, np.repeat(dp, d), x).reshape(-1, d, d).swapaxes(1, 2)
             # from 1, as _gather takes 0 for no step; beside the tables, s, off and j + 1
             y = _gather(v, k, j + 1, [(e + 1, x)], x.nbytes + 3 * off.nbytes)

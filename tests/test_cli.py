@@ -428,6 +428,21 @@ def test_integer_and_high_spins_run_spectrum_and_rabi_map(
     assert_corrections_mirror(data, n_transitions)
 
 
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+def test_coupled_runs_a_high_spin_nucleus(tmp_path, capsys, unit_mode):
+    # 43Ca (I = 7/2): a 256 x 256 Liouvillian, whose step-map powers outgrow
+    # the engine's batch bound, runs to the end and prints its eight levels
+    path = write_scenario(tmp_path, nucleus="43Ca", unit_mode=unit_mode, n_samples=100)
+    assert main(["coupled", "--scenario", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    levels = [f"p_{m / 2:g}" for m in range(7, -8, -2)]
+    assert out.splitlines()[0] == ",".join(["t_normalized", *levels])
+    series, _ = csv_blocks(out)
+    np.testing.assert_allclose(sum(series[p] for p in levels), 1.0, rtol=0.0, atol=1e-9)
+    assert main(["coupled", "--scenario", path]) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
 def test_coupled_default_transition_is_not_a_spin_1_level(tmp_path, capsys):
     # the packaged 1.5 -> 0.5 transition does not exist for I = 1
     assert main(["coupled", "--scenario", write_scenario(tmp_path, nucleus="2H")]) == EXIT_CONFIG

@@ -9,6 +9,7 @@ files for the parser.
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_unit_conversions_round_trip():
 def test_nqi_frequency_properties():
     q = NqiTensor.from_khz(AXIAL * 100.0)
     np.testing.assert_allclose(q.khz, AXIAL * 100.0, rtol=1e-15)
-    np.testing.assert_allclose(q.hz, AXIAL * 1.0e5, rtol=1e-15)
+    np.testing.assert_allclose(q.matrix / TWO_PI, AXIAL * 1.0e5, rtol=1e-15)
     np.testing.assert_allclose(q.matrix, AXIAL * TWO_PI * 1.0e5, rtol=1e-15)
     assert q.qzz_hz == pytest.approx(1.0e5)
     assert NqiTensor.from_hz(AXIAL * 1.0e5).qzz_hz == pytest.approx(1.0e5)
@@ -188,6 +189,17 @@ def test_validated_tensor_checks_each_tensor_of_a_stack_as_nqi_tensor_does():
         efg._validated_tensor(bad, "NQI tensor")
     with pytest.raises(ValueError, match="non-finite"):
         efg._validated_tensor(np.where(np.eye(3) > 0, np.nan, stack), "NQI tensor")
+
+
+def test_a_tensor_above_half_the_float_maximum_is_stored_as_given():
+    # M / 2 + M^T / 2 halves before it adds, so a finite symmetric tensor
+    # whose sum M + M^T would overflow is stored finite and unchanged
+    m = np.diag([1e308, -5e307, -5e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = NqiTensor(m)
+    assert np.all(np.isfinite(q.matrix))
+    np.testing.assert_array_equal(q.matrix, m)
 
 
 def test_asymmetry_reference_values():

@@ -34,7 +34,6 @@ from onersim.oner import (
     fit_rabi,
     fourier_coefficients,
     plan,
-    q0_q1,
     simulate_coupled,
     simulate_pulsed_two_level,
     simulate_spin_effective,
@@ -312,18 +311,16 @@ def test_q0_q1_square_wave_limits():
     qe = axial_nqi(TWO_PI * 1e3)
     pair = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=qe)
     rho_inf = 25.0 / 54.0
-    q0, q1 = q0_q1(pair, rho_inf)
-    np.testing.assert_allclose(q0.matrix, (rho_inf / 2.0) * qe.matrix, rtol=1e-12)
-    np.testing.assert_allclose(q1.matrix, (2.0 * rho_inf / np.pi) * qe.matrix, rtol=1e-12)
+    q0, q1 = oner._q0_q1(pair.qg.matrix, pair.qe.matrix, rho_inf)
+    np.testing.assert_allclose(q0, (rho_inf / 2.0) * qe.matrix, rtol=1e-12)
+    np.testing.assert_allclose(q1, (2.0 * rho_inf / np.pi) * qe.matrix, rtol=1e-12)
     # static offset above the ground tensor is pi/4 of the fundamental,
     # independent of the steady state
-    np.testing.assert_allclose(
-        q0.matrix - pair.qg.matrix, (np.pi / 4.0) * q1.matrix, rtol=1e-12
-    )
+    np.testing.assert_allclose(q0 - pair.qg.matrix, (np.pi / 4.0) * q1, rtol=1e-12)
     with pytest.raises(ValueError, match="physical range"):
-        q0_q1(pair, 0.7)
+        oner._q0_q1(pair.qg.matrix, pair.qe.matrix, 0.7)
     with pytest.raises(ValueError, match="physical range"):
-        q0_q1(pair, -0.1)
+        oner._q0_q1(pair.qg.matrix, pair.qe.matrix, -0.1)
 
 
 def test_state_pair_frames_and_delta():
@@ -489,10 +486,10 @@ def test_transition_table_rows_are_the_plans():
 
 
 def per_node_table(pair, nuc, b0, theta, rho_inf, transitions):
-    """Q0, Q1 and rows at one orientation from rotate_about_x, q0_q1 and the scalar spin helpers."""
+    """Q0, Q1 and rows at one orientation from rotate_about_x, _q0_q1 and scalar spin helpers."""
     spin = make_spin(nuc.two_I)
     pair_b = pair.map(lambda q: rotate_about_x(q, theta)) if pair.frame == "E" else pair
-    q0, q1 = q0_q1(pair_b, rho_inf)
+    q0, q1 = (NqiTensor(q) for q in oner._q0_q1(pair_b.qg.matrix, pair_b.qe.matrix, rho_inf))
     gamma, rows = nuc.gamma_hz_per_t, []
     for m_from, m_to in transitions:
         energy = abs(transition_energy(m_from, m_to, gamma, b0, q0.qzz_hz, spin))
@@ -762,7 +759,7 @@ def test_coupled_refuses_a_plan_of_another_drive():
     with pytest.raises(ValueError, match="plan is for the drive"):
         run(replace(CW, omega_rabi=0.3 * CW.omega_rabi))
     np.testing.assert_array_equal(
-        run(replace(CW, tau=1e-3)).spin_populations, run(CW).spin_populations
+        run(replace(CW, tau=1e-3)).populations, run(CW).populations
     )
 
 
@@ -771,6 +768,22 @@ def test_population_of_unknown_level():
     traj = simulate_spin_effective(pl, pair, nuc, 1.0, np.pi / 4.0, 0.0005, n_samples=10)
     with pytest.raises(ValueError, match="no level"):
         traj.population_of(0.7)
+
+
+def test_both_spin_simulators_return_one_trajectory_type():
+    # the effective model leaves the two-level rho_ee and the plan unset, the
+    # coupled run sets both, and each reads a level's column by population_of
+    nuc, pair, pl = effective_setup()
+    duration = 2.0 * pl.period_s
+    eff = simulate_spin_effective(pl, pair, nuc, 1.0, np.pi / 4.0, duration, n_samples=8)
+    cpl = simulate_coupled(
+        pair, nuc, 1.0, np.pi / 4.0, CW, (1.5, 0.5), duration, plan_=pl, n_samples=8
+    )
+    assert type(eff) is type(cpl) is oner.SpinTrajectory
+    assert eff.rho_ee is None and eff.plan is None
+    assert cpl.plan is pl and cpl.rho_ee.shape == cpl.times.shape
+    for traj in (eff, cpl):
+        np.testing.assert_array_equal(traj.population_of(0.5), traj.populations[:, 1])
 
 
 def test_coupled_static_spin_stays_put():
@@ -818,7 +831,7 @@ def test_coupled_takes_its_plan(monkeypatch):
     monkeypatch.setattr(oner, "plan", lambda *a, **kw: calls.append(a))
     traj = run(plan_=pl)
     assert calls == [] and traj.plan is pl
-    np.testing.assert_array_equal(traj.spin_populations, ref.spin_populations)
+    np.testing.assert_array_equal(traj.populations, ref.populations)
     np.testing.assert_array_equal(traj.rho_ee, ref.rho_ee)
     shifted = StatePairNqi(qg=axial_nqi(TWO_PI * 300.0), qe=axial_nqi(TWO_PI * 300.0))
     with pytest.raises(ValueError, match="inconsistent"):

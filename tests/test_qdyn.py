@@ -234,9 +234,9 @@ def test_density_operator_constructors():
     plus = DensityOperator.pure([1.0, 1.0])
     np.testing.assert_allclose(plus.matrix, np.full((2, 2), 0.5), atol=1e-15)
 
-    mixed = DensityOperator.maximally_mixed(4)
+    mixed = DensityOperator(np.eye(4) / 4)
     np.testing.assert_allclose(mixed.populations(), np.full(4, 0.25), atol=1e-15)
-    assert mixed.expectation(np.eye(4)) == pytest.approx(1.0)
+    assert np.trace(mixed.matrix) == pytest.approx(1.0)
 
     with pytest.raises(ValueError, match="dim is required"):
         DensityOperator.pure(1)
@@ -253,7 +253,7 @@ def test_pure_start_state_is_never_decomposed(monkeypatch):
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     vectors = [np.eye(3, dtype=complex)[1], psi / np.linalg.norm(psi)]
     stored = [DensityOperator(np.outer(u, u.conj())).matrix for u in vectors]
-    assert DensityOperator.maximally_mixed(3).vector is None
+    assert DensityOperator(np.eye(3) / 3).vector is None
 
     def refuse(_):
         raise AssertionError("np.linalg.eigh called")
@@ -318,7 +318,7 @@ def test_non_finite_matrices_are_refused_at_the_boundary(bad):
         DensityOperator(m)
     with pytest.raises(ValueError, match="collapse operator must hold finite entries only"):
         CollapseChannel(np.where(SIGMA != 0, bad, 0.0), 1.0)
-    rho0, h = DensityOperator.maximally_mixed(2), np.diag([bad, 0.0])
+    rho0, h = DensityOperator(np.eye(2) / 2), np.diag([bad, 0.0])
     with pytest.raises(ValueError, match="hamiltonian must hold finite entries only"):
         propagate(h, [], rho0, [0.0, 1.0])
     with pytest.raises(ValueError, match="h_drive must hold finite entries only"):
@@ -497,7 +497,7 @@ def test_modulated_mixed_state_matches_callable_path():
     h0 = random_hermitian(rng, 3, scale=1.5)
     h1 = random_hermitian(rng, 3, scale=0.8)
     env = lambda tt: np.cos(2.0 * tt)
-    rho0 = DensityOperator.maximally_mixed(3)
+    rho0 = DensityOperator(np.eye(3) / 3)
     t = np.linspace(0.0, 1.5, 7)
     ra = propagate_modulated(h0, h1, env, [], rho0, t)
     scale = spectral_radius(h0) + spectral_radius(h1)
@@ -816,6 +816,40 @@ def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables
     np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
+def test_rows_of_a_large_constant_piece_walk_one_ladder_per_advance(monkeypatch):
+    # a 192 x 192 generator: two of its powers outgrow BATCH_BYTES, so every
+    # row of the rows regime is a chunk of its own.  The powers are built once
+    # for the piece map and once per advance call, each acting on every chunk,
+    # and the rows are matrix_power and one literal RK4 step of their dt
+    dim = 192
+    assert qdyn._fit(32 * dim * dim, 32 * dim + 24) == 0
+    rng = np.random.default_rng(167)
+    a0 = -1j * random_hermitian(rng, dim, 1.0)
+    h = qdyn.MAX_STEP_PHASE_LIMIT / np.linalg.norm(a0, 2)
+    piece = qdyn._Piece(a0, None, None, 0.0, h, 3000)
+    j = np.array([0, 7, 300, 1025, 2999])
+    k, dt = np.array([0, 1, 0, 2, 1]), rng.uniform(0.1 * h, 0.9 * h, size=j.size)
+    v = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    walks, real = [], qdyn._ladder
+
+    def spying(step, top):
+        walks.append(int(top))
+        return real(step, top)
+
+    monkeypatch.setattr(qdyn, "_ladder", spying)
+    _, advance = qdyn._piece_maps(piece, j[j > 0], 0.0)
+    assert walks == [piece.n]
+    rows = [advance(v, k, j, dt), advance(v, k[::-1], j, dt)]
+    assert walks == [piece.n, 2999, 2999]
+    step, rhs = piece.step_map(), lambda _t, x: a0 @ x
+    for y, kk in zip(rows, (k, k[::-1])):
+        ref = np.array([
+            stepwise_rk4(rhs, np.linalg.matrix_power(step, jj) @ v[q], [0.0, d], 0.0)[0][-1]
+            for jj, q, d in zip(j, kk, dt)
+        ])
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("period", [4.0, 2.0 * np.pi / 3.0], ids=["exact", "jittered"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_recurring_phases_map_once(d, period, monkeypatch):
@@ -879,7 +913,7 @@ def test_record_scaling_matches_the_literal_division(dim):
     tr = np.einsum("kii->k", v).real[:, None, None]
     v *= 1.7 * (1.0 + 1e-9 * rng.normal(size=(40, 1, 1))) / tr
     v += 1e-13 * (rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
-    rho0 = DensityOperator.maximally_mixed(dim)
+    rho0 = DensityOperator(np.eye(dim) / dim)
     res = qdyn._record(v.reshape(40, -1), 0, rho0, np.arange(40.0), False)
     vh = v.conj().swapaxes(1, 2)
     literal = ((v + vh) / 2.0) / np.einsum("kii->k", v).real[:, None, None]
@@ -891,7 +925,7 @@ def test_failure_messages_advise_no_option():
     # a trace drift and a negative eigenvalue each name their check, value
     # and interval or time, and no option: a caller of the CLI has no
     # max_step_phase, and a smaller one can make a stiff run drift more
-    rho0 = DensityOperator.maximally_mixed(2)
+    rho0 = DensityOperator(np.eye(2) / 2)
     t = np.array([0.0, 0.5, 1.25, 2.0])
     drifting = np.array([rho0.matrix] * 4)
     drifting[2] *= 1.5
@@ -1303,7 +1337,7 @@ def test_closed_form_smallest_eigenvalue_matches_eigvalsh():
     pure = [DensityOperator.pure(rng.normal(size=2) + 1j * rng.normal(size=2)).matrix for _ in range(50)]
     mixed = [random_density(rng, 2).matrix for _ in range(50)]
     near = [0.5 * np.eye(2) + eps * random_hermitian(rng, 2) for eps in (1e-6, 1e-10, 1e-14)]
-    stack = np.array(pure + mixed + near + [DensityOperator.maximally_mixed(2).matrix])
+    stack = np.array(pure + mixed + near + [DensityOperator(np.eye(2) / 2).matrix])
     w = qdyn._min_eigenvalues(stack)
     np.testing.assert_allclose(w, np.linalg.eigvalsh(stack)[:, 0], rtol=0.0, atol=1e-15)
     assert w[-1] == 0.5
@@ -1313,7 +1347,7 @@ def test_closed_form_smallest_eigenvalue_matches_eigvalsh():
 def test_non_positive_output_state_is_named_by_its_time(dim):
     # raw trace-preserving states, the third with eigenvalue -1e-6: the
     # closed form (d = 2) and eigvalsh (d = 3) name the same time
-    rho0 = DensityOperator.maximally_mixed(dim)
+    rho0 = DensityOperator(np.eye(dim) / dim)
     raw = np.array([rho0.matrix] * 4)
     raw[2] = np.diag([1.0 + 1e-6, -1e-6] + [0.0] * (dim - 2))
     t = np.array([0.0, 0.5, 1.25, 2.0])
@@ -1689,7 +1723,7 @@ def test_dimension_mismatches_raise():
 def test_lying_envelope_bound_aborts():
     # an envelope far above |envelope| <= 1 starves the step control;
     # the trace-drift guard must abort instead of returning garbage
-    rho0 = DensityOperator.maximally_mixed(2)
+    rho0 = DensityOperator(np.eye(2) / 2)
     with pytest.raises(IntegrationFailureError, match="trace drifted"):
         propagate_modulated(
             np.zeros((2, 2)),
