@@ -45,10 +45,7 @@ print(f"\n{nucleus.name}: a 0.1 a.u. axial gradient gives Qzz = {coupling.qzz_hz
 mesh = surface_mesh(coupling, 1.0, 13, 24)
 print("\nangular map of n.Q.n along the polar axis (azimuthal mean):")
 print(f"{'theta/deg':>10} {'radius/Qzz':>11} {'sign':>5}")
-rows = np.array(list(mesh.iter_rows()))
-for theta in np.unique(rows[:, 0])[::3]:
-    sel = rows[:, 0] == theta
-    mean_r = rows[sel, 2].mean() / abs(coupling.qzz_hz * 2 * np.pi)
-    sign = int(rows[sel, 3].mean().round())
-    print(f"{np.rad2deg(theta):10.1f} {mean_r:11.4f} {sign:5d}")
+for theta, radius, sign in zip(mesh.theta[::3], mesh.radius[::3], mesh.sign[::3]):
+    mean_r = radius.mean() / abs(coupling.qzz_hz * 2 * np.pi)
+    print(f"{np.rad2deg(theta):10.1f} {mean_r:11.4f} {int(sign.mean().round()):5d}")
 print("\nthe lobe flips sign crossing the magic angle, as 3cos^2 - 1 must")

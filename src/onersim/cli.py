@@ -39,7 +39,6 @@ import functools
 import math
 import sys
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -136,7 +135,8 @@ class Scenario:
         # YAML 1.1 floats need a signed exponent ("1.0e+9"); the common
         # unsigned spelling arrives as a string, so each number is coerced
         # to the type of its field (annotations are strings in this module)
-        # and must be finite
+        # and must be finite.  A YAML boolean (yes, true) is not a number,
+        # and an integer key refuses a fraction where int() would truncate.
         for f in fields(self):
             kind = _NUMBER_TYPES.get(f.type)
             val = getattr(self, f.name)
@@ -147,12 +147,15 @@ class Scenario:
                 raise ScenarioError(
                     f"{f.name} must list 6 components ({TENSOR_KEY_ORDER}), got {len(val)}"
                 )
+            items = val if many else [val]
             try:
-                nums = [kind(v) for v in (val if many else [val])]
+                nums = [math.nan if isinstance(v, bool) else kind(v) for v in items]
             except (TypeError, ValueError, OverflowError):
                 nums = [math.nan]  # not a number, or an infinity int() refuses
             if not all(map(math.isfinite, nums)):
                 raise ScenarioError(f"{f.name} must be a number with a finite value, got {val!r}")
+            if kind is int and not isinstance(val, str) and nums[0] != val:
+                raise ScenarioError(f"{f.name} must be a whole number, got {val!r}")
             setattr(self, f.name, nums if many else nums[0])
             if kind is int and nums[0] < 1:
                 raise ScenarioError(f"{f.name} must be >= 1, got {nums[0]}")
@@ -253,7 +256,7 @@ def scenario_table(sc: Scenario) -> NqiTable:
     p = Path(sc.table_path)
     if not p.is_absolute() and sc.base_dir is not None:
         p = sc.base_dir / p
-    return ingest_efg_table(p)
+    return load_nqi_table(p)
 
 
 def scenario_pair(sc: Scenario) -> StatePairNqi:
@@ -357,8 +360,9 @@ def resolve_setup(sc: Scenario) -> ResolvedSetup:
 _NUMBER = "%.17g"  # every number: 17 digits round-trip a float, so runs are byte-identical
 
 
-def _csv_block(header: list[str], rows: Iterable[Iterable[float]]) -> str:
-    """The header and one line per row, formatted by one string per row."""
+def _csv_block(header: list[str], *columns) -> str:
+    """The header and one line per element of the broadcast columns, in row-major order."""
+    rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(header)).tolist()
     line = ",".join([_NUMBER] * len(header))
     return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
@@ -369,24 +373,20 @@ def _csv_block(header: list[str], rows: Iterable[Iterable[float]]) -> str:
 
 def run_steady_state(sc: Scenario) -> str:
     rho_ee, rho_eg = steady_state(scenario_params(sc))
-    return _csv_block(
-        ["rho_ee_inf", "rho_eg_re", "rho_eg_im"],
-        [[rho_ee, rho_eg.real, rho_eg.imag]],
-    )
+    return _csv_block(["rho_ee_inf", "rho_eg_re", "rho_eg_im"], rho_ee, rho_eg.real, rho_eg.imag)
 
 
 def run_pulse(sc: Scenario) -> str:
     tau = pulse_period(sc)
     params = scenario_params(sc, tau=tau)
     traj = simulate_pulsed_two_level(params, sc.n_periods, sc.samples_per_period)
-    rows = np.column_stack((traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag)).tolist()
-    series = _csv_block(["t", "rho_ee", "rho_eg_re", "rho_eg_im"], rows)
+    series = _csv_block(
+        ["t", "rho_ee", "rho_eg_re", "rho_eg_im"],
+        traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag,
+    )
     t_last, p_last = traj.last_period_slice(sc.samples_per_period)
     co = fourier_coefficients(t_last, p_last, sc.fourier_n_max)
-    fourier = _csv_block(
-        ["n", "a_n", "b_n"],
-        [[float(n), co.a[n], co.b[n]] for n in range(sc.fourier_n_max + 1)],
-    )
+    fourier = _csv_block(["n", "a_n", "b_n"], np.arange(co.a.size), co.a, co.b)
     return series + "\n" + fourier
 
 
@@ -398,7 +398,7 @@ def run_spectrum(sc: Scenario) -> str:
     m_from, m_to, zeeman, total, _ = table[0].T
     return _csv_block(
         ["transition_from", "transition_to", "zeeman_hz", "correction_hz", "total_hz"],
-        np.column_stack((m_from, m_to, zeeman, total - zeeman, total)).tolist(),
+        m_from, m_to, zeeman, total - zeeman, total,
     )
 
 
@@ -427,10 +427,9 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     rows = [transition_table(p, nuc, sc.b0_tesla, grid.thetas, params)[2] for nuc, p in setups]
     # columns shaped (theta, field, transition)
     m_from, m_to, zeeman, total, rabi = np.moveaxis(np.stack(rows, axis=1), -1, 0)
-    cols = (grid.thetas[:, None, None], grid.fields[:, None], m_from, m_to, rabi, total - zeeman)
     return _csv_block(
         ["theta_rad", "field_au", "transition_from", "transition_to", "rabi_hz", "correction_hz"],
-        np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 6).tolist(),
+        grid.thetas[:, None, None], grid.fields[:, None], m_from, m_to, rabi, total - zeeman,
     )
 
 
@@ -456,8 +455,7 @@ def run_coupled(sc: Scenario) -> str:
         scale = 1.0 / tau
     traj = simulate_coupled(*args, duration, plan_=the_plan, n_samples=sc.n_samples)
     header = ["t_normalized"] + [f"p_{m:g}" for m in traj.m_values]
-    rows = np.column_stack((traj.times * scale, traj.populations)).tolist()
-    series = _csv_block(header, rows)
+    series = _csv_block(header, traj.times * scale, *traj.populations.T)
 
     target = traj.population_of(setup.transition[1])
     # fit_rabi fits only when predicted > 0, and its sentinel frequency is NaN
@@ -465,22 +463,15 @@ def run_coupled(sc: Scenario) -> str:
     deviation = abs(fit.frequency_hz - predicted) / predicted if fit.oscillating else math.nan
     summary = _csv_block(
         ["fit_rabi_hz", "predicted_rabi_hz", "relative_deviation"],
-        [[fit.frequency_hz, predicted, deviation]],
+        fit.frequency_hz, predicted, deviation,
     )
     return series + "\n" + summary
 
 
 def run_efg_mesh(tensor, s: float, n_theta: int, n_phi: int) -> str:
     mesh = surface_mesh(tensor, s, n_theta, n_phi)
-    return _csv_block(["theta_rad", "phi_rad", "radius", "sign"], mesh.iter_rows())
-
-
-def ingest_efg_table(path) -> NqiTable:
-    """Load and validate an NQI-vs-field table (the CLI ingestion gate)."""
-    try:
-        return load_nqi_table(path)
-    except FileNotFoundError as exc:
-        raise TableFormatError(f"table file not found: {path}") from exc
+    columns = (mesh.theta[:, None], mesh.phi, mesh.radius, mesh.sign)  # shaped (theta, phi)
+    return _csv_block(["theta_rad", "phi_rad", "radius", "sign"], *columns)
 
 
 def ingest_report(table: NqiTable) -> str:
@@ -515,7 +506,7 @@ def _efg_mesh(args) -> str:
 
 def _ingest_check(args) -> str:
     if args.table:
-        return ingest_report(ingest_efg_table(args.table))
+        return ingest_report(load_nqi_table(args.table))
     return ingest_report(scenario_table(_scenario_for(args)))
 
 

@@ -17,7 +17,6 @@ by the command line front end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -144,10 +143,6 @@ class NqiTensor:
         return self._matrix
 
     @property
-    def khz(self) -> np.ndarray:
-        return self._matrix / (TWO_PI * 1e3)
-
-    @property
     def norm(self) -> float:
         """Largest absolute component, rad/s."""
         return float(np.max(np.abs(self._matrix)))
@@ -272,13 +267,6 @@ class SurfaceMesh:
     @property
     def sign(self) -> np.ndarray:
         return np.sign(self.g)
-
-    def iter_rows(self) -> Iterator[tuple[float, float, float, float]]:
-        """(theta, phi, radius, sign) rows in row-major grid order."""
-        for i, th in enumerate(self.theta):
-            for j, ph in enumerate(self.phi):
-                gij = self.g[i, j]
-                yield float(th), float(ph), float(abs(gij)), float(np.sign(gij))
 
 
 def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
@@ -411,10 +399,13 @@ def load_nqi_table(path) -> NqiTable:
     (any order); per state the field column strictly increasing; each
     row's diagonal traceless to 1e-6 relative.  Off-diagonal entries are
     completed symmetrically.  Violations raise TableFormatError with the
-    offending line number.
+    offending line number; a missing file raises it too.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError as exc:
+        raise TableFormatError(f"table file not found: {path}") from exc
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise TableFormatError("empty table file")

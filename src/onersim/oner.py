@@ -331,10 +331,6 @@ class FourierSeries:
     def a0(self) -> float:
         return float(self.a[0])
 
-    @property
-    def n_max(self) -> int:
-        return len(self.a) - 1
-
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a bad period raises below
 def fourier_coefficients(times, values, n_max: int) -> FourierSeries:

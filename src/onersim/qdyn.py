@@ -160,9 +160,6 @@ class DensityOperator:
     def population(self, index: int) -> float:
         return float(self._matrix[index, index].real)
 
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self._matrix)).copy()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityOperator(dim={self.dim})"
 
@@ -662,19 +659,18 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
     new = np.diff(k, prepend=-1) > 0
     need, row = k[new], np.cumsum(new) - 1
     chain = np.empty((need.size, len(pieces) + 1, v0.size), dtype=complex)
-    # periods without samples: U^(2^b) of the period map U for the set bits of the gap
+    # periods without samples: U^(2^b) of the period map U for the set bits b of each gap,
+    # from one _ladder walk to the largest gap
+    gaps, v = (np.diff(need, prepend=-1) - 1).tolist(), v0
     period = lambda: functools.reduce(lambda acc, m: m[0] @ acc, maps[1:], maps[0][0])
-    v, at, squares = v0, 0, []
-    for r, kk in enumerate(need.tolist()):
-        for b in range((kk - at).bit_length()):
-            if b == len(squares):
-                squares.append(squares[-1] @ squares[-1] if b else period())
-            if kk - at >> b & 1:
-                v = squares[b] @ v
+    squares = list(_ladder(period(), max(gaps))) if max(gaps) else []
+    for r, gap in enumerate(gaps):
+        for b, p in squares:
+            v = p @ v if gap >> b & 1 else v
         chain[r, 0] = v
         for q, (full, _) in enumerate(maps):
             chain[r, q + 1] = full @ chain[r, q]
-        v, at = chain[r, -1], kk + 1
+        v = chain[r, -1]
 
     raw = np.empty((t.size, v0.size), dtype=complex)
     edge = np.flatnonzero(~inner)

@@ -43,10 +43,10 @@ class SpinSystem:
     """Spin-I operator algebra on the descending-m basis.
 
     make_spin caches one per two_I, so an instance is shared: two_I and the
-    precomputed ladder, Cartesian, and z operator matrices are read-only.
+    precomputed Cartesian and z operator matrices are read-only.
     """
 
-    __slots__ = ("_two_I", "_iz", "_ip", "_im", "_ix", "_iy")
+    __slots__ = ("_two_I", "_iz", "_ix", "_iy")
 
     def __init__(self, two_I: int):
         if int(two_I) != two_I or two_I < 0:
@@ -59,9 +59,9 @@ class SpinSystem:
         im = ip.conj().T
         ix = (ip + im) / 2.0
         iy = (ip - im) / 2.0j
-        for a in (iz, ip, im, ix, iy):
+        for a in (iz, ix, iy):
             a.setflags(write=False)
-        self._iz, self._ip, self._im, self._ix, self._iy = iz, ip, im, ix, iy
+        self._iz, self._ix, self._iy = iz, ix, iy
 
     @property
     def two_I(self) -> int:
@@ -83,14 +83,6 @@ class SpinSystem:
     @property
     def Iz(self) -> np.ndarray:
         return self._iz
-
-    @property
-    def Ip(self) -> np.ndarray:
-        return self._ip
-
-    @property
-    def Im(self) -> np.ndarray:
-        return self._im
 
     @property
     def Ix(self) -> np.ndarray:

@@ -696,18 +696,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("coupled", {"transition_from": math.inf}),
         ("spectrum", {"unit_mode": "scaled", "b0_tesla": 0.0}),
         ("coupled", {"unit_mode": "scaled", "omega_hz": 0.0}),
+        ("steady-state", {"omega_hz": True}),
+        ("pulse", {"n_periods": 2.9}),
+        ("spectrum", {"qg_khz": [True, 0, 0, 0, 0, 0]}),
     ],
-    ids=["inf-int", "nan-int", "nan-float", "nan-tensor", "inf-level", "scaled-b0", "scaled-omega"],
+    ids=[
+        "inf-int", "nan-int", "nan-float", "nan-tensor", "inf-level", "scaled-b0", "scaled-omega",
+        "bool-float", "fraction-int", "bool-tensor",
+    ],
 )
 def test_bad_numbers_stop_at_the_scenario(tmp_path, capsys, command, overrides):
-    # a non-finite number, or a zero the scaled mode divides by, is a
-    # configuration error (exit 2), never a traceback or a table of nan
+    # a non-finite number, a boolean, a fraction for an integer key, or a
+    # zero the scaled mode divides by, is a configuration error (exit 2)
+    # that names its key, never a traceback, a table of nan or a silent cast
     path = write_scenario(tmp_path, **overrides)
     assert main([command, "--scenario", path]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.err
+    assert any(key in captured.err for key in overrides if key != "unit_mode")
 
 
 # the six subcommands that read a scenario, with small sweep grids
@@ -722,7 +730,8 @@ FUZZ_COMMANDS = {
 
 
 def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
-    # every float key set to 0, -1, NaN, inf, 1e300 or 1e-300, through each scenario
+    # every float key set to 0, -1, NaN, inf, 1e300 or 1e-300, and every
+    # integer key to 0, -1, 2.5 or true, through each scenario
     # subcommand in both unit modes: the run succeeds or exits with a
     # documented code, never with a traceback, and a successful run prints
     # nan only as coupled's no-oscillation sentinel.  The base is the
@@ -734,32 +743,35 @@ def test_scenario_fuzz_exits_cleanly(tmp_path, capsys):
     )
     with open(full, encoding="utf-8") as fh:
         base = {k: v for k, v in yaml.safe_load(fh).items() if v != getattr(Scenario(), k)}
-    keys = [f.name for f in fields(Scenario) if f.type in ("float", "float | None")]
-    assert len(keys) == 15
+    floats = [f.name for f in fields(Scenario) if f.type in ("float", "float | None")]
+    ints = [f.name for f in fields(Scenario) if f.type == "int"]
+    assert len(floats) == 15
+    assert ints == ["n_samples", "n_periods", "samples_per_period", "fourier_n_max"]
+    cases = [(k, v) for k in floats for v in (0.0, -1.0, math.nan, math.inf, 1e300, 1e-300)]
+    cases += [(k, v) for k in ints for v in (0, -1, 2.5, True)]
     path, bad = tmp_path / "fuzz.yaml", []
-    for key in keys:
-        for value in (0.0, -1.0, math.nan, math.inf, 1e300, 1e-300):
-            path.write_text(yaml.safe_dump({**base, key: value}), encoding="utf-8")
-            for command, extra in FUZZ_COMMANDS.items():
-                for mode in (cli.UNIT_PHYSICAL, cli.UNIT_SCALED):
-                    case = (key, value, command, mode)
-                    argv = [command, "--scenario", str(path), "--unit-mode", mode, *extra]
-                    try:
-                        code = main(argv)
-                    except Exception as exc:  # an uncaught error is the failure sought here
-                        bad.append((*case, f"raised {exc!r}"))
-                        continue
-                    out, err = capsys.readouterr()
-                    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INGESTION):
-                        bad.append((*case, f"exit {code}"))
-                    if "Traceback" in err:
-                        bad.append((*case, "traceback"))
-                    if code == EXIT_OK and "nan" in out:
-                        *series, summary = out.split("\n\n")
-                        row = summary.splitlines()[-1].split(",")
-                        sentinel = command == "coupled" and row[0] == row[2] == "nan" != row[1]
-                        if not sentinel or "nan" in "".join(series):
-                            bad.append((*case, "nan in output"))
+    for key, value in cases:
+        path.write_text(yaml.safe_dump({**base, key: value}), encoding="utf-8")
+        for command, extra in FUZZ_COMMANDS.items():
+            for mode in (cli.UNIT_PHYSICAL, cli.UNIT_SCALED):
+                case = (key, value, command, mode)
+                argv = [command, "--scenario", str(path), "--unit-mode", mode, *extra]
+                try:
+                    code = main(argv)
+                except Exception as exc:  # an uncaught error is the failure sought here
+                    bad.append((*case, f"raised {exc!r}"))
+                    continue
+                out, err = capsys.readouterr()
+                if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INGESTION):
+                    bad.append((*case, f"exit {code}"))
+                if "Traceback" in err:
+                    bad.append((*case, "traceback"))
+                if code == EXIT_OK and "nan" in out:
+                    *series, summary = out.split("\n\n")
+                    row = summary.splitlines()[-1].split(",")
+                    sentinel = command == "coupled" and row[0] == row[2] == "nan" != row[1]
+                    if not sentinel or "nan" in "".join(series):
+                        bad.append((*case, "nan in output"))
     assert bad == []
 
 

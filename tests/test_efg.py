@@ -87,9 +87,14 @@ def test_unit_conversions_round_trip():
     np.testing.assert_allclose(efg_to_si(si).matrix, si.matrix, rtol=1e-15)
 
 
+def khz(q):
+    """The components of an NqiTensor in kHz."""
+    return q.matrix / (TWO_PI * 1e3)
+
+
 def test_nqi_frequency_properties():
     q = NqiTensor.from_khz(AXIAL * 100.0)
-    np.testing.assert_allclose(q.khz, AXIAL * 100.0, rtol=1e-15)
+    np.testing.assert_allclose(khz(q), AXIAL * 100.0, rtol=1e-15)
     np.testing.assert_allclose(q.matrix / TWO_PI, AXIAL * 1.0e5, rtol=1e-15)
     np.testing.assert_allclose(q.matrix, AXIAL * TWO_PI * 1.0e5, rtol=1e-15)
     assert q.qzz_hz == pytest.approx(1.0e5)
@@ -238,9 +243,9 @@ def test_surface_mesh_matches_quadratic_form():
             assert mesh.g[i, j] == pytest.approx(expect, abs=1e-12)
     assert mesh.radius.min() >= 0.0
     np.testing.assert_array_equal(mesh.sign, np.sign(mesh.g))
-    rows = list(mesh.iter_rows())
-    assert len(rows) == 12 * 16
-    assert rows[0][:2] == (0.0, 0.0)
+    np.testing.assert_array_equal(mesh.radius, np.abs(mesh.g))
+    assert mesh.g.shape == (12, 16)
+    assert (mesh.theta[0], mesh.phi[0]) == (0.0, 0.0)
 
 
 def test_surface_mesh_poles_and_equator_for_axial_tensor():
@@ -323,14 +328,14 @@ def test_table_parse_and_interpolation(tmp_path):
 
     q = table.interpolate("g", 0.015)
     np.testing.assert_allclose(
-        q.khz,
+        khz(q),
         [[-75.0, 0.0, 7.5], [0.0, -75.0, 0.0], [7.5, 0.0, 150.0]],
         atol=1e-9,
     )
     assert q.frame == "E"
     # exact nodes reproduce the rows
-    np.testing.assert_allclose(table.interpolate("e", 0.02).khz[2, 2], 280.0, rtol=1e-12)
-    np.testing.assert_allclose(table.interpolate("e", 0.01).khz[0, 1], 6.0, rtol=1e-12)
+    np.testing.assert_allclose(khz(table.interpolate("e", 0.02))[2, 2], 280.0, rtol=1e-12)
+    np.testing.assert_allclose(khz(table.interpolate("e", 0.01))[0, 1], 6.0, rtol=1e-12)
 
     with pytest.raises(TableRangeError, match="extrapolation refused"):
         table.interpolate("g", 0.03)
@@ -347,8 +352,8 @@ def test_table_header_order_is_free(tmp_path):
     )
     table = load_nqi_table(write_table(tmp_path, shuffled))
     q = table.interpolate("g", 0.01)
-    assert q.khz[2, 2] == pytest.approx(100.0)
-    assert q.khz[0, 2] == pytest.approx(5.0)
+    assert khz(q)[2, 2] == pytest.approx(100.0)
+    assert khz(q)[0, 2] == pytest.approx(5.0)
 
 
 def test_table_near_traceless_rows_are_projected(tmp_path):
@@ -384,3 +389,11 @@ def test_table_format_errors_carry_line_numbers(tmp_path):
     bad_value = GOOD_TABLE.splitlines()[0] + "\n0.0,g,0,0,0,0,0,0\n0.01,g,1,1,1,0,0,nan\n"
     with pytest.raises(TableFormatError, match="line 3"):
         load_nqi_table(write_table(tmp_path, bad_value))
+
+
+def test_missing_table_file_is_a_format_error(tmp_path):
+    # the loader is the ingestion gate: a missing file is refused like a bad one
+    missing = tmp_path / "nope.csv"
+    match = f"^table file not found: {re.escape(str(missing))}$"
+    with pytest.raises(TableFormatError, match=match):
+        load_nqi_table(missing)

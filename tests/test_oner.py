@@ -232,7 +232,7 @@ def test_fourier_constant_and_single_harmonic():
     assert fs.a0 == pytest.approx(1.4, rel=1e-12)
     np.testing.assert_allclose(fs.a[1:], 0.0, atol=1e-12)
     np.testing.assert_allclose(fs.b, 0.0, atol=1e-12)
-    assert fs.n_max == 5
+    assert fs.a.size == fs.b.size == 6
 
     # A cos(3 w t + phase) with a shifted time origin: the phase
     # reference is times[0]

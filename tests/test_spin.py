@@ -78,22 +78,23 @@ def test_commutation_relations_and_casimir():
 def test_ladder_operators_act_on_basis_states():
     s = make_spin(3)
     ii = s.I * (s.I + 1.0)
+    ip, im = s.Ix + 1j * s.Iy, s.Ix - 1j * s.Iy  # I+ and I-
     for k, m in enumerate(s.m_values):
         vec = np.zeros(s.dim)
         vec[k] = 1.0
-        up = s.Ip @ vec
+        up = ip @ vec
         if m < s.I:
             expect = np.sqrt(ii - m * (m + 1.0))
             assert up[k - 1] == pytest.approx(expect)
         else:
             assert np.max(np.abs(up)) == 0.0
-        down = s.Im @ vec
+        down = im @ vec
         if m > -s.I:
             expect = np.sqrt(ii - m * (m - 1.0))
             assert down[k + 1] == pytest.approx(expect)
         else:
             assert np.max(np.abs(down)) == 0.0
-    assert np.max(np.abs(s.Ip - s.Im.conj().T)) == 0.0
+    assert np.max(np.abs(ip - im.conj().T)) == 0.0
 
 
 def test_zeeman_hamiltonian_is_diagonal_in_m():
