@@ -143,9 +143,9 @@ class Scenario:
             if kind is None or (val is None and f.type.endswith("None")):
                 continue
             many = f.type.startswith("list")
-            if many and len(val) != 6:
+            if many and not (isinstance(val, (list, tuple)) and len(val) == 6):
                 raise ScenarioError(
-                    f"{f.name} must list 6 components ({TENSOR_KEY_ORDER}), got {len(val)}"
+                    f"{f.name} must list 6 components ({TENSOR_KEY_ORDER}), got {val!r}"
                 )
             items = val if many else [val]
             try:
@@ -592,7 +592,8 @@ def main(argv=None) -> int:
             print(f"onersim: numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except (ScenarioError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
-            print(f"onersim: configuration error: {exc}", file=sys.stderr)
+            message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+            print(f"onersim: configuration error: {message}", file=sys.stderr)
             return EXIT_CONFIG
     return EXIT_OK
 

@@ -32,7 +32,6 @@ Angular frequencies (rad/s) internally; exported rates in Hz.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -45,6 +44,7 @@ from .efg import FRAME_B, FRAME_E, TRACE_RTOL, NqiTensor, _validated_tensor, rot
 from .qdyn import CollapseChannel, DensityOperator, PropagationDiagnostics
 from .spin import (
     HierarchyWarning,
+    _warn_if_zeeman_weak,
     allowed_transitions,
     make_spin,
     quadrupole_hamiltonian,
@@ -102,22 +102,8 @@ class TwoLevelParams:
             raise ValueError("decay and dephasing rates must be >= 0")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must lie in (0, 1), got {self.duty}")
-        if self.tau is not None:
-            if self.tau <= 0:
-                raise ValueError(f"tau must be > 0, got {self.tau}")
-            # the effective-tensor construction assumes many drive and
-            # decay cycles per pulse half-period
-            if (
-                self.omega_rabi * self.tau < HIERARCHY_MIN_PRODUCT
-                or self.decay * self.tau < HIERARCHY_MIN_PRODUCT
-            ):
-                warnings.warn(
-                    f"pulse hierarchy weak: omega*tau = {self.omega_rabi * self.tau:.3g}, "
-                    f"decay*tau = {self.decay * self.tau:.3g} "
-                    f"(want both >> 1, at least {HIERARCHY_MIN_PRODUCT:g})",
-                    HierarchyWarning,
-                    stacklevel=3 + (sys._getframe(2).f_code is TwoLevelParams.from_hz.__code__),
-                )
+        if self.tau is not None and self.tau <= 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
 
     @classmethod
     def from_hz(
@@ -256,18 +242,27 @@ def collapse_channels(params: TwoLevelParams) -> list[CollapseChannel]:
     return out
 
 
-def _pulse_run(params, h_static, rho0, samples):
+def _pulse_run(params, tau, h_static, rho0, samples):
     """Pulse train on a 2 x d space: H_2L x 1 + h_static, drive on for duty * tau, then off.
 
     The channels act as c x 1.  The on and off pieces get RK4 lattices of
     their own, so no step crosses a switch, and their maps are built once for the whole train.
     """
+    # the effective-tensor construction assumes many drive and decay cycles per pulse half-period
+    drive, decay = params.omega_rabi * tau, params.decay * tau
+    if drive < HIERARCHY_MIN_PRODUCT or decay < HIERARCHY_MIN_PRODUCT:
+        warnings.warn(
+            f"pulse hierarchy weak: omega*tau = {drive:.3g}, decay*tau = {decay:.3g} "
+            f"(want both >> 1, at least {HIERARCHY_MIN_PRODUCT:g})",
+            HierarchyWarning,
+            stacklevel=3,
+        )
     eye = np.eye(len(h_static) // 2)
     h_on, h_off = (h_static + qdyn.kron(drive_hamiltonian(params, on), eye) for on in (True, False))
     channels = [
         CollapseChannel(qdyn.kron(c.operator, eye), c.rate) for c in collapse_channels(params)
     ]
-    pieces = [(params.duty * params.tau, h_on), ((1.0 - params.duty) * params.tau, h_off)]
+    pieces = [(params.duty * tau, h_on), ((1.0 - params.duty) * tau, h_off)]
     return qdyn.propagate(None, channels, rho0, samples, period=pieces)
 
 
@@ -304,11 +299,10 @@ def simulate_pulsed_two_level(
         raise ValueError("params.tau must be set for a pulsed simulation")
     if n_periods < 1 or samples_per_period < 2:
         raise ValueError("need n_periods >= 1 and samples_per_period >= 2")
-    tau = params.tau
-    spp = samples_per_period
+    tau, spp = params.tau, samples_per_period
     samples = np.append(np.add.outer(np.arange(n_periods), np.arange(spp) / spp), n_periods) * tau
     rho0 = DensityOperator.pure(0, dim=2)
-    res = _pulse_run(params, np.zeros((2, 2)), rho0, samples)
+    res = _pulse_run(params, tau, np.zeros((2, 2)), rho0, samples)
     rho_ee = np.real(res.matrices[:, 1, 1]).copy()
     rho_eg = res.matrices[:, 1, 0].copy()
     return TwoLevelTrajectory(
@@ -451,7 +445,7 @@ def transition_table(
     transition: |gamma B0 delta m|, the first-order |E(m_to) - E(m_from)|
     with Q0 (the resonant repetition rate), and |g(Q1)| / 2 pi, 0.0 at or
     below ZERO_AMPLITUDE_RTOL times that orientation's largest |Q1|
-    component.  transitions defaults to every allowed one.
+    component.  transitions defaults to every allowed one.  Warns if |gamma B0| < 10 max |Qzz|.
     """
     if params.duty != 0.5:
         raise ValueError(f"duty {params.duty:g}: Q0 and Q1 model a square-wave drive of duty 1/2")
@@ -463,6 +457,7 @@ def transition_table(
     q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _q0_q1(qg, qe, steady_state(params)[0]))
     floor = ZERO_AMPLITUDE_RTOL * np.maximum(np.max(np.abs(q1), axis=(1, 2)), 1e-300)
     gamma, qzz_hz = nucleus.gamma_hz_per_t, q0[:, 2, 2] / TWO_PI
+    _warn_if_zeeman_weak(gamma * b0_tesla, np.max(np.abs(qzz_hz), initial=0.0))
     transitions = allowed_transitions(spin) if transitions is None else list(transitions)
     table = np.empty((thetas.size, len(transitions), 5))
     for k, (m_from, m_to) in enumerate(transitions):
@@ -625,7 +620,7 @@ def simulate_coupled(
         plan_ = plan(pair, nucleus, b0_tesla, theta, params, transition)
     elif plan_.transition != (float(transition[0]), float(transition[1])):
         raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
-    elif {**vars(plan_.params), "tau": None} != {**vars(params), "tau": None}:
+    elif replace(plan_.params, tau=params.tau) != params:
         raise ValueError(f"plan is for the drive {plan_.params}, not {params}")
     spin, pair_b, start, samples = _check_plan_consistency(
         plan_, pair, nucleus, theta, duration, None, n_samples
@@ -639,10 +634,7 @@ def simulate_coupled(
         h_static += qdyn.kron(SIGMA + SIGMA.conj().T, quadrupole_hamiltonian(pair_b.qeg, spin))
     # product basis |g> x |m>: the ground block holds the first 2I + 1 indices
     rho0 = DensityOperator.pure(start, dim=2 * spin.dim)
-    # built directly, not by dataclasses.replace, so a HierarchyWarning
-    # from __post_init__ names this line
-    pulse_params = TwoLevelParams(**{**vars(params), "tau": plan_.period_s})
-    res = _pulse_run(pulse_params, h_static, rho0, samples)
+    res = _pulse_run(params, plan_.period_s, h_static, rho0, samples)
     pops = res.populations().reshape(-1, 2, spin.dim)  # (time, electron, spin)
     return SpinTrajectory(
         samples, pops.sum(1), spin.m_values, res.diagnostics, rho_ee=pops[:, 1].sum(1), plan=plan_

@@ -241,22 +241,12 @@ def liouvillian(hamiltonian, channels: Sequence[CollapseChannel]) -> np.ndarray:
 
 
 def _hamiltonian_norm(h) -> float:
-    """Step-control scale of an operator: a bound on its spectral radius.
+    """Step-control scale of a hermitian operator: its spectral radius.
 
-    Hermitian operators get the exact radius; anything else falls back to the Frobenius
-    norm, which bounds the spectral norm from above.  A max-entry norm is not enough here:
-    it can undershoot the radius by a factor of the dimension and starve the step control.
+    A max-entry norm can undershoot it by a factor of the dimension and starve the step control.
     """
-    arr = np.asarray(h, dtype=complex)
-    if arr.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return 0.0
-    if np.max(np.abs(arr - arr.conj().T)) <= 1e-12 * scale:
-        w = np.linalg.eigvalsh(arr)
-        return float(max(abs(w[0]), abs(w[-1])))
-    return float(np.linalg.norm(arr))
+    w = np.linalg.eigvalsh(np.asarray(h, dtype=complex))
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def total_rate(channels: Sequence[CollapseChannel]) -> float:
@@ -689,7 +679,7 @@ def _run(parts, h_drive, envelope, channels, rho0, t_grid, lengths, phase) -> Pr
     parts holds one Hamiltonian per piece of the period (lengths), or the one of a run
     without a period (lengths None); h_drive, scaled by envelope, is added to each, or is
     None.  A piece's step scale is max(total rate, rho(H_part) + rho(h_drive)), as
-    |envelope| <= 1.
+    |envelope| <= 1.  Each must be hermitian to 1e-12 of its largest entry.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -706,6 +696,10 @@ def _run(parts, h_drive, envelope, channels, rho0, t_grid, lengths, phase) -> Pr
     for h in hs if h1 is None else [*hs, h1]:
         if h.shape[0] != d:
             raise DimensionMismatchError(f"hamiltonian {h.shape} and state dim {d} differ")
+        residual = float(np.max(np.abs(h - h.conj().T)))
+        if residual > 1e-12 * np.max(np.abs(h)):
+            name = "h_drive" if h is h1 else "hamiltonian"
+            raise ValueError(f"{name} is not hermitian: max |H - H+| = {residual:.3e}")
     psi = None if channels else rho0.vector  # a pure rho0 runs as its state vector
     gen = liouvillian if psi is None else lambda h, _: -1j * h
     a1 = None if h1 is None else gen(h1, ())

@@ -139,6 +139,16 @@ def _level_energy(zeeman_hz: float, m: float, ii: float, qzz_hz: float) -> float
     return -zeeman_hz * m + (1.5 * m * m - 0.5 * ii) * qzz_hz
 
 
+def _warn_if_zeeman_weak(zeeman_hz: float, qzz_hz: float) -> None:
+    if abs(zeeman_hz) < ZEEMAN_DOMINANCE_FACTOR * abs(qzz_hz):
+        warnings.warn(
+            f"|gamma B0| = {abs(zeeman_hz):.3g} Hz is below {ZEEMAN_DOMINANCE_FACTOR:g} x "
+            f"|Qzz| = {abs(qzz_hz):.3g} Hz; first-order energies are unreliable",
+            HierarchyWarning,
+            stacklevel=3,  # the caller of the function that checks
+        )
+
+
 def first_order_energies(
     gamma_hz_per_t: float, b0_tesla: float, qzz_hz: float, spin: SpinSystem
 ) -> list[tuple[float, float]]:
@@ -150,13 +160,7 @@ def first_order_energies(
     emitted below a 10x ratio.  Returns (m, energy) pairs in basis order.
     """
     zeeman = gamma_hz_per_t * b0_tesla
-    if abs(qzz_hz) > 0 and abs(zeeman) < ZEEMAN_DOMINANCE_FACTOR * abs(qzz_hz):
-        warnings.warn(
-            f"|gamma B0| = {abs(zeeman):.3g} Hz is below {ZEEMAN_DOMINANCE_FACTOR:g} x "
-            f"|Qzz| = {abs(qzz_hz):.3g} Hz; first-order energies are unreliable",
-            HierarchyWarning,
-            stacklevel=2,
-        )
+    _warn_if_zeeman_weak(zeeman, qzz_hz)
     ii = spin.I * (spin.I + 1.0)
     return [(float(m), float(_level_energy(zeeman, m, ii, qzz_hz))) for m in spin.m_values]
 

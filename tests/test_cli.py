@@ -17,6 +17,7 @@ import sys
 import warnings
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from onersim.cli import (
     run_spectrum,
 )
 from onersim.efg import NqiTable
+from onersim.spin import HierarchyWarning
 
 TWO_PI = 2.0 * math.pi
 
@@ -577,6 +579,28 @@ def test_main_leaves_the_warnings_filters_as_it_found_them(capsys):
     assert warnings.filters == before
 
 
+def test_weak_hierarchies_warn_where_they_are_relied_on(tmp_path, capsys):
+    # a weak pulse hierarchy warns once, from the pulse train, naming the
+    # cli line that runs it; a Zeeman splitting of 9 Hz against a Qzz of
+    # kHz warns from the transition table and leaves its rows as they are
+    weak = write_scenario(tmp_path, gamma_tau=5.0, n_periods=2, samples_per_period=32)
+    with pytest.warns(HierarchyWarning) as record:
+        assert main(["pulse", "--scenario", weak]) == EXIT_OK
+    assert [(w.category, Path(w.filename).name) for w in record] == [
+        (HierarchyWarning, "cli.py")
+    ]
+    assert "pulse hierarchy weak" in str(record[0].message)
+    capsys.readouterr()
+
+    low_field = write_scenario(tmp_path, b0_tesla=1e-6)
+    with pytest.warns(HierarchyWarning, match="first-order energies are unreliable") as record:
+        assert main(["spectrum", "--scenario", low_field]) == EXIT_OK
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HierarchyWarning)
+        assert capsys.readouterr().out == run_spectrum(load_scenario(low_field))
+
+
 def test_coupled_physical_units_run(capsys):
     # the packaged setup runs in physical units, with GHz optical rates
     # against a kHz quadrupole tier
@@ -685,6 +709,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["steady-state", "--scenario", nodecay]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
 
+    # a failed lookup prints its message as given, not in the quotes of str(KeyError)
+    for command, key, value, message in (
+        ("spectrum", "nucleus", "1H", "unknown nucleus '1H'"),
+        ("rabi-map", "table_ground_state", "nope", "state 'nope' not in table"),
+    ):
+        path = write_scenario(tmp_path, **{key: value})
+        assert main([command, "--scenario", path]) == EXIT_CONFIG
+        assert f"onersim: configuration error: {message}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "command, overrides",
@@ -699,10 +732,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("steady-state", {"omega_hz": True}),
         ("pulse", {"n_periods": 2.9}),
         ("spectrum", {"qg_khz": [True, 0, 0, 0, 0, 0]}),
+        ("spectrum", {"qg_khz": 5}),
     ],
     ids=[
         "inf-int", "nan-int", "nan-float", "nan-tensor", "inf-level", "scaled-b0", "scaled-omega",
-        "bool-float", "fraction-int", "bool-tensor",
+        "bool-float", "fraction-int", "bool-tensor", "scalar-tensor",
     ],
 )
 def test_bad_numbers_stop_at_the_scenario(tmp_path, capsys, command, overrides):

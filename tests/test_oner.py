@@ -76,17 +76,24 @@ def test_params_validation_and_conversion():
 
 
 def test_weak_pulse_hierarchy_warns():
-    with pytest.warns(HierarchyWarning, match="hierarchy weak"):
-        TwoLevelParams(omega_rabi=1.0, decay=1.0, tau=5.0)
+    # a weak drive is built silently; its pulse train warns, once per run
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        TwoLevelParams(omega_rabi=2.0, decay=1.0, tau=50.0)
+        weak = TwoLevelParams(omega_rabi=1.0, decay=1.0, tau=5.0)
+        simulate_pulsed_two_level(TwoLevelParams(omega_rabi=2.0, decay=1.0, tau=50.0), 1, 4)
+    with pytest.warns(HierarchyWarning, match="hierarchy weak") as record:
+        simulate_pulsed_two_level(weak, n_periods=2, samples_per_period=4)
+    assert len(record) == 1
 
 
 def test_from_hz_hierarchy_warning_names_the_caller():
-    # through from_hz the warning points here, not at from_hz's own line
+    # from_hz builds silently, and the run's warning points here, at the
+    # simulator's caller, not at a line inside oner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = TwoLevelParams.from_hz(1.0, 1.0, tau=1e-3)
     with pytest.warns(HierarchyWarning) as record:
-        TwoLevelParams.from_hz(1.0, 1.0, tau=1e-3)
+        simulate_pulsed_two_level(p, n_periods=1, samples_per_period=4)
     assert [Path(w.filename).name for w in record] == [Path(__file__).name]
 
 
@@ -178,9 +185,9 @@ def test_pulsed_halves_settle_and_decay():
 
 
 def test_pulsed_without_drive_stays_in_ground_state():
+    p = TwoLevelParams(omega_rabi=0.0, decay=1.0, tau=50.0)
     with pytest.warns(HierarchyWarning):
-        p = TwoLevelParams(omega_rabi=0.0, decay=1.0, tau=50.0)
-    traj = simulate_pulsed_two_level(p, n_periods=2, samples_per_period=32)
+        traj = simulate_pulsed_two_level(p, n_periods=2, samples_per_period=32)
     assert np.max(traj.rho_ee) == 0.0
     assert np.max(np.abs(traj.rho_eg)) == 0.0
 
@@ -188,10 +195,10 @@ def test_pulsed_without_drive_stays_in_ground_state():
 def test_pulsed_oscillation_count_at_moderate_hierarchy():
     # drive 10x decay and only 5 decay times per period: the on half
     # shows damped optical oscillations, about omega tau_on / (2 pi)
-    with pytest.warns(HierarchyWarning):
-        p = TwoLevelParams(omega_rabi=10.0, decay=1.0, tau=5.0)
+    p = TwoLevelParams(omega_rabi=10.0, decay=1.0, tau=5.0)
     spp = 256
-    traj = simulate_pulsed_two_level(p, n_periods=2, samples_per_period=spp)
+    with pytest.warns(HierarchyWarning):
+        traj = simulate_pulsed_two_level(p, n_periods=2, samples_per_period=spp)
     on_half = traj.rho_ee[spp : spp + spp // 2]
     peaks = 0
     for i in range(1, on_half.size - 1):
@@ -804,8 +811,8 @@ def test_coupled_static_spin_stays_put():
 
 
 def test_coupled_hierarchy_warning_names_the_simulator():
-    # the weak-hierarchy warning of the run's pulse params points at
-    # simulate_coupled, not at a line inside the dataclasses module
+    # the weak-hierarchy warning of the run's pulse train, at the plan's
+    # period, is raised once and points at simulate_coupled's caller
     nuc, pair, pl = effective_setup()
     weak = TwoLevelParams(omega_rabi=TWO_PI * 1e3, decay=TWO_PI * 4e5)
     with pytest.warns(HierarchyWarning) as record:
@@ -813,8 +820,8 @@ def test_coupled_hierarchy_warning_names_the_simulator():
             pair, nuc, 1.0, np.pi / 4.0, weak, (1.5, 0.5), 2.0 / pl.repetition_rate_hz,
             n_samples=8,
         )
-    names = {Path(w.filename).name for w in record if w.category is HierarchyWarning}
-    assert names == {"oner.py"}, names
+    names = [Path(w.filename).name for w in record if w.category is HierarchyWarning]
+    assert names == [Path(__file__).name], names
 
 
 def test_coupled_takes_its_plan(monkeypatch):

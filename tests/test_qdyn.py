@@ -333,6 +333,29 @@ def test_a_piece_of_2_to_the_63_steps_or_more_is_refused():
                   max_step_phase=qdyn.MAX_STEP_PHASE_LIMIT)
 
 
+def test_both_propagators_refuse_a_non_hermitian_hamiltonian():
+    # every run's Hamiltonians and drive must be hermitian to 1e-12 of their
+    # largest entry: a skew one is refused by name with its residual, and a
+    # rounding-level asymmetry still runs
+    rho0 = DensityOperator.pure(0, dim=2)
+    sym, skew = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    runs = {
+        "hamiltonian": (
+            lambda: propagate(skew, [], rho0, [0.0, 1.0]),
+            lambda: propagate(None, [], rho0, [0.0, 1.0], period=[(0.5, sym), (0.5, skew)]),
+            lambda: propagate_modulated(skew, sym, np.sin, [], rho0, [0.0, 1.0]),
+        ),
+        "h_drive": (lambda: propagate_modulated(sym, skew, np.sin, [], rho0, [0.0, 1.0]),),
+    }
+    for name, calls in runs.items():
+        for run in calls:
+            with pytest.raises(ValueError, match=rf"^{name} is not hermitian: .* = 1\.000e\+00$"):
+                run()
+    near = sym + np.array([[0.0, 1e-13], [0.0, 0.0]])
+    assert propagate(near, [], rho0, [0.0, 1.0]).diagnostics.n_substeps > 0
+    propagate_modulated(sym, near, np.sin, [CollapseChannel(skew, 1.0)], rho0, [0.0, 1.0])
+
+
 def test_total_rate_sums_channel_scales():
     channels = [CollapseChannel(SIGMA, 2.0), CollapseChannel(np.diag([1.0, -1.0]), 3.0)]
     assert total_rate(channels) == pytest.approx(5.0)
