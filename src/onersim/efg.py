@@ -202,7 +202,7 @@ def nqi_from_efg(phi: EfgTensor, nucleus: NucleusRecord) -> NqiTensor:
         raise NoQuadrupoleError(
             f"{nucleus.name}: spin I = {nucleus.spin:g} <= 1/2 has no quadrupole coupling"
         )
-    phi_si = efg_to_si(phi) if phi.unit == UNIT_AU else phi
+    phi_si = efg_to_si(phi)
     I = nucleus.spin  # noqa: E741
     denom = 2.0 * I * (2.0 * I - 1.0)
     joule = ELEMENTARY_CHARGE * nucleus.q_barn * BARN_TO_M2 * phi_si.matrix / denom
@@ -245,7 +245,7 @@ def asymmetry(phi) -> float:
     mat = tensor_matrix(phi)
     if np.all(mat == 0.0):
         raise UndefinedAsymmetryError("asymmetry parameter undefined for the zero tensor")
-    w = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    w = np.linalg.eigvalsh(mat / 2.0 + mat.T / 2.0)  # halved first, so no finite M overflows
     # order z', y', x' by descending |lambda|, ties by descending value
     order = sorted(range(3), key=lambda i: (-abs(w[i]), -w[i]))
     lz, ly, lx = (w[i] for i in order)

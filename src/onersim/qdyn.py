@@ -22,10 +22,11 @@ Every run integrates a linear generator A(t) = A0 + f(t) A1: a channel-free
 pure state as a state vector under -iH, any other state as the row-major
 vec(rho) under the Liouvillian, whose drive part carries no dissipator.  One
 RK4 step is then a matrix, and each piece builds its maps once per run
-(_piece_maps): the powers of a constant piece's step map, or its sample maps
-at recurring phases, and a modulated piece's step maps and their products at
-the samples.  Piece maps carry the state through each period that holds a
-sample, and powers of the period map skip the others.  This is stepwise RK4
+(_piece_maps): the powers of a constant piece's step map, or its tables at
+recurring lattice points, and a modulated piece's step maps and their products
+at the samples; a sample off the lattice takes a remainder step of its own.
+Piece maps carry the state through each period that holds a sample, and
+powers of the period map skip the others.  This is stepwise RK4
 with the products reassociated: deterministic, and equal to a literal step
 loop on the same lattice up to rounding.  n_substeps counts the steps of that
 loop: the lattice steps up to the last sample, plus one per sample off it.  A
@@ -113,7 +114,7 @@ class DensityOperator:
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {TRACE_TOL:g}")
-        arr = (arr + arr.conj().T) / 2.0
+        arr = arr / 2.0 + arr.conj().T / 2.0  # halved first, so no finite rho overflows
         w, u = np.linalg.eigh(arr)
         if w[0] < -positivity_tol:
             raise ValueError(
@@ -151,7 +152,7 @@ class DensityOperator:
                 raise ValueError("zero state vector")
             vec = vec / norm
         m, rho = np.outer(vec, vec.conj()), cls.__new__(cls)
-        rho._matrix, rho._vector = (m + m.conj().T) / 2.0, vec  # hermitized, as __init__ stores it
+        rho._matrix, rho._vector = m / 2.0 + m.conj().T / 2.0, vec  # as __init__ hermitizes
         if not abs(np.trace(rho._matrix).real - 1.0) <= TRACE_TOL:
             raise ValueError(f"pure state trace differs from 1 beyond {TRACE_TOL:g}")
         rho._matrix.setflags(write=False)
@@ -491,17 +492,17 @@ def _prefixes(piece: _Piece, stops: np.ndarray, held: int, keep: bool):
         lo, m = hi, None  # m is freed before the next batch is built
 
 
-def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
+def _piece_maps(piece: _Piece, stops: np.ndarray):
     """The piece map M_{n-1} ... M_0, and advance(v, k, j, dt): v[k[r]] j[r] steps on, then dt[r].
 
-    stops holds the distinct j > 0 advance will get.  A constant piece's phase is a j and
-    the least dt of its rows.  If all rows lie within tol of their phase, F D < R and six
-    stacks of F maps fit, it maps each phase once: tables P^j from the powers P^(2^b) of
-    its step map (F D^3 per bit), stepped by dt (F D rows), reach the rows by _gather.
-    Else each power acts on every chunk of the R rows (R D^2 per bit), then the step does.
-    The piece map, and each advance, walk the _ladder of powers once.  A modulated piece
-    keeps its prefixes at the stops if they fit in half of BATCH_BYTES (else advance builds
-    the step maps again); _rk4 steps the rows.  Rows run in chunks.
+    stops holds the distinct j > 0 advance will get.  A constant piece's table is a lattice
+    point: if there are F > 0 stops, F D < R and six stacks of F maps fit, it maps each stop
+    once, tables P^j from the powers P^(2^b) of its step map (F D^3 per bit) that reach the
+    rows by _gather.  Else each power acts on every chunk of the R rows (R D^2 per bit).
+    Either way every row then takes its own remainder step of dt[r], by _taylor.  The piece
+    map, and each advance, walk the _ladder of powers once.  A modulated piece keeps its
+    prefixes at the stops if they fit in half of BATCH_BYTES (else advance builds the step
+    maps again); _rk4 steps the rows.  Rows run in chunks.
     """
     d = piece.a0.shape[0]
     if piece.a1 is None:
@@ -520,33 +521,23 @@ def _piece_maps(piece: _Piece, stops: np.ndarray, tol: float):
             return x
 
         def advance(v, k, j, dt):
-            e = stops if j.min() else np.concatenate(([0], stops))
-            tables = e.size * d < j.size and e.size <= _fit(0, 96 * d * d)  # six stacks of maps
-            if tables:  # the phase of e[s[r]] and row r's dt past it
-                s, dp = np.searchsorted(e, j), np.full(e.size, np.inf)
-                np.minimum.at(dp, s, dt)
-                off = dt - dp[s]
-            if not (tables and off.max() <= tol):
-                # a row of a chunk: two vectors and three indices, and three indices over all
-                # rows (those that take a power, the chunk starts, the cuts), beside two powers
-                y = v[k]
-                chunks = list(_chunks(j.size, 32 * d * d, 32 * d + 48, y.nbytes))
-                carry(y, j, _ladder(step, j.max()), chunks[0].stop)  # the first chunk's size
-                for r in chunks:
-                    y[r] = _taylor(piece.a0, dt[r], y[r])
-                return y
-            # P^c for c < 2^lo <= F by doubling, then the higher powers and the phases' dt
-            lo = e.size.bit_length() - 1
-            x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), _ladder(step, e[-1])
-            for b, p in itertools.islice(bits, lo):
-                x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
-            x = carry(x[e & (1 << lo) - 1], e, bits, e.size).reshape(-1, d)
-            x = _taylor(piece.a0, np.repeat(dp, d), x).reshape(-1, d, d).swapaxes(1, 2)
-            # from 1, as _gather takes 0 for no step; beside the tables, s, off and j + 1
-            y = _gather(v, k, j + 1, [(e + 1, x)], x.nbytes + 3 * off.nbytes)
-            r = np.flatnonzero(off)  # a row's own dt, at most tol past its phase's, to first order
-            for c in _chunks(r.size, x.nbytes + 3 * off.nbytes, 48 * d + 16, y.nbytes):  # 3 rows
-                y[r[c]] += off[r[c], None] * (y[r[c]] @ piece.a0.T)
+            # a row of a chunk: two vectors and three indices, and three indices over all
+            # rows (those that take a power, the chunk starts, the cuts), beside two powers;
+            # the output is the R complex rows
+            chunks = list(_chunks(j.size, 32 * d * d, 32 * d + 48, 16 * d * j.size))
+            if 0 < stops.size * d < j.size and stops.size <= _fit(0, 96 * d * d):  # six stacks
+                # P^c for c < 2^lo <= F by doubling, then the higher powers: the tables P^stops
+                lo = stops.size.bit_length() - 1
+                x, bits = np.tile(np.eye(d) + 0j, (1 << lo, 1, 1)), _ladder(step, stops[-1])
+                for b, p in itertools.islice(bits, lo):
+                    x[1 << b : 2 << b] = (x[: 1 << b].reshape(-1, d) @ p.T).reshape(-1, d, d)
+                x = carry(x[stops & (1 << lo) - 1], stops, bits, stops.size).swapaxes(1, 2)
+                y = _gather(v, k, j, [(stops, x)], x.nbytes)
+                del x  # the tables go before the remainder steps
+            else:
+                y = carry(v[k], j, _ladder(step, j.max()), chunks[0].stop)  # the first chunk's size
+            for r in chunks:
+                y[r] = _taylor(piece.a0, dt[r], y[r])
             return y
 
         return full, advance
@@ -593,9 +584,10 @@ def _gather(v: np.ndarray, k: np.ndarray, j: np.ndarray, batches, held: int) -> 
 
 
 def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
-    """Lattice coordinates (k, i, j, dt) and tol: t sits dt past point j of piece i in period k.
+    """Lattice coordinates (k, i, j, dt): t sits dt past point j of piece i in period k.
 
-    An offset within tol, a few rounding units of max |t|, of a lattice point sits on it.
+    An offset within a few rounding units of max |t| of a lattice point sits on it (dt = 0);
+    any other offset is the sample's own dt.
     A later period start is the end of the period before, i = len(bounds) - 1.
     """
     k, s = np.divmod(t - t[0], bounds[-1])
@@ -609,7 +601,7 @@ def _locate(t: np.ndarray, bounds: np.ndarray, h: np.ndarray):
     back = (i == 0) & (j == 0) & (dt == 0.0) & (k > 0)
     k[back] -= 1
     i[back] = bounds.size - 1
-    return k.astype(int), i, j.astype(int), dt, tol
+    return k.astype(int), i, j.astype(int), dt
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -634,7 +626,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         raise IntegrationFailureError(f"a piece needs {n.max():.3e} RK4 steps, 2^63 or more")
     n = n.astype(int)
     h = lengths / n
-    k, i, j, dt, tol = _locate(t, bounds, h)
+    k, i, j, dt = _locate(t, bounds, h)
     inner = (j > 0) | (dt > 0)
     busy = np.flatnonzero(np.bincount(i[inner], minlength=len(gens))).tolist()
     stops = {q: np.sort(j[(i == q) & (j > 0)]) for q in busy}
@@ -643,7 +635,7 @@ def _lattice(gens, lengths, envelope, t: np.ndarray, v0: np.ndarray, phase: floa
         _Piece(a0, a1, envelope, t[0] + b, hq, nq)
         for (_, a0, a1), b, hq, nq in zip(gens, bounds.tolist(), h.tolist(), n.tolist())
     ]
-    maps = [_piece_maps(p, stops.get(q, np.zeros(0, int)), tol) for q, p in enumerate(pieces)]
+    maps = [_piece_maps(p, stops.get(q, np.zeros(0, int))) for q, p in enumerate(pieces)]
 
     # the state entering every piece of each period that holds a sample
     new = np.diff(k, prepend=-1) > 0

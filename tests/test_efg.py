@@ -216,6 +216,8 @@ def test_asymmetry_reference_values():
     # principal values (-2, 1.5, 0.5): eta = (1.5 - 0.5) / 2
     assert asymmetry(np.diag([1.5, 0.5, -2.0])) == pytest.approx(0.5)
     assert asymmetry(np.diag([2.0, -0.5, -1.5])) == pytest.approx(0.5)
+    # axial above half the float maximum, where M + M^T would overflow
+    assert asymmetry(EfgTensor(np.diag([-8e307, -8e307, 1.6e308]))) == 0.0
     # eta is invariant under rotation and rescaling
     rng = np.random.default_rng(7)
     for _ in range(5):

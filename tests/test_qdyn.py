@@ -158,8 +158,8 @@ class CorrectingMap:
 def correct_after_every_piece(mp, pure):
     real = qdyn._piece_maps
 
-    def correcting(piece, stops, tol):
-        full, advance = real(piece, stops, tol)
+    def correcting(piece, stops):
+        full, advance = real(piece, stops)
         return CorrectingMap(full, pure), advance
 
     mp.setattr(qdyn, "_piece_maps", correcting)
@@ -222,6 +222,9 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityOperator([[1.5, 0.0], [0.0, -0.5]])
+    # coherences of 1e308, where rho + rho+ would overflow before the check
+    with pytest.raises(ValueError, match="eigenvalue .* below"):
+        DensityOperator([[0.5, 1e308], [1e308, 0.5]])
     with pytest.raises(ValueError, match="square"):
         DensityOperator(np.ones((2, 3)))
 
@@ -802,13 +805,13 @@ def test_period_gaps_match_stepwise(kind, monkeypatch):
     "states, batch, tables", [(10, 1 << 16, True), (70, 1 << 16, True), (70, 1 << 15, False)]
 )
 def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables, monkeypatch):
-    # a qutrit Liouvillian piece (9 x 9 maps), 7 phases and 70 rows: each
-    # stop with its own remainder step, jittered by a few ulps per row
-    # within the tolerance, reached in all ten periods (one GEMM on the ten
+    # a qutrit Liouvillian piece (9 x 9 maps), 7 stops and 70 rows: each
+    # stop with its own remainder step, jittered by a few ulps per row and
+    # taken by each row, reached in all ten periods (one GEMM on the ten
     # states), or each row in a period of its own (the rows gather their
-    # tables, 89 KiB at once, so in chunks); in 32 KiB the tables and their
-    # remainder temporaries do not fit, and the powers and the remainder
-    # act on the rows.  The traced peak of advance, its output included,
+    # tables, 89 KiB at once, so in chunks); in 32 KiB six stacks of the
+    # tables do not fit, and the powers and the remainder act on the
+    # rows.  The traced peak of advance, its output included,
     # stays within BATCH_BYTES.
     monkeypatch.setattr(qdyn, "BATCH_BYTES", batch)
     rng = np.random.default_rng(97)
@@ -819,12 +822,11 @@ def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables
     j = np.tile(stops, 10)
     dt = np.tile(rng.uniform(0.1 * h, 0.9 * h, size=7), 10)
     dt += rng.integers(-3, 4, size=70) * np.spacing(dt)
-    tol = 32 * np.finfo(float).eps * piece.n * h  # _locate's, for a run that ends with the piece
     k = np.arange(70) if states == 70 else np.repeat(np.arange(10), 7)
     v = rng.normal(size=(states, 9)) + 1j * rng.normal(size=(states, 9))
     assert 70 * 16 * 81 > qdyn.BATCH_BYTES
     calls = spy_gather(monkeypatch)
-    _, advance = qdyn._piece_maps(piece, stops, tol)
+    _, advance = qdyn._piece_maps(piece, stops)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -839,6 +841,34 @@ def test_constant_piece_tables_stay_within_the_batch_bound(states, batch, tables
         stepwise_rk4(rhs, np.linalg.matrix_power(step, jj) @ v[kk], [0.0, d], 0.0)[0][-1]
         for jj, kk, d in zip(j, k, dt)
     ])
+    np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_constant_piece_tables_serve_rows_of_any_dt(monkeypatch):
+    # a qubit Liouvillian piece (4 x 4 maps), 3 stops in 20 states, and
+    # rows at each stop and at the piece start with dts drawn over the
+    # whole step, far apart, not rounding jitter: _gather takes the three
+    # tables, copies the rows that take no step, and every row then takes
+    # one RK4 step of its own dt
+    rng = np.random.default_rng(173)
+    a0 = liouvillian(random_hermitian(rng, 2), [random_channel(rng, 2)])
+    h = qdyn.MAX_STEP_PHASE_LIMIT / np.linalg.norm(a0, 2)
+    piece = qdyn._Piece(a0, None, None, 0.0, h, 500)
+    stops = np.array([3, 70, 311])
+    j, k = np.tile(np.concatenate(([0], stops)), 5), np.arange(20)
+    dt = rng.uniform(0.0, 0.99 * h, size=20)
+    dt[0] = 0.0  # one row takes no step at all
+    v = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    calls = spy_gather(monkeypatch)
+    _, advance = qdyn._piece_maps(piece, stops)
+    y = advance(v, k, j, dt)
+    assert calls == [(3, 20)]
+    step = piece.step_map()
+    ref = np.array([
+        qdyn._rk4(a0, None, None, d, (np.linalg.matrix_power(step, jj) @ v[kk])[None])[0]
+        for jj, kk, d in zip(j, k, dt)
+    ])
+    assert ref[0].tolist() == v[0].tolist()
     np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -863,7 +893,7 @@ def test_rows_of_a_large_constant_piece_walk_one_ladder_per_advance(monkeypatch)
         return real(step, top)
 
     monkeypatch.setattr(qdyn, "_ladder", spying)
-    _, advance = qdyn._piece_maps(piece, j[j > 0], 0.0)
+    _, advance = qdyn._piece_maps(piece, j[j > 0])
     assert walks == [piece.n]
     rows = [advance(v, k, j, dt), advance(v, k[::-1], j, dt)]
     assert walks == [piece.n, 2999, 2999]
@@ -880,11 +910,11 @@ def test_rows_of_a_large_constant_piece_walk_one_ladder_per_advance(monkeypatch)
 @pytest.mark.parametrize("d", [2, 3])
 def test_recurring_phases_map_once(d, period, monkeypatch):
     # a two-piece Lindblad period sampled at the same six fractions of ten
-    # periods: each constant piece maps its three phases once, steps the
-    # tables by their dt and writes its rows from them.  At T = 4 every
-    # period repeats a phase's dt exactly; times (k + f) T of T = 2 pi / 3
-    # put it a few ulps apart, which still counts as one phase, and each
-    # row keeps its own dt to first order.  Against literal stepwise RK4
+    # periods: each constant piece maps its three lattice points once and
+    # writes its rows from the tables, each row then stepped by its own dt.
+    # At T = 4 every period repeats a point's dt exactly; times (k + f) T of
+    # T = 2 pi / 3 put them a few ulps apart, and one table still serves
+    # each point.  Against literal stepwise RK4
     rng = np.random.default_rng(139 + d)
     hs = [random_hermitian(rng, d, 1.5), random_hermitian(rng, d, 0.5)]
     channels = [random_channel(rng, d)]
@@ -904,8 +934,8 @@ def test_recurring_phases_map_once(d, period, monkeypatch):
         ref.append(stepwise_rk4(rhss[q], lat[k][q][j], [t_lat, tt], 0.0)[0][-1])
     pairs, real = [], qdyn._piece_maps
 
-    def spying(piece, stops, tol):
-        full, advance = real(piece, stops, tol)
+    def spying(piece, stops):
+        full, advance = real(piece, stops)
 
         def spied(v, k, j, dt):
             pairs.append(len(set(zip(j.tolist(), dt.tolist()))))
@@ -917,11 +947,11 @@ def test_recurring_phases_map_once(d, period, monkeypatch):
     calls = spy_gather(monkeypatch)
     res = propagate(None, channels, rho0, t, period=list(zip(lengths, hs)), max_step_phase=phase)
     assert calls == [(3, 30), (3, 30)]  # the tables path, in both pieces
-    assert pairs == [3, 3] if period == 4.0 else max(pairs) > 3  # jittered dts share a phase
+    assert pairs == [3, 3] if period == 4.0 else max(pairs) > 3  # jittered dts share a table
     np.testing.assert_allclose(res.matrices, np.array(ref), rtol=0.0, atol=1e-12)
     ns = [len(piece) - 1 for piece in lat[0]]
     assert res.diagnostics.n_substeps == 9 * sum(ns) + ns[0] + j + 60
-    # without room for the tables each row takes its own dt: the same to rounding
+    # without room for the tables the powers act on the rows: the same to rounding
     monkeypatch.setattr(qdyn, "BATCH_BYTES", 4000)
     rows = propagate(None, channels, rho0, t, period=list(zip(lengths, hs)), max_step_phase=phase)
     assert calls == [(3, 30), (3, 30)]
@@ -1045,8 +1075,8 @@ def spy_engine(mp, seen):
     """Add to seen the name of each engine branch a run takes."""
     piece_maps, gather, locate, gathered = qdyn._piece_maps, qdyn._gather, qdyn._locate, []
 
-    def spying_piece_maps(piece, stops, tol):
-        full, advance = piece_maps(piece, stops, tol)
+    def spying_piece_maps(piece, stops):
+        full, advance = piece_maps(piece, stops)
 
         def spying_advance(v, k, j, dt):
             gathered.clear()
@@ -1054,7 +1084,7 @@ def spy_engine(mp, seen):
             if piece.a1 is None:  # a constant piece gathers its tables, not its rows
                 seen.add("tables" if gathered else "rows")
                 if gathered and gathered[1] < len(set(zip(j.tolist(), dt.tolist()))):
-                    seen.add("merges")  # rows a few ulps apart in dt share one phase
+                    seen.add("merges")  # rows of different dt share one table
             else:
                 seen.add("kept" if gathered[0] else "rewalked")
             return y
@@ -1074,14 +1104,14 @@ def spy_engine(mp, seen):
         return gather(v, k, j, batches, held)
 
     def spying_locate(t, bounds, h):
-        k, i, j, dt, tol = locate(t, bounds, h)
+        k, i, j, dt = locate(t, bounds, h)
         k0, s = np.divmod(t - t[0], bounds[-1])
         # a sample put on a lattice point it is off by rounding (a period
         # start moved back to the end of the period before is not counted)
         on = (k == k0) & (dt == 0.0)
         if np.any(s[on] - bounds[i[on]] - j[on] * h[i[on]] != 0.0):
             seen.add("snaps")
-        return k, i, j, dt, tol
+        return k, i, j, dt
 
     def spying_reduce(fn, items, *start):
         if start:  # the period map, built only to cross periods without samples
@@ -1559,7 +1589,7 @@ def test_step_map_polynomial_beyond_the_batch_bound_is_refused(monkeypatch):
 def engine_path(path, dim, seed):
     """One engine path on a dim x dim generator: run() returns what the path returns.
 
-    Constant pieces of 4,000 steps, modulated ones of 400.  tables: 7 phases,
+    Constant pieces of 4,000 steps, modulated ones of 400.  tables: 7 stops,
     each reached in dim + 2 periods by rows a few ulps apart in dt.  rows:
     2,000 samples at distinct steps.  kept and remainder: 50 or 2,000 samples
     at 5 stops.  rebuilt: 300 samples at distinct stops, more than the bound
@@ -1594,10 +1624,9 @@ def engine_path(path, dim, seed):
             j = rng.choice(60 * np.arange(1, 6), n)
         k, dt = np.sort(rng.integers(0, 40, size=n)), rng.uniform(0.1 * h, 0.9 * h, size=n)
     v, stops = states(int(k.max()) + 1), np.unique(j)
-    tol = 32 * np.finfo(float).eps * piece.n * h  # _locate's, for a run that ends with the piece
 
     def run():
-        _, advance = qdyn._piece_maps(piece, stops, tol)
+        _, advance = qdyn._piece_maps(piece, stops)
         return advance(v, k, j, dt)
 
     return run
