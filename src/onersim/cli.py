@@ -21,15 +21,17 @@ byte-identical.  Exit codes: 0 success, 2 configuration error,
 Unit modes: "physical" uses the scenario values as stated.  "scaled"
 keeps the two-level parameters and compresses the spectator hierarchy:
 the Zeeman splitting gamma*B0 is set to omega / zeeman_ratio and the
-coupling tensors are rescaled so their largest component is gamma*B0 /
-quad_ratio (in angular-frequency terms), preserving tensor shapes.
-Ratios >= 30 keep each tier well separated and bring a coupled run
-too stiff for the propagator's checks (exit 3) within them; all
-reported frequencies simply rescale, and a tier past the float range
-is a configuration error.  The mode is the scenario's
-unit_mode, which --unit-mode overrides.  It acts on the nucleus and
-the coupling tensors only, so it changes spectrum, rabi-map, coupled
-and efg-mesh and leaves steady-state, pulse and ingest-check as they are.
+coupling tensors are rescaled, preserving their shapes, by one factor
+per run: it brings the largest component among all the tensors the
+subcommand uses to gamma*B0 / quad_ratio (in angular-frequency terms),
+so a rabi-map sweep keeps its field dependence.  Ratios >= 30 keep each
+tier well separated and bring a coupled run too stiff for the
+propagator's checks (exit 3) within them; all reported frequencies
+simply rescale, and a tier past the float range is a configuration
+error.  The mode is the scenario's unit_mode, which --unit-mode
+overrides.  It acts on the nucleus and the coupling tensors only, so it
+changes spectrum, rabi-map, coupled and efg-mesh and leaves
+steady-state, pulse and ingest-check as they are.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .oner import (
     steady_state,
     transition_table,
 )
-from .spin import HierarchyWarning
+from .spin import HierarchyWarning, _warn_if_zeeman_weak
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,10 +139,15 @@ class Scenario:
         # to the type of its field (annotations are strings in this module)
         # and must be finite.  A YAML boolean (yes, true) is not a number,
         # and an integer key refuses a fraction where int() would truncate.
+        # A text key takes a YAML string only.
         for f in fields(self):
             kind = _NUMBER_TYPES.get(f.type)
             val = getattr(self, f.name)
-            if kind is None or (val is None and f.type.endswith("None")):
+            if val is None and f.type.endswith("None"):
+                continue
+            if f.type.startswith("str") and not isinstance(val, str):
+                raise ScenarioError(f"{f.name} must be a string, got {val!r}")
+            if kind is None:
                 continue
             many = f.type.startswith("list")
             if many and not (isinstance(val, (list, tuple)) and len(val) == 6):
@@ -179,7 +186,7 @@ class Scenario:
         if not isinstance(data, dict):
             raise ScenarioError(f"scenario must be a mapping, got {type(data).__name__}")
         known = {f.name for f in fields(cls)} - {"base_dir"}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(repr(key) for key in data if key not in known)  # YAML keys of any type
         if unknown:
             raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}")
         try:
@@ -325,24 +332,25 @@ class ResolvedSetup:
 
 
 def _apply_unit_mode(
-    sc: Scenario, nucleus: NucleusRecord, pair: StatePairNqi
-) -> tuple[NucleusRecord, StatePairNqi]:
+    sc: Scenario, nucleus: NucleusRecord, pairs: list[StatePairNqi]
+) -> tuple[NucleusRecord, list[StatePairNqi]]:
+    """The nucleus and every pair of one run in its unit mode, all pairs scaled by one factor."""
     if sc.unit_mode == UNIT_PHYSICAL:
-        return nucleus, pair
+        return nucleus, pairs
     gamma_b0_hz = sc.omega_hz / sc.zeeman_ratio
     gamma_mhz_per_t = gamma_b0_hz / 1e6 / sc.b0_tesla
-    current = max(pair.qg.norm, pair.qe.norm)  # a pair of zero tensors keeps its scale
+    current = max(max(p.qg.norm, p.qe.norm) for p in pairs)  # zero tensors keep their scale
     factor = TWO_PI * gamma_b0_hz / sc.quad_ratio / current if current else 1.0
     gamma = TWO_PI * (gamma_mhz_per_t * 1e6)  # rad/s per tesla, as the Zeeman term forms it
     for what, value in (("gamma", gamma), ("gamma B0", gamma_b0_hz), ("tensor factor", factor)):
         if not (math.isfinite(value) and value > 0):  # checked before anything is built
             raise ScenarioError(f"the scaled unit mode's {what} is {value:g}, not finite and > 0")
     nucleus = replace(nucleus, name=f"scaled:{nucleus.name}", gamma_mhz_per_t=gamma_mhz_per_t)
-    return nucleus, pair.map(lambda q: q.scaled(factor))
+    return nucleus, [p.map(lambda q: q.scaled(factor)) for p in pairs]
 
 
 def resolve_setup(sc: Scenario) -> ResolvedSetup:
-    nucleus, pair = _apply_unit_mode(sc, get_nucleus(sc.nucleus), scenario_pair(sc))
+    nucleus, [pair] = _apply_unit_mode(sc, get_nucleus(sc.nucleus), [scenario_pair(sc)])
     return ResolvedSetup(
         nucleus=nucleus,
         pair=pair,
@@ -406,11 +414,11 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
     """Rabi frequency and energy correction over (theta, field) nodes.
 
     Requires a table-backed scenario; the ground and excited tensors are
-    interpolated once per field, and one transition_table per field
-    gives every |delta m| in {1, 2} transition at all thetas.  Rows run
-    theta-major, then field, then transition.  Transitions with no
-    drivable amplitude carry rabi_hz = 0 rather than erroring, so full
-    maps always emit.
+    interpolated once per field and share one unit-mode factor, and one
+    transition_table per field gives every |delta m| in {1, 2} transition
+    at all thetas.  Rows run theta-major, then field, then transition.
+    Transitions with no drivable amplitude carry rabi_hz = 0 rather than
+    erroring, so full maps always emit.
     """
     if sc.table_ground_state is None or sc.table_excited_state is None:
         raise ScenarioError("rabi-map needs table_ground_state and table_excited_state")
@@ -422,11 +430,14 @@ def run_rabi_map(sc: Scenario, grid: SweepGrid) -> str:
         field_max=hi if grid.field_max is None else grid.field_max,
     )
     nucleus, params = get_nucleus(sc.nucleus), scenario_params(sc)
-    # each field's tensors, interpolated and unit-scaled once for every theta
-    setups = [_apply_unit_mode(sc, nucleus, _table_pair(sc, table, f)) for f in grid.fields]
-    rows = [transition_table(p, nuc, sc.b0_tesla, grid.thetas, params)[2] for nuc, p in setups]
+    nucleus, pairs = _apply_unit_mode(sc, nucleus, [_table_pair(sc, table, f) for f in grid.fields])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HierarchyWarning)  # the sweep is checked once, below
+        tables = [transition_table(p, nucleus, sc.b0_tesla, grid.thetas, params) for p in pairs]
+    qzz_hz = max(np.max(np.abs(q0[:, 2, 2] / TWO_PI)) for q0, _, _ in tables)
+    _warn_if_zeeman_weak(nucleus.gamma_hz_per_t * sc.b0_tesla, qzz_hz)
     # columns shaped (theta, field, transition)
-    m_from, m_to, zeeman, total, rabi = np.moveaxis(np.stack(rows, axis=1), -1, 0)
+    m_from, m_to, zeeman, total, rabi = np.moveaxis(np.stack([t for *_, t in tables], 1), -1, 0)
     return _csv_block(
         ["theta_rad", "field_au", "transition_from", "transition_to", "rabi_hz", "correction_hz"],
         grid.thetas[:, None, None], grid.fields[:, None], m_from, m_to, rabi, total - zeeman,

@@ -32,7 +32,6 @@ Angular frequencies (rad/s) internally; exported rates in Hz.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ from .constants import TWO_PI, NucleusRecord
 from .efg import FRAME_B, FRAME_E, TRACE_RTOL, NqiTensor, _validated_tensor, rotate_about_x
 from .qdyn import CollapseChannel, DensityOperator, PropagationDiagnostics
 from .spin import (
-    HierarchyWarning,
+    _warn_hierarchy,
     _warn_if_zeeman_weak,
     allowed_transitions,
     make_spin,
@@ -251,11 +250,9 @@ def _pulse_run(params, tau, h_static, rho0, samples):
     # the effective-tensor construction assumes many drive and decay cycles per pulse half-period
     drive, decay = params.omega_rabi * tau, params.decay * tau
     if drive < HIERARCHY_MIN_PRODUCT or decay < HIERARCHY_MIN_PRODUCT:
-        warnings.warn(
+        _warn_hierarchy(
             f"pulse hierarchy weak: omega*tau = {drive:.3g}, decay*tau = {decay:.3g} "
-            f"(want both >> 1, at least {HIERARCHY_MIN_PRODUCT:g})",
-            HierarchyWarning,
-            stacklevel=3,
+            f"(want both >> 1, at least {HIERARCHY_MIN_PRODUCT:g})"
         )
     eye = np.eye(len(h_static) // 2)
     h_on, h_off = (h_static + qdyn.kron(drive_hamiltonian(params, on), eye) for on in (True, False))

@@ -13,6 +13,7 @@ expected in that frame; rotate principal-axis tensors first.
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 
 import numpy as np
@@ -139,13 +140,23 @@ def _level_energy(zeeman_hz: float, m: float, ii: float, qzz_hz: float) -> float
     return -zeeman_hz * m + (1.5 * m * m - 0.5 * ii) * qzz_hz
 
 
+# a hierarchy warning passes over the frames of these modules
+_CHECKING_MODULES = (__name__, f"{__package__}.oner")
+
+
+def _warn_hierarchy(message: str) -> None:
+    """Warn HierarchyWarning at the first frame outside oner and spin: the line relying on it."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _CHECKING_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, HierarchyWarning, stacklevel=level)
+
+
 def _warn_if_zeeman_weak(zeeman_hz: float, qzz_hz: float) -> None:
     if abs(zeeman_hz) < ZEEMAN_DOMINANCE_FACTOR * abs(qzz_hz):
-        warnings.warn(
+        _warn_hierarchy(
             f"|gamma B0| = {abs(zeeman_hz):.3g} Hz is below {ZEEMAN_DOMINANCE_FACTOR:g} x "
-            f"|Qzz| = {abs(qzz_hz):.3g} Hz; first-order energies are unreliable",
-            HierarchyWarning,
-            stacklevel=3,  # the caller of the function that checks
+            f"|Qzz| = {abs(qzz_hz):.3g} Hz; first-order energies are unreliable"
         )
 
 

@@ -144,7 +144,7 @@ def test_two_runs_build_one_parser(monkeypatch, capsys):
 
 
 def test_scenario_validation(tmp_path):
-    with pytest.raises(ScenarioError, match="unknown scenario keys: omega_hZ"):
+    with pytest.raises(ScenarioError, match="unknown scenario keys: 'omega_hZ'"):
         Scenario.from_mapping({"omega_hZ": 1.0})
     with pytest.raises(ScenarioError, match="omega_hz"):
         Scenario.from_mapping({"omega_hz": -1.0})
@@ -582,7 +582,9 @@ def test_main_leaves_the_warnings_filters_as_it_found_them(capsys):
 def test_weak_hierarchies_warn_where_they_are_relied_on(tmp_path, capsys):
     # a weak pulse hierarchy warns once, from the pulse train, naming the
     # cli line that runs it; a Zeeman splitting of 9 Hz against a Qzz of
-    # kHz warns from the transition table and leaves its rows as they are
+    # kHz warns once per run, names the cli line, and leaves the rows as
+    # they are: rabi-map once for its whole sweep, quoting the largest |Qzz|
+    # of all its fields, which the largest field's tensors hold
     weak = write_scenario(tmp_path, gamma_tau=5.0, n_periods=2, samples_per_period=32)
     with pytest.warns(HierarchyWarning) as record:
         assert main(["pulse", "--scenario", weak]) == EXIT_OK
@@ -599,6 +601,40 @@ def test_weak_hierarchies_warn_where_they_are_relied_on(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HierarchyWarning)
         assert capsys.readouterr().out == run_spectrum(load_scenario(low_field))
+    for command in ("spectrum", "coupled", "rabi-map"):
+        with pytest.warns(HierarchyWarning, match="first-order energies are unreliable") as record:
+            assert main([command, "--scenario", low_field]) == EXIT_OK
+        assert [Path(w.filename).name for w in record] == ["cli.py"], command
+    capsys.readouterr()
+    sc = load_scenario(low_field)
+    pair = cli._table_pair(sc, cli.scenario_table(sc), 0.02)
+    nucleus, thetas = cli.get_nucleus(sc.nucleus), np.linspace(0.0, math.pi / 2.0, 9)
+    with pytest.warns(HierarchyWarning) as largest:  # the default sweep's thetas
+        oner.transition_table(pair, nucleus, 1e-6, thetas, cli.scenario_params(sc))
+    assert str(record[0].message) == str(largest[0].message)
+
+
+def test_scaled_rabi_map_keeps_the_field_axis(monkeypatch, capsys):
+    # one unit-mode factor per run, set by the sweep's largest tensor: every
+    # scaled node is the physical one times the same constant, and the
+    # unit-mode helper is called once per run, not once per field
+    calls = []
+    helper = cli._apply_unit_mode
+    monkeypatch.setattr(cli, "_apply_unit_mode", lambda *a: calls.append(a) or helper(*a))
+    maps = {}
+    for mode in (cli.UNIT_PHYSICAL, cli.UNIT_SCALED):
+        calls.clear()
+        args = ["rabi-map", "--unit-mode", mode, "--theta-count", "3", "--field-count", "5"]
+        assert main(args) == EXIT_OK
+        assert len(calls) == 1
+        maps[mode] = parse_csv(capsys.readouterr().out)
+    physical, scaled = maps[cli.UNIT_PHYSICAL], maps[cli.UNIT_SCALED]
+    assert np.unique(physical["field_au"]).size == 5
+    node = np.flatnonzero(physical["rabi_hz"])[0]
+    factor = scaled["rabi_hz"][node] / physical["rabi_hz"][node]
+    for column in ("rabi_hz", "correction_hz"):
+        assert np.count_nonzero(physical[column]) > 0
+        np.testing.assert_allclose(scaled[column], factor * physical[column], rtol=1e-12, atol=0)
 
 
 def test_coupled_physical_units_run(capsys):
@@ -717,6 +753,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
         path = write_scenario(tmp_path, **{key: value})
         assert main([command, "--scenario", path]) == EXIT_CONFIG
         assert f"onersim: configuration error: {message}" in capsys.readouterr().err
+
+    # a key that is not a string (a number, a YAML boolean, or one beside a
+    # string key) is unknown and shown by repr
+    for text, shown in (("1: 2\n", "1"), ("true: 2\n", "True"), ("1: 2\nfoo: 3\n", "'foo', 1")):
+        p.write_text(text, encoding="utf-8")
+        assert main(["steady-state", "--scenario", str(p)]) == EXIT_CONFIG
+        assert f"configuration error: unknown scenario keys: {shown}\n" in capsys.readouterr().err
+
+    # a text key takes a YAML string only; anything else stops at the scenario
+    for command, key, value in (
+        ("spectrum", "nucleus", [1]),
+        ("coupled", "nucleus", [1]),
+        ("efg-mesh", "nucleus", [1]),
+        ("ingest-check", "table_path", 5),
+        ("spectrum", "unit_mode", 5),
+        ("rabi-map", "table_ground_state", 1),
+        ("rabi-map", "table_excited_state", True),
+    ):
+        path = write_scenario(tmp_path, **{key: value})
+        assert main([command, "--scenario", path]) == EXIT_CONFIG
+        message = f"configuration error: {key} must be a string, got {value!r}"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -824,6 +824,15 @@ def test_coupled_hierarchy_warning_names_the_simulator():
     assert names == [Path(__file__).name], names
 
 
+def test_plan_zeeman_warning_names_the_caller():
+    # a Zeeman splitting far below Qzz warns from the plan's transition
+    # table and points here, at plan's caller, not at a line inside oner
+    nuc, pair, _ = effective_setup()
+    with pytest.warns(HierarchyWarning, match="first-order energies") as record:
+        plan(pair, nuc, 1e-6, np.pi / 4.0, CW, (1.5, 0.5))
+    assert [Path(w.filename).name for w in record] == [Path(__file__).name]
+
+
 def test_coupled_takes_its_plan(monkeypatch):
     # a plan passed in is the run's plan: plan is not called again, the
     # run is the one it would have planned itself, and a plan of another
