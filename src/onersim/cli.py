@@ -22,9 +22,11 @@ Unit modes: "physical" uses the scenario values as stated.  "scaled"
 keeps the two-level parameters and compresses the spectator hierarchy:
 the Zeeman splitting gamma*B0 is set to omega / zeeman_ratio and the
 coupling tensors are rescaled, preserving their shapes, by one factor
-per run: it brings the largest component among all the tensors the
-subcommand uses to gamma*B0 / quad_ratio (in angular-frequency terms),
-so a rabi-map sweep keeps its field dependence.  Ratios >= 30 keep each
+per run: it brings the largest component among every tensor of the
+run's state pairs, Qeg included, to gamma*B0 / quad_ratio (in
+angular-frequency terms), so spectrum, coupled and efg-mesh of one
+scenario share one factor and a rabi-map sweep keeps its field
+dependence.  Ratios >= 30 keep each
 tier well separated and bring a coupled run too stiff for the
 propagator's checks (exit 3) within them; all reported frequencies
 simply rescale, and a tier past the float range is a configuration
@@ -157,9 +159,10 @@ class Scenario:
             items = val if many else [val]
             try:
                 nums = [math.nan if isinstance(v, bool) else kind(v) for v in items]
+                finite = all(map(math.isfinite, nums))  # an int past the float range overflows
             except (TypeError, ValueError, OverflowError):
-                nums = [math.nan]  # not a number, or an infinity int() refuses
-            if not all(map(math.isfinite, nums)):
+                finite = False  # not a number, or an infinity int() refuses
+            if not finite:
                 raise ScenarioError(f"{f.name} must be a number with a finite value, got {val!r}")
             if kind is int and not isinstance(val, str) and nums[0] != val:
                 raise ScenarioError(f"{f.name} must be a whole number, got {val!r}")
@@ -334,12 +337,16 @@ class ResolvedSetup:
 def _apply_unit_mode(
     sc: Scenario, nucleus: NucleusRecord, pairs: list[StatePairNqi]
 ) -> tuple[NucleusRecord, list[StatePairNqi]]:
-    """The nucleus and every pair of one run in its unit mode, all pairs scaled by one factor."""
+    """The nucleus and every pair of one run in its unit mode, all pairs scaled by one factor.
+
+    The factor is set by the largest component among every tensor of the pairs, Qeg
+    included, so spectrum, coupled and efg-mesh of one scenario share it.
+    """
     if sc.unit_mode == UNIT_PHYSICAL:
         return nucleus, pairs
     gamma_b0_hz = sc.omega_hz / sc.zeeman_ratio
     gamma_mhz_per_t = gamma_b0_hz / 1e6 / sc.b0_tesla
-    current = max(max(p.qg.norm, p.qe.norm) for p in pairs)  # zero tensors keep their scale
+    current = max(q.norm for p in pairs for q in p)  # zero tensors keep their scale
     factor = TWO_PI * gamma_b0_hz / sc.quad_ratio / current if current else 1.0
     gamma = TWO_PI * (gamma_mhz_per_t * 1e6)  # rad/s per tesla, as the Zeeman term forms it
     for what, value in (("gamma", gamma), ("gamma B0", gamma_b0_hz), ("tensor factor", factor)):

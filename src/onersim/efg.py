@@ -269,16 +269,17 @@ class SurfaceMesh:
         return np.sign(self.g)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a map past the float range raises below
 def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
     """Evaluate the radial tensor map over a spherical grid.
 
     For each direction r_hat(theta, phi) the value g = s * r_hat.Phi.r_hat
     is computed; the surface radius is |g| and the sign distinguishes
     prolate from oblate lobes.  For traceless Phi the spherical average
-    of g vanishes.  s must be finite; a negative s swaps the lobes' signs.
+    of g vanishes.  A negative s swaps the lobes' signs; a map that is not
+    finite everywhere (a scale that is not finite, or one that takes the
+    tensor past the float range) raises ValueError.
     """
-    if not np.isfinite(s):
-        raise ValueError(f"mesh scale must be finite, got {s}")
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"mesh resolution must be >= 8 per axis, got {n_theta} x {n_phi}")
     mat = tensor_matrix(phi_tensor)
@@ -295,7 +296,10 @@ def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
         + 2.0 * mat[0, 2] * x * z
         + 2.0 * mat[1, 2] * y * z
     )
-    return SurfaceMesh(theta=theta, phi=phi, g=s * g)
+    g = s * g
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"mesh scale {s} maps the tensor to values that are not finite")
+    return SurfaceMesh(theta=theta, phi=phi, g=g)
 
 
 class LinearResponseModel:

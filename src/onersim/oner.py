@@ -135,7 +135,8 @@ class StatePairNqi:
 
     The optional off-diagonal tensor qeg couples through the electronic
     coherence; it time-averages out at optical carrier frequencies and
-    defaults to absent.
+    defaults to absent.  Iterating a pair yields its tensors: qg, qe and,
+    when present, qeg.
     """
 
     qg: NqiTensor
@@ -143,11 +144,12 @@ class StatePairNqi:
     qeg: NqiTensor | None = None
 
     def __post_init__(self) -> None:
-        frames = {self.qg.frame, self.qe.frame}
-        if self.qeg is not None:
-            frames.add(self.qeg.frame)
+        frames = {q.frame for q in self}
         if len(frames) != 1:
             raise ValueError(f"state-pair tensors must share one frame, got {sorted(frames)}")
+
+    def __iter__(self):
+        return iter((self.qg, self.qe) if self.qeg is None else (self.qg, self.qe, self.qeg))
 
     @property
     def frame(self) -> str:
@@ -159,8 +161,8 @@ class StatePairNqi:
         return NqiTensor(_difference(self.qg.matrix, self.qe.matrix), frame=self.frame)
 
     def map(self, fn) -> "StatePairNqi":
-        """The pair of fn(qg), fn(qe) and, when present, fn(qeg)."""
-        return StatePairNqi(fn(self.qg), fn(self.qe), None if self.qeg is None else fn(self.qeg))
+        """The pair of fn applied to each of its tensors."""
+        return StatePairNqi(*(fn(q) for q in self))
 
 
 @dataclass(frozen=True)
@@ -379,8 +381,8 @@ def effective_nqi_series(
     p, coh = trajectory.rho_ee[:, None, None], trajectory.rho_eg
     if carrier_omega is not None:
         coh = coh * np.exp(-1j * carrier_omega * trajectory.times)
-    qeg = 0.0 if pair.qeg is None else pair.qeg.matrix
-    out = p * pair.qe.matrix + (1.0 - p) * pair.qg.matrix + 2.0 * coh.real[:, None, None] * qeg
+    weights = (1.0 - p, p, 2.0 * coh.real[:, None, None])  # of Qg, Qe and Qeg
+    out = sum(w * q.matrix for w, q in zip(weights, pair))
     out.setflags(write=False)
     return out
 
@@ -622,13 +624,9 @@ def simulate_coupled(
     spin, pair_b, start, samples = _check_plan_consistency(
         plan_, pair, nucleus, theta, duration, None, n_samples
     )
-    h_static = (
-        qdyn.kron(np.eye(2), zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin))
-        + qdyn.kron(PROJ_G, quadrupole_hamiltonian(pair_b.qg, spin))
-        + qdyn.kron(PROJ_E, quadrupole_hamiltonian(pair_b.qe, spin))
-    )
-    if pair_b.qeg is not None:
-        h_static += qdyn.kron(SIGMA + SIGMA.conj().T, quadrupole_hamiltonian(pair_b.qeg, spin))
+    h_static = qdyn.kron(np.eye(2), zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin))
+    for block, q in zip((PROJ_G, PROJ_E, SIGMA + SIGMA.conj().T), pair_b):  # Qg, Qe, Qeg blocks
+        h_static += qdyn.kron(block, quadrupole_hamiltonian(q, spin))
     # product basis |g> x |m>: the ground block holds the first 2I + 1 indices
     rho0 = DensityOperator.pure(start, dim=2 * spin.dim)
     res = _pulse_run(params, plan_.period_s, h_static, rho0, samples)

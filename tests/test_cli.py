@@ -637,6 +637,25 @@ def test_scaled_rabi_map_keeps_the_field_axis(monkeypatch, capsys):
         np.testing.assert_allclose(scaled[column], factor * physical[column], rtol=1e-12, atol=0)
 
 
+def test_scaled_factor_counts_every_tensor_of_the_pair(tmp_path):
+    # Qeg holds the scenario's largest component, so Qeg lands on
+    # gamma B0 / quad_ratio and Qg and Qe scale down with it: no tensor of
+    # the pair sits above the tier the scaled mode keeps them under
+    path = write_scenario(
+        tmp_path,
+        unit_mode="scaled",
+        qg_khz=[0.0] * 6,
+        qe_khz=[-1.0, -1.0, 2.0, 0.0, 0.0, 0.0],
+        qeg_khz=[-100.0, -100.0, 200.0, 0.0, 0.0, 0.0],
+    )
+    sc = load_scenario(path)
+    _, [pair] = cli._apply_unit_mode(sc, cli.get_nucleus(sc.nucleus), [cli.scenario_pair(sc)])
+    tier = TWO_PI * (sc.omega_hz / sc.zeeman_ratio) / sc.quad_ratio
+    largest = max(pair.qg.norm, pair.qe.norm, pair.qeg.norm)
+    assert largest == pytest.approx(tier, rel=1e-12)
+    assert pair.qeg.norm == largest
+
+
 def test_coupled_physical_units_run(capsys):
     # the packaged setup runs in physical units, with GHz optical rates
     # against a kHz quadrupole tier
@@ -695,9 +714,12 @@ def test_efg_mesh_axial_tensor(capsys):
     np.testing.assert_allclose(data["sign"][equator], -1.0)
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e308"])
 def test_efg_mesh_scale_that_is_not_finite_exits_2(scale, capsys):
-    assert main(["efg-mesh", "--mesh-scale", scale]) == EXIT_CONFIG
+    # 1e308 is finite, but takes the map past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["efg-mesh", "--mesh-scale", scale]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "configuration error" in captured.err
@@ -791,16 +813,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("pulse", {"n_periods": 2.9}),
         ("spectrum", {"qg_khz": [True, 0, 0, 0, 0, 0]}),
         ("spectrum", {"qg_khz": 5}),
+        ("pulse", {"n_periods": 10**400}),
     ],
     ids=[
         "inf-int", "nan-int", "nan-float", "nan-tensor", "inf-level", "scaled-b0", "scaled-omega",
-        "bool-float", "fraction-int", "bool-tensor", "scalar-tensor",
+        "bool-float", "fraction-int", "bool-tensor", "scalar-tensor", "beyond-float-int",
     ],
 )
 def test_bad_numbers_stop_at_the_scenario(tmp_path, capsys, command, overrides):
-    # a non-finite number, a boolean, a fraction for an integer key, or a
-    # zero the scaled mode divides by, is a configuration error (exit 2)
-    # that names its key, never a traceback, a table of nan or a silent cast
+    # a non-finite number, an integer past the float range, a boolean, a
+    # fraction for an integer key, or a zero the scaled mode divides by, is
+    # a configuration error (exit 2) that names its key, never a traceback,
+    # a table of nan or a silent cast
     path = write_scenario(tmp_path, **overrides)
     assert main([command, "--scenario", path]) == EXIT_CONFIG
     captured = capsys.readouterr()

@@ -271,9 +271,16 @@ def test_surface_mesh_isotropic_input_gives_constant_radius():
 
 
 def test_surface_mesh_rejects_a_scale_that_is_not_finite():
-    for s in (np.nan, np.inf, -np.inf):
+    # a finite scale that takes the map past the float range fails the same
+    # way (2 AXIAL peaks at 2, so 1e308 overflows), with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (np.nan, np.inf, -np.inf, 1e308):
+            with pytest.raises(ValueError, match="finite"):
+                surface_mesh(2.0 * AXIAL, s, 8, 8)
+        off_diagonal = EfgTensor([[0.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            surface_mesh(AXIAL, s, 8, 8)
+            surface_mesh(off_diagonal, 1.0, 8, 8)
 
 
 def test_surface_mesh_rejects_low_resolution():

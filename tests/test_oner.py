@@ -339,6 +339,17 @@ def test_state_pair_frames_and_delta():
     assert rot.frame == "B"
     with pytest.raises(ValueError, match="share one frame"):
         StatePairNqi(qg=qg, qe=NqiTensor(qe.matrix, frame="B"))
+    with pytest.raises(ValueError, match="share one frame"):
+        StatePairNqi(qg, qe, NqiTensor(qe.matrix, frame="B"))
+    # iterating a pair yields its tensors, Qeg only when present, and map
+    # applies to exactly those
+    assert list(pair) == [qg, qe]
+    assert pair.map(lambda q: q.scaled(2.0)).qeg is None
+    full = StatePairNqi(qg, qe, axial_nqi(0.5))
+    assert list(full) == [qg, qe, full.qeg]
+    doubled = full.map(lambda q: q.scaled(2.0))
+    for q, twice in zip((qg, qe, full.qeg), (doubled.qg, doubled.qe, doubled.qeg)):
+        np.testing.assert_array_equal(twice.matrix, 2.0 * q.matrix)
 
 
 def test_state_pair_map_applies_to_each_present_tensor():
