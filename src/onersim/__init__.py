@@ -48,7 +48,6 @@ from .oner import (
     effective_nqi_series,
     fit_rabi,
     fourier_coefficients,
-    pair_in_b_frame,
     plan,
     simulate_coupled,
     simulate_pulsed_two_level,

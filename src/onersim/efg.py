@@ -210,6 +210,7 @@ def nqi_from_efg(phi: EfgTensor, nucleus: NucleusRecord) -> NqiTensor:
     return NqiTensor(rad_per_s, frame=phi.frame)
 
 
+@np.errstate(invalid="ignore")  # an infinite angle gives NaN entries, as a NaN angle does
 def rotation_about_x(theta: float | np.ndarray) -> np.ndarray:
     """Rotation matrix about the shared x axis by theta; an array of angles gives one per angle."""
     c, s = np.cos(theta), np.sin(theta)
@@ -292,9 +293,9 @@ def surface_mesh(phi_tensor, s: float, n_theta: int, n_phi: int) -> SurfaceMesh:
         mat[0, 0] * x * x
         + mat[1, 1] * y * y
         + mat[2, 2] * z * z
-        + 2.0 * mat[0, 1] * x * y
-        + 2.0 * mat[0, 2] * x * z
-        + 2.0 * mat[1, 2] * y * z
+        + 2.0 * (mat[0, 1] * x * y)  # doubled last, so no component past half the range overflows
+        + 2.0 * (mat[0, 2] * x * z)
+        + 2.0 * (mat[1, 2] * y * z)
     )
     g = s * g
     if not np.all(np.isfinite(g)):

@@ -14,14 +14,16 @@ The pipeline implemented here:
    rate gamma_c / 2).
 2. fourier_coefficients: harmonic content of the excited-state
    population over one pulse period.
-3. transition_table: the static tensor Q0 = Qg + (rho_inf / 2)(Qe - Qg)
-   and the fundamental-harmonic amplitude Q1 = (2 rho_inf / pi)(Qe - Qg)
-   of the effective coupling, from the square-wave limit of a duty-1/2
-   population, at the drive's rho_inf.
+3. _effective: the pair turned into the field frame (B) and the static
+   tensor Q0 = Qg + (rho_inf / 2)(Qe - Qg) and fundamental-harmonic
+   amplitude Q1 = (2 rho_inf / pi)(Qe - Qg) of the effective coupling,
+   from the square-wave limit of a duty-1/2 population, at the drive's
+   rho_inf; the only place any of them is formed.
 4. transition_table / plan: per orientation and transition, the
    repetition rate from the first-order transition energy with Q0 and
    the predicted Rabi frequency |g(Q1)| / 2 pi; plan reads the row of
-   one target transition and keeps Q0, Q1 and the drive.
+   one target transition and keeps Q0, Q1 and the drive, which both
+   spin runs check through step 3 again.
 5. simulate_spin_effective / simulate_coupled: the spin-only model with
    a harmonically modulated tensor, and the full 2 x (2I+1) density
    matrix with the operator-valued coupling, for cross-validation.
@@ -95,6 +97,10 @@ class TwoLevelParams:
     duty: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("omega_rabi", "decay", "detuning", "dephasing", "tau"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega_rabi < 0:
             raise ValueError(f"omega_rabi must be >= 0, got {self.omega_rabi}")
         if self.decay < 0 or self.dephasing < 0:
@@ -344,6 +350,8 @@ def fourier_coefficients(times, values, n_max: int) -> FourierSeries:
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
         raise ValueError("times and values must be matching 1-D arrays, length >= 2")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("times and values must be finite")
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
         raise ValueError("sampling must be uniform over the period")
@@ -401,28 +409,24 @@ def _difference(qg, qe) -> np.ndarray:
     return dq
 
 
-def _q0_q1(qg, qe, rho_ee_inf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q0 and Q1 (unvalidated; step 3 above) of ground and excited matrices, or stacks of them."""
-    if not -1e-6 <= rho_ee_inf <= 0.5 + 1e-6:
-        raise ValueError(f"rho_ee_inf = {rho_ee_inf:.6g} outside the physical range [0, 1/2]")
-    dq = _difference(qg, qe)
-    return qg + (rho_ee_inf / 2.0) * dq, (2.0 * rho_ee_inf / math.pi) * dq
+def _effective(pair: StatePairNqi, thetas: np.ndarray, params: TwoLevelParams):
+    """The pair's matrices in the field frame (B) at thetas, with its Q0 and Q1 (step 3 above).
 
-
-def _turns_to_b(pair: StatePairNqi) -> bool:
-    """Whether the pair is in the E frame, which turns about x into the B frame."""
-    if pair.frame in (FRAME_E, FRAME_B):
-        return pair.frame == FRAME_E
-    raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
-
-
-def pair_in_b_frame(pair: StatePairNqi, theta: float) -> StatePairNqi:
-    """The state pair in the magnetic-field frame (B).
-
-    E-frame tensors are rotated about x by theta, the angle between the
-    gradient and field frames; B-frame tensors pass through unchanged.
+    An E-frame pair turns about x by each of N thetas (a 0-d array: one 3 x 3 each), all
+    its tensors at once, and every turned stack is checked as NqiTensor checks one
+    tensor; a B-frame pair is used as it is.  Q0 and Q1 (unvalidated) model a square wave
+    of duty 1/2 at the drive's steady-state population, so any other duty raises ValueError.
     """
-    return pair.map(lambda q: rotate_about_x(q, theta)) if _turns_to_b(pair) else pair
+    if params.duty != 0.5:
+        raise ValueError(f"duty {params.duty:g}: Q0 and Q1 model a square-wave drive of duty 1/2")
+    if pair.frame == FRAME_E:
+        turned = [_validated_tensor(rotate_about_x(q.matrix, thetas), "NQI tensor") for q in pair]
+    elif pair.frame == FRAME_B:  # the same matrices at every orientation
+        turned = [np.broadcast_to(q.matrix, thetas.shape + (3, 3)) for q in pair]
+    else:
+        raise ValueError(f"state pair frame must be {FRAME_E!r} or {FRAME_B!r}, got {pair.frame!r}")
+    rho_ee_inf, dq = steady_state(params)[0], _difference(*turned[:2])
+    return turned, turned[0] + (rho_ee_inf / 2.0) * dq, (2.0 * rho_ee_inf / math.pi) * dq
 
 
 def transition_table(
@@ -446,14 +450,9 @@ def transition_table(
     below ZERO_AMPLITUDE_RTOL times that orientation's largest |Q1|
     component.  transitions defaults to every allowed one.  Warns if |gamma B0| < 10 max |Qzz|.
     """
-    if params.duty != 0.5:
-        raise ValueError(f"duty {params.duty:g}: Q0 and Q1 model a square-wave drive of duty 1/2")
     spin = make_spin(nucleus.two_I)
     thetas = np.asarray(theta, dtype=float).ravel()
-    angles = thetas if _turns_to_b(pair) else np.zeros_like(thetas)  # B turns by 0, exactly
-    turned = (rotate_about_x(q.matrix, angles) for q in (pair.qg, pair.qe))
-    qg, qe = (_validated_tensor(m, "NQI tensor") for m in turned)
-    q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _q0_q1(qg, qe, steady_state(params)[0]))
+    q0, q1 = (_validated_tensor(q, "NQI tensor") for q in _effective(pair, thetas, params)[1:])
     floor = ZERO_AMPLITUDE_RTOL * np.maximum(np.max(np.abs(q1), axis=(1, 2)), 1e-300)
     gamma, qzz_hz = nucleus.gamma_hz_per_t, q0[:, 2, 2] / TWO_PI
     _warn_if_zeeman_weak(gamma * b0_tesla, np.max(np.abs(qzz_hz), initial=0.0))
@@ -529,16 +528,15 @@ class SpinTrajectory:
 
 
 def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_samples):
-    """Start a spin run: (spin, pair in the B frame, index of the start level, sample grid).
+    """Start a spin run: (spin, the pair's B-frame matrices, index of the start level, sample grid).
 
-    Q0 and Q1 formed from this pair at the plan's drive must match the plan's to 1e-9 of
-    max(|Q1|, |Qe - Qg|) (Q0 also to its own rounding), and duration must be > 0; initial_m
-    defaults to the plan's source level.
+    Q0 and Q1 formed from this pair at the plan's drive, as transition_table forms them, must
+    match the plan's to 1e-9 of max(|Q1|, |Qe - Qg|) (Q0 also to its own rounding), and
+    duration must be > 0; initial_m defaults to the plan's source level.
     """
     spin = make_spin(nucleus.two_I)
-    pair_b = pair_in_b_frame(pair, theta)
-    q0, q1 = _q0_q1(pair_b.qg.matrix, pair_b.qe.matrix, steady_state(plan_.params)[0])
-    tol = 1e-9 * max(plan_.q1.norm, float(np.max(np.abs(pair_b.qe.matrix - pair_b.qg.matrix))))
+    turned, q0, q1 = _effective(pair, np.asarray(theta, dtype=float), plan_.params)
+    tol = 1e-9 * max(plan_.q1.norm, float(np.max(np.abs(turned[1] - turned[0]))))
     rounding = 8 * np.finfo(float).eps * plan_.q0.norm
     for name, formed, slack in (("q1", q1, 0.0), ("q0", q0, rounding)):
         if not np.max(np.abs(formed - getattr(plan_, name).matrix)) <= tol + slack:  # NaN fails
@@ -546,7 +544,7 @@ def _check_plan_consistency(plan_, pair, nucleus, theta, duration, initial_m, n_
     if duration <= 0:
         raise ValueError("duration must be > 0")
     start = spin.index_of(plan_.transition[0] if initial_m is None else initial_m)
-    return spin, pair_b, start, np.linspace(0.0, duration, n_samples + 1)
+    return spin, turned, start, np.linspace(0.0, duration, n_samples + 1)
 
 
 def simulate_spin_effective(
@@ -621,11 +619,11 @@ def simulate_coupled(
         raise ValueError(f"plan is for transition {plan_.transition}, not {tuple(transition)}")
     elif replace(plan_.params, tau=params.tau) != params:
         raise ValueError(f"plan is for the drive {plan_.params}, not {params}")
-    spin, pair_b, start, samples = _check_plan_consistency(
+    spin, turned, start, samples = _check_plan_consistency(
         plan_, pair, nucleus, theta, duration, None, n_samples
     )
     h_static = qdyn.kron(np.eye(2), zeeman_hamiltonian(nucleus.gamma_hz_per_t, b0_tesla, spin))
-    for block, q in zip((PROJ_G, PROJ_E, SIGMA + SIGMA.conj().T), pair_b):  # Qg, Qe, Qeg blocks
+    for block, q in zip((PROJ_G, PROJ_E, SIGMA + SIGMA.conj().T), turned):  # Qg, Qe, Qeg blocks
         h_static += qdyn.kron(block, quadrupole_hamiltonian(q, spin))
     # product basis |g> x |m>: the ground block holds the first 2I + 1 indices
     rho0 = DensityOperator.pure(start, dim=2 * spin.dim)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -147,10 +148,14 @@ class DensityOperator:
             vec[int(state)] = 1.0
         else:
             vec = np.asarray(state, dtype=complex).ravel()
-            norm = np.linalg.norm(vec)
-            if norm == 0:
+            top = float(np.max(np.abs(vec.view(float)), initial=0.0))
+            if not math.isfinite(top):
+                raise ValueError("state vector has non-finite entries")
+            if top == 0:
                 raise ValueError("zero state vector")
-            vec = vec / norm
+            # a power of two scales exactly, so the norm neither overflows nor underflows
+            vec = vec * 2.0 ** -max(math.frexp(top)[1], -1022)
+            vec = vec / np.linalg.norm(vec)
         m, rho = np.outer(vec, vec.conj()), cls.__new__(cls)
         rho._matrix, rho._vector = m / 2.0 + m.conj().T / 2.0, vec  # as __init__ hermitizes
         if not abs(np.trace(rho._matrix).real - 1.0) <= TRACE_TOL:

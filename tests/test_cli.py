@@ -799,6 +799,52 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unit_mode", ["physical", "scaled"])
+def test_table_backed_tensors_print_what_the_inline_ones_do(tmp_path, capsys, unit_mode):
+    # the packaged table at table_field_au 0.01 holds exactly the packaged
+    # inline tensors, so a scenario without inline tensors reads them from
+    # the table and prints the packaged scenario's bytes
+    path = write_scenario(tmp_path, qg_khz=None, qe_khz=None)
+    for command in ("spectrum", "coupled", "efg-mesh"):
+        outs = []
+        for argv in ([command], [command, "--scenario", path]):
+            assert main([*argv, "--unit-mode", unit_mode]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_a_scenario_without_a_whole_tensor_source_exits_2(tmp_path, capsys):
+    # an empty file is the default scenario: it drives as the packaged one
+    # does but names no tensors; one inline tensor, or a table with no
+    # field and states, is refused before any table is read
+    assert main(["steady-state"]) == EXIT_OK
+    packaged = capsys.readouterr().out
+    p = tmp_path / "partial.yaml"
+    p.write_text("", encoding="utf-8")
+    assert main(["steady-state", "--scenario", str(p)]) == EXIT_OK
+    assert capsys.readouterr().out == packaged
+    for text, message in (
+        ("", "scenario provides neither inline tensors nor a table source"),
+        ("qe_khz: [-124.0, -124.0, 248.0, 0.0, 0.0, 0.0]\n", "inline tensors need both qg_khz and qe_khz"),
+        ("table_path: absent.csv\n", "table-backed tensors need table_field_au, table_ground_state"),
+    ):
+        p.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--scenario", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"onersim: configuration error: {message}" in captured.err
+
+
+def test_a_derived_pulse_period_that_is_not_finite_exits_2(tmp_path, capsys):
+    # gamma_tau 1e300 over a decay of 1e-20 Hz derives tau = inf, which the
+    # drive refuses by name, with no RuntimeWarning on the way
+    path = write_scenario(tmp_path, gamma_tau=1e300, decay_hz=1e-20)
+    assert main(["pulse", "--scenario", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "onersim: configuration error: tau must be finite, got inf" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, overrides",
     [

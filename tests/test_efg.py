@@ -280,7 +280,17 @@ def test_surface_mesh_rejects_a_scale_that_is_not_finite():
                 surface_mesh(2.0 * AXIAL, s, 8, 8)
         off_diagonal = EfgTensor([[0.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            surface_mesh(off_diagonal, 1.0, 8, 8)
+            surface_mesh(off_diagonal, 2.0, 8, 8)  # its map peaks at 9.5e307
+
+
+def test_surface_mesh_maps_an_off_diagonal_component_past_half_the_float_range():
+    # the map of 1e308 in xy peaks at 1e308 sin^2(theta) sin(2 phi), 9.5e307
+    # on an 8 x 8 grid: every cross term is doubled after it meets x y <= 1/2
+    off_diagonal = EfgTensor([[0.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    mesh = surface_mesh(off_diagonal, 1.0, 8, 8)
+    assert np.all(np.isfinite(mesh.g))
+    assert np.max(mesh.g) == pytest.approx(1e308 * np.sin(3.0 * np.pi / 7.0) ** 2, rel=1e-12)
+    assert np.max(mesh.g) == pytest.approx(9.5e307, rel=1e-3)
 
 
 def test_surface_mesh_rejects_low_resolution():

@@ -67,6 +67,11 @@ def test_params_validation_and_conversion():
     with pytest.raises(ValueError, match="tau"):
         TwoLevelParams(omega_rabi=1.0, decay=1.0, tau=0.0)
 
+    for name in ("omega_rabi", "decay", "detuning", "dephasing", "tau"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TwoLevelParams(**{"omega_rabi": 1.0, "decay": 1.0, name: value})
+
     p = TwoLevelParams.from_hz(2.0, 1.0, detuning_hz=0.5, dephasing_hz=0.25, tau=100.0)
     assert p.omega_rabi == pytest.approx(TWO_PI * 2.0)
     assert p.decay == pytest.approx(TWO_PI)
@@ -298,6 +303,13 @@ def test_fourier_validation():
         fourier_coefficients(t, v, -1)
     with pytest.raises(ValueError, match="matching"):
         fourier_coefficients(t, v[:-1], 3)
+    for times, values in (
+        ([0.0, np.inf, 2.0 * np.inf], [1.0, 2.0, 3.0]),
+        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
+        (t, np.where(t > 0.5, np.nan, v)),
+    ):
+        with pytest.raises(ValueError, match="times and values must be finite"):
+            fourier_coefficients(times, values, 0)
 
 
 def test_fourier_error_decreases_with_pulse_hierarchy():
@@ -317,17 +329,15 @@ def test_fourier_error_decreases_with_pulse_hierarchy():
 def test_q0_q1_square_wave_limits():
     qe = axial_nqi(TWO_PI * 1e3)
     pair = StatePairNqi(qg=NqiTensor(np.zeros((3, 3))), qe=qe)
-    rho_inf = 25.0 / 54.0
-    q0, q1 = oner._q0_q1(pair.qg.matrix, pair.qe.matrix, rho_inf)
+    params = TwoLevelParams(omega_rabi=2.5, decay=1.0)
+    rho_inf, _ = steady_state(params)
+    assert rho_inf == pytest.approx(25.0 / 54.0, rel=1e-15)
+    _, q0, q1 = oner._effective(pair, np.asarray(0.0), params)
     np.testing.assert_allclose(q0, (rho_inf / 2.0) * qe.matrix, rtol=1e-12)
     np.testing.assert_allclose(q1, (2.0 * rho_inf / np.pi) * qe.matrix, rtol=1e-12)
     # static offset above the ground tensor is pi/4 of the fundamental,
     # independent of the steady state
     np.testing.assert_allclose(q0 - pair.qg.matrix, (np.pi / 4.0) * q1, rtol=1e-12)
-    with pytest.raises(ValueError, match="physical range"):
-        oner._q0_q1(pair.qg.matrix, pair.qe.matrix, 0.7)
-    with pytest.raises(ValueError, match="physical range"):
-        oner._q0_q1(pair.qg.matrix, pair.qe.matrix, -0.1)
 
 
 def test_state_pair_frames_and_delta():
@@ -335,7 +345,7 @@ def test_state_pair_frames_and_delta():
     qe = axial_nqi(3.0)
     pair = StatePairNqi(qg=qg, qe=qe)
     np.testing.assert_allclose(pair.delta.matrix, axial_nqi(2.0).matrix, rtol=1e-12)
-    rot = oner.pair_in_b_frame(pair, 0.5)
+    rot = pair.map(lambda q: rotate_about_x(q, 0.5))
     assert rot.frame == "B"
     with pytest.raises(ValueError, match="share one frame"):
         StatePairNqi(qg=qg, qe=NqiTensor(qe.matrix, frame="B"))
@@ -504,10 +514,13 @@ def test_transition_table_rows_are_the_plans():
 
 
 def per_node_table(pair, nuc, b0, theta, rho_inf, transitions):
-    """Q0, Q1 and rows at one orientation from rotate_about_x, _q0_q1 and scalar spin helpers."""
+    """Q0, Q1 and rows at one orientation from rotate_about_x, the square-wave Q0 and Q1
+    formulas and scalar spin helpers."""
     spin = make_spin(nuc.two_I)
     pair_b = pair.map(lambda q: rotate_about_x(q, theta)) if pair.frame == "E" else pair
-    q0, q1 = (NqiTensor(q) for q in oner._q0_q1(pair_b.qg.matrix, pair_b.qe.matrix, rho_inf))
+    dq = pair_b.delta.matrix
+    q0 = NqiTensor(pair_b.qg.matrix + (rho_inf / 2.0) * dq)
+    q1 = NqiTensor((2.0 * rho_inf / np.pi) * dq)
     gamma, rows = nuc.gamma_hz_per_t, []
     for m_from, m_to in transitions:
         energy = abs(transition_energy(m_from, m_to, gamma, b0, q0.qzz_hz, spin))
@@ -565,6 +578,8 @@ def test_transition_table_refuses_bad_orientations_and_transitions():
         transition_table(pair, nuc, 1.0, [0.3, np.nan, 0.6], CW)
     with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
         transition_table(pair, nuc, 1.0, np.nan, CW)
+    with pytest.raises(ValueError, match="NQI tensor has non-finite entries"):
+        transition_table(pair, nuc, 1.0, [0.3, np.inf, -np.inf], CW)  # as NaN, with no warning
     # a B-frame pair takes no turn, so its orientation is never read
     b_pair = StatePairNqi(*(NqiTensor(q.matrix, frame="B") for q in (pair.qg, pair.qe)))
     assert transition_table(b_pair, nuc, 1.0, np.nan, CW)[2].shape == (1, 5, 5)
@@ -578,7 +593,7 @@ def test_plan_accepts_prerotated_pairs():
     nuc = nucleus_for(33333.0)
     theta = 0.7
     pair_e = axial_pair(TWO_PI * 1000.0)
-    pair_b = oner.pair_in_b_frame(pair_e, theta)
+    pair_b = pair_e.map(lambda q: rotate_about_x(q, theta))
     pl_e = plan(pair_e, nuc, 1.0, theta, CW, (1.5, 0.5))
     pl_b = plan(pair_b, nuc, 1.0, 0.0, CW, (1.5, 0.5))  # theta ignored for B frame
     assert pl_b.repetition_rate_hz == pytest.approx(pl_e.repetition_rate_hz, rel=1e-12)
@@ -755,7 +770,8 @@ def test_plan_check_refuses_another_pair_at_extreme_scale(scale_khz):
 
 def test_the_effective_model_refuses_a_duty_other_than_one_half():
     # Q0 and Q1 model a duty-1/2 square wave: the table, and so the plan,
-    # refuse any other duty; a plan keeps its drive through detuned
+    # refuse any other duty; a plan keeps its drive through detuned, and a
+    # plan given another drive by replace is refused by both spin runs
     nuc, pair = nucleus_for(33333.0), axial_pair(TWO_PI * 1000.0)
     off = replace(CW, duty=0.3)
     with pytest.raises(ValueError, match="duty 0.3"):
@@ -764,6 +780,11 @@ def test_the_effective_model_refuses_a_duty_other_than_one_half():
         transition_table(pair, nuc, 1.0, [0.3, 0.6], off)
     pl = plan(pair, nuc, 1.0, 0.6, CW, (1.5, 0.5))
     assert pl.params is CW and detuned(pl, 1.0).params is CW
+    replaced = replace(pl, params=off)
+    with pytest.raises(ValueError, match="duty 0.3"):
+        simulate_spin_effective(replaced, pair, nuc, 1.0, 0.6, pl.period_s)
+    with pytest.raises(ValueError, match="duty 0.3"):
+        simulate_coupled(pair, nuc, 1.0, 0.6, off, (1.5, 0.5), pl.period_s, plan_=replaced)
 
 
 def test_coupled_refuses_a_plan_of_another_drive():

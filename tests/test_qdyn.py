@@ -245,6 +245,14 @@ def test_density_operator_constructors():
         DensityOperator.pure(1)
     with pytest.raises(ValueError, match="zero state"):
         DensityOperator.pure([0.0, 0.0])
+    # the norm is taken after an exact power-of-two scaling, so a vector at
+    # 1e200 or 1e-300 is a state, and a non-finite entry is refused by name
+    np.testing.assert_array_equal(DensityOperator.pure([1e200, 0.0]).matrix, ground.matrix[:2, :2])
+    tilted = DensityOperator.pure([3e-300, 4e-300j])
+    np.testing.assert_allclose(np.diag(tilted.matrix).real, [0.36, 0.64], rtol=1e-15)
+    for bad in ([np.inf, 0.0], [np.nan, 0.0], [1.0, complex(0.0, -np.inf)]):
+        with pytest.raises(ValueError, match="state vector has non-finite entries"):
+            DensityOperator.pure(bad)
 
 
 def test_pure_start_state_is_never_decomposed(monkeypatch):
@@ -267,8 +275,8 @@ def test_pure_start_state_is_never_decomposed(monkeypatch):
         assert rho0.matrix.tobytes() == ref.tobytes() and not rho0.matrix.flags.writeable
         assert np.array_equal(rho0.vector, u)
         np.testing.assert_allclose(rho0.matrix @ u, u, rtol=0.0, atol=1e-15)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace"):
-        DensityOperator.pure([np.nan, 1.0])  # a NaN trace fails the check too
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator.pure([np.nan, 1.0])  # refused before the norm, with no warning
     h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3, 0.5)
     monkeypatch.setattr(qdyn, "liouvillian", None)  # the vector path needs none
     res = propagate_modulated(h0, h1, np.sin, [], rho0, np.linspace(0.0, 3.0, 7), period=2 * np.pi)
